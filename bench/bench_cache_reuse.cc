@@ -47,7 +47,7 @@ using treeq::engine::DocumentStore;
 using treeq::engine::Executor;
 using treeq::engine::Plan;
 using treeq::engine::PlanPtr;
-using treeq::engine::QueryResult;
+using treeq::QueryResult;
 using treeq::engine::Request;
 
 // The per-document query set: each (query, document) pair is one distinct

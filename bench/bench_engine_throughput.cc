@@ -39,7 +39,7 @@ using treeq::engine::Executor;
 using treeq::engine::Plan;
 using treeq::engine::PlanCache;
 using treeq::engine::PlanPtr;
-using treeq::engine::QueryResult;
+using treeq::QueryResult;
 using treeq::engine::Request;
 
 struct WorkloadQuery {

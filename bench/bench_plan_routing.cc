@@ -40,7 +40,7 @@ using treeq::engine::DocumentStore;
 using treeq::engine::ExecuteOptions;
 using treeq::engine::Plan;
 using treeq::engine::PlanPtr;
-using treeq::engine::QueryResult;
+using treeq::QueryResult;
 
 // XPath-only workload: every XPath plan keeps xpath.naive eligible, so
 // the forced-worst-engine comparison is well-defined for each entry. The

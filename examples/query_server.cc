@@ -46,7 +46,7 @@ using treeq::engine::DocumentStore;
 using treeq::engine::Executor;
 using treeq::engine::PlanCache;
 using treeq::engine::PlanPtr;
-using treeq::engine::QueryResult;
+using treeq::QueryResult;
 using treeq::engine::SubmitOptions;
 
 namespace {

@@ -184,8 +184,7 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
           profile.cache_hit = task.cache_hit;
           profile.result_cache_hit = true;
           profile.visits = 1;
-          profile.estimated_visits =
-              plan.EstimatedVisits(*task.document);
+          profile.estimated_visits = hit->route_cost;
           TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
         }
 #endif
@@ -440,9 +439,13 @@ void Executor::WorkerLoop() {
       profile.query = plan.text().substr(0, obs::kMaxQueryChars);
       profile.document = task->document->name();
       profile.engine =
-          result.ok() ? result.value().engine : plan.route_name();
+          result.ok() ? result.value().engine
+                      : treeq::plan::EngineName(plan.NativeEngine());
       profile.explain = plan.Explain();
-      if (result.ok()) profile.route_rationale = result.value().route_rationale;
+      if (result.ok()) {
+        profile.route_rationale = result.value().route_rationale;
+        profile.estimated_visits = result.value().route_cost;
+      }
       profile.canonical_hash = plan.canonical_hash().ToHex();
       profile.cache_hit = task->cache_hit;
       profile.degraded = result.ok() && result.value().degraded;
@@ -465,7 +468,6 @@ void Executor::WorkerLoop() {
           shadow.BufferedDelta(label_hits) - labels_before;
       profile.eval_cache_hits =
           shadow.BufferedDelta(eval_hits) - eval_hits_before;
-      profile.estimated_visits = plan.EstimatedVisits(*task->document);
       // Record before the flush + set_value below: once the caller sees
       // the future ready, the profile is visible in the recorder.
       TREEQ_OBS_FLIGHT_RECORD(std::move(profile));

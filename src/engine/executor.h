@@ -47,7 +47,7 @@
 /// Bounded requests: Submit with SubmitOptions attaches an ExecContext
 /// (util/exec_context.h) carrying the request's deadline and budgets; the
 /// returned Submission exposes Cancel(), and the worker threads the context
-/// through Plan::Run so evaluation aborts cooperatively.
+/// through Plan::Execute so evaluation aborts cooperatively.
 ///
 /// Cross-query reuse (Options::eval_cache / result_cache / singleflight;
 /// all off by default — a default-constructed Executor behaves exactly as
@@ -92,7 +92,7 @@ struct SubmitOptions {
   /// is full.
   bool reject_when_full = false;
   /// Allow the plan to fall back to the streaming evaluator when the
-  /// budget classifier predicts the in-memory evaluator would blow up.
+  /// router finds the native visit bound above the visit budget.
   bool allow_degraded = false;
   /// Set by callers that resolved the plan through a PlanCache hit
   /// (PlanCache::GetOrCompile's `was_hit` out-param). The per-query
@@ -100,9 +100,10 @@ struct SubmitOptions {
   bool plan_cache_hit = false;
   /// Intra-query parallelism degree for this request: 0 (the default)
   /// evaluates serially — bit-identical to an unparallel executor — and
-  /// >= 2 lets an XPath plan big enough for the classifier fork its axis
-  /// steps across that many subtree partitions, run as child tasks on
-  /// this same worker pool (engine/task_group.h).
+  /// >= 2 lets a set-at-a-time XPath run big enough for the router
+  /// (plan::kParallelMinVisits) fork its axis steps across that many
+  /// subtree partitions, run as child tasks on this same worker pool
+  /// (engine/task_group.h).
   int parallelism = 0;
   /// Opt this request out of every cache layer: no result-cache lookup or
   /// insert, no singleflight collapse, no eval-cache memo. For requests
@@ -112,8 +113,7 @@ struct SubmitOptions {
 
 /// One Submit call as a value: the plan, the document, and the per-request
 /// options, carried together instead of as a growing positional argument
-/// list. New call sites should build one of these and use
-/// Submit(QueryRequest); the positional overloads remain as wrappers.
+/// list. Submit(QueryRequest) is the executor's only submit entry point.
 struct QueryRequest {
   PlanPtr plan;
   DocumentPtr document;

@@ -6,7 +6,6 @@
 
 #include "cq/enumerate.h"
 #include "datalog/evaluator.h"
-#include "fault/fault.h"
 #include "fo/corollary52.h"
 #include "fo/evaluator.h"
 #include "obs/obs.h"
@@ -24,7 +23,7 @@ namespace engine {
 
 namespace {
 
-/// The |Q| factor of the visit estimate, per language.
+/// The |Q| factor of the native visit bound |Q| * (n + 1), per language.
 uint64_t QuerySize(const ParsedQuery& query) {
   switch (query.language) {
     case Language::kXPath:
@@ -85,6 +84,7 @@ Result<PlanPtr> Plan::Compile(Language language, std::string_view text,
   plan->text_ = std::string(text);
   plan->parse_options_ = parse_options;
   plan->query_ = std::move(parsed);
+  plan->query_size_ = QuerySize(plan->query_);
 
   switch (language) {
     case Language::kXPath: {
@@ -164,7 +164,7 @@ Result<PlanPtr> Plan::Compile(Language language, std::string_view text,
       break;
   }
   plan->explain_ += "; est. visits = |Q|*(|D|+1), |Q|=" +
-                    std::to_string(QuerySize(plan->query_));
+                    std::to_string(plan->query_size_);
   plan->explain_ += " | ir: " + plan->ir_.Render();
   plan->explain_ += " hash=" + plan->canonical_hash_.ToHex();
   plan->explain_ += " | routes:";
@@ -303,69 +303,15 @@ plan::EngineKind Plan::NativeEngine() const {
   return plan::EngineKind::kXPathSetAtATime;
 }
 
-const char* Plan::route_name() const {
-  switch (query_.language) {
-    case Language::kXPath:
-      return "xpath.set_at_a_time";
-    case Language::kDatalog:
-      return "datalog.tmnf";
-    case Language::kCq:
-      if (!cq_boolean_) return "cq.yannakakis";
-      return cq_class_ == cq::SignatureClass::kNpHard ? "cq.backtracking"
-                                                      : "cq.x_property";
-    case Language::kFo:
-      return fo_positive_ ? "fo.corollary52" : "fo.naive";
-  }
-  return "unknown";
-}
-
-Result<QueryResult> Plan::Run(const Document& doc) const {
-  return Execute(doc, ExecContext::Unbounded(), ExecuteOptions{});
-}
-
-Result<QueryResult> Plan::Run(const Document& doc,
-                              const ExecContext& exec) const {
-  return Execute(doc, exec, ExecuteOptions{});
-}
-
-Result<QueryResult> Plan::Run(const Document& doc, const ExecContext& exec,
-                              bool allow_degraded) const {
-  ExecuteOptions options;
-  options.allow_degraded = allow_degraded;
-  return Execute(doc, exec, options);
-}
-
-uint64_t Plan::EstimatedVisits(const Document& doc) const {
-  return QuerySize(query_) * (static_cast<uint64_t>(doc.num_nodes()) + 1);
-}
-
-bool Plan::PredictsBlowup(const Document& doc, const ExecContext& exec) const {
-  const uint64_t budget = exec.limits().visit_budget;
-  if (budget == UINT64_MAX) return false;
-  const uint64_t used = exec.visits_used();
-  const uint64_t remaining = budget > used ? budget - used : 0;
-  return EstimatedVisits(doc) > remaining;
-}
-
 std::string Plan::ExplainRouting(const Document& doc) const {
   const plan::DocStats stats = plan::DocStats::For(doc);
-  const plan::EngineKind native = NativeEngine();
-  std::vector<std::pair<uint64_t, plan::EngineKind>> costs;
-  for (plan::EngineKind kind : eligible_) {
-    uint64_t cost = plan::EstimateCost(kind, ir_, stats);
-    if (kind == native) cost -= cost / 5;  // the router's native discount
-    costs.emplace_back(cost, kind);
-  }
-  std::stable_sort(costs.begin(), costs.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
   std::string out = "routing n=" + std::to_string(stats.nodes) + ":";
-  for (const auto& [cost, kind] : costs) {
+  for (const plan::RouteCandidate& c :
+       plan::ScoreCandidates(ir_, eligible_, NativeEngine(), stats)) {
     out += " ";
-    out += plan::EngineName(kind);
-    out += "=" + std::to_string(cost);
-    if (kind == native) out += "*";
+    out += plan::EngineName(c.kind);
+    out += "=" + std::to_string(c.cost);
+    if (c.native) out += "*";
   }
   return out;
 }
@@ -379,54 +325,44 @@ Result<QueryResult> Plan::Execute(const Document& doc,
   // start evaluating at all.
   TREEQ_RETURN_IF_ERROR(exec.CheckNow());
 
+  plan::RouteFacts facts;
   if (!options.force_route.empty()) {
-    std::optional<plan::EngineKind> kind =
-        plan::ParseEngineName(options.force_route);
-    if (!kind.has_value()) {
+    facts.forced = plan::ParseEngineName(options.force_route);
+    if (!facts.forced.has_value()) {
       return Status::InvalidArgument("unknown engine name: " +
                                      options.force_route);
     }
-    if (std::find(eligible_.begin(), eligible_.end(), *kind) ==
+    if (std::find(eligible_.begin(), eligible_.end(), *facts.forced) ==
         eligible_.end()) {
       return Status::Unsupported("engine " + options.force_route +
                                  " is not eligible for this plan");
     }
-    TREEQ_OBS_INC("plan.route.forced");
-    Result<QueryResult> result = ExecuteEngine(*kind, doc, exec, options);
-    if (result.ok()) {
-      result.value().route_rationale =
-          std::string("forced: ") + plan::EngineName(*kind);
-    }
-    return result;
   }
+  const uint64_t budget = exec.limits().visit_budget;
+  if (budget != UINT64_MAX) {
+    const uint64_t used = exec.visits_used();
+    facts.remaining_visits = budget > used ? budget - used : 0;
+  }
+  facts.allow_degraded = options.allow_degraded;
+  facts.parallel_requested =
+      options.parallelism >= 2 && options.runner != nullptr;
+  facts.native_bound =
+      query_size_ * (static_cast<uint64_t>(doc.num_nodes()) + 1);
 
-  // Budget-bounded requests keep the historical native routing — the
-  // degradation gate and every budget/deadline test depends on the native
-  // engine's exact charge schedule. The cost router only runs for
-  // unbounded requests, where any eligible engine is semantically safe.
-  if (exec.limits().visit_budget != UINT64_MAX) {
-    return ExecuteEngine(NativeEngine(), doc, exec, options);
-  }
-
-  if (TREEQ_FAULT_FIRED("plan.route.decide")) {
-    // Injected router failure: fall back to the native engine, the one
-    // route that needs no routing decision.
-    TREEQ_OBS_INC("plan.route.fallbacks");
-    return ExecuteEngine(NativeEngine(), doc, exec, options);
-  }
-
-  const plan::DocStats stats = plan::DocStats::For(doc);
-  plan::RouteDecision decision =
-      plan::Route(ir_, eligible_, NativeEngine(), stats);
-  Result<QueryResult> result =
-      ExecuteEngine(decision.chosen, doc, exec, options);
-  if (result.ok()) {
-    result.value().route_rationale = std::move(decision.rationale);
-  }
-  return result;
+  plan::RouteDecision decision = plan::Route(
+      ir_, eligible_, NativeEngine(), plan::DocStats::For(doc), facts);
+  if (decision.degraded) TREEQ_OBS_INC("engine.degraded");
+  TREEQ_ASSIGN_OR_RETURN(
+      QueryResult out,
+      ExecuteEngine(decision.chosen, decision.parallel, doc, exec, options));
+  out.degraded = decision.degraded;
+  out.route_rationale = std::move(decision.rationale);
+  out.route_cost = decision.cost;
+  return out;
 }
 
 Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
+                                        bool parallel,
                                         const Document& doc,
                                         const ExecContext& exec,
                                         const ExecuteOptions& options) const {
@@ -435,31 +371,12 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
   out.engine = plan::EngineName(kind);
   switch (kind) {
     case plan::EngineKind::kXPathSetAtATime: {
-      if (options.allow_degraded && stream_query_ != nullptr &&
-          PredictsBlowup(doc, exec)) {
-        TREEQ_OBS_INC("engine.degraded");
-        out.degraded = true;
-        out.engine = "xpath.stream";
-        TREEQ_ASSIGN_OR_RETURN(
-            std::vector<NodeId> selected,
-            stream::StreamMatcher::SelectFromTree(*stream_query_, doc.tree(),
-                                                  /*stats=*/nullptr, exec));
-        NodeSet nodes(doc.num_nodes());
-        for (NodeId v : selected) nodes.Insert(v);
-        out.value.emplace<NodeSet>(std::move(nodes));
-        return out;
-      }
-      // Parallel routing: only when asked for, only with a runner to run
-      // the forked tasks, and only when the visit estimate says the query
-      // is big enough to amortize fork/merge overhead. The parallel
-      // evaluator's answer is bit-identical to the serial one.
-      if (options.parallelism >= 2 && options.runner != nullptr &&
-          EstimatedVisits(doc) >= options.parallel_min_visits) {
+      // The parallel evaluator's answer is bit-identical to the serial one.
+      if (parallel) {
         TREEQ_OBS_INC("engine.parallel_runs");
         par::ParOptions par_options;
         par_options.parallelism = options.parallelism;
         par_options.runner = options.runner;
-        par_options.min_context = options.parallel_min_context;
         par::ParStats par_stats;
         TREEQ_ASSIGN_OR_RETURN(
             NodeSet nodes,
@@ -487,8 +404,8 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       return out;
     }
     case plan::EngineKind::kXPathStream: {
-      // An honest routing choice (not degradation): the streaming
-      // evaluator's answer is exact, so the result is cacheable.
+      // Exact either way; Execute flags a budget degradation, which keeps
+      // the result out of the result cache.
       TREEQ_ASSIGN_OR_RETURN(
           std::vector<NodeId> selected,
           stream::StreamMatcher::SelectFromTree(*stream_query_, doc.tree(),

@@ -28,21 +28,22 @@
 ///     canonicalization (plan/canonicalize.h), giving the plan a stable
 ///     128-bit identity shared by semantically identical queries across
 ///     languages — PlanCache and ResultCache key on it;
-///   - CQ: dichotomy classification (Theorem 6.8) and shape checks, so Run
-///     routes straight to X-property or Yannakakis evaluation;
-///   - FO: sentence check and positivity, so Run routes to the Corollary
-///     5.2 pipeline or the naive oracle without re-walking the AST;
+///   - CQ: dichotomy classification (Theorem 6.8) and shape checks, so the
+///     native route goes straight to X-property or Yannakakis evaluation;
+///   - FO: sentence check and positivity, so the native route is the
+///     Corollary 5.2 pipeline or the naive oracle without re-walking the
+///     AST;
 ///   - eligibility: the list of physical engines (plan/cost.h) that can
 ///     answer this plan, native ones plus every engine the IR's structural
-///     form converts to.
+///     form converts to;
+///   - |Q|, the source AST size behind the native visit bound |Q|*(n+1).
 ///
-/// Execute() picks among the eligible engines with the cost-based router
-/// (plan/route.h) when the request is unbounded; budget-bounded requests
-/// keep the historical native routing (including the streaming degradation
-/// gate), so budget semantics are unchanged. ExecuteOptions::force_route
-/// pins a specific engine for tests and experiments.
+/// Execute() has one path: the router (plan/route.h) decides the engine,
+/// budget degradation and serial vs parallel from the document and the
+/// request's facts — or honours ExecuteOptions::force_route, which pins an
+/// engine for tests and experiments — and the chosen engine runs.
 ///
-/// A compiled Plan is immutable; Run is const and thread-safe, so one
+/// A compiled Plan is immutable; Execute is const and thread-safe, so one
 /// PlanPtr is shared freely across the Executor's workers.
 
 namespace treeq {
@@ -53,40 +54,25 @@ class Plan;
 /// Shared read-only handle to a compiled plan.
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// The unified result type (engine/query.h) lives in the top-level treeq
-/// namespace; re-exported here where it historically lived.
-using ::treeq::QueryResult;
-
-/// Estimated-visits floor below which Execute keeps an XPath plan serial
-/// even when parallelism is requested: a query too small to amortize the
-/// fork/merge overhead of the partition-parallel kernels.
-inline constexpr uint64_t kParallelMinEstimatedVisits = 1 << 16;
-
-/// Per-execution knobs for Plan::Execute. Default-constructed options
-/// reproduce Run(doc, exec) exactly.
+/// Per-execution knobs for Plan::Execute. Default-constructed options run
+/// the routed engine serially, without degradation.
 struct ExecuteOptions {
-  /// Graceful degradation under a budget (see Run's three-arg overload).
+  /// Graceful degradation under a visit budget: a stream-capable XPath
+  /// plan whose native visit bound exceeds the visits left runs on the
+  /// streaming evaluator instead, flagged `degraded`.
   bool allow_degraded = false;
 
-  /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial
-  /// and bit-identical to Run; >= 2 lets an XPath plan fork its axis-image
-  /// steps across that many subtree partitions on `runner`. Ignored (the
-  /// run stays serial) when `runner` is null.
+  /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial;
+  /// >= 2 lets a set-at-a-time XPath run whose visit bound clears
+  /// plan::kParallelMinVisits fork its axis-image steps across that many
+  /// subtree partitions on `runner`. Ignored (the run stays serial) when
+  /// `runner` is null.
   int parallelism = 0;
 
   /// Who runs forked partition tasks. The Executor passes its own
   /// fork-join runner (engine/task_group.h); standalone callers can pass a
   /// par::ThreadPerTaskRunner or par::SerialRunner (util/task_runner.h).
   par::TaskRunner* runner = nullptr;
-
-  /// Classifier floor: plans whose EstimatedVisits(doc) is below this stay
-  /// serial regardless of `parallelism`. Tests lower it to force the
-  /// parallel path on small documents.
-  uint64_t parallel_min_visits = kParallelMinEstimatedVisits;
-
-  /// Per-step floor: axis steps whose context set is smaller than this
-  /// stay serial inside a parallel run (par::ParOptions::min_context).
-  int parallel_min_context = 1024;
 
   /// Cross-query axis-image memo (tree/axes.h; in practice a
   /// cache::EvalCache::Memo bound to the document's epoch). When set, the
@@ -107,7 +93,7 @@ struct ExecuteOptions {
 class Plan {
  public:
   /// Parses and validates `text` once. On success the plan is ready for
-  /// concurrent Run() calls. The two-argument form compiles under default
+  /// concurrent Execute() calls. The two-argument form compiles under default
   /// ParseOptions; the three-argument form pins the parse dialect, which
   /// the plan remembers (parse_options()) so caches can key on it.
   static Result<PlanPtr> Compile(Language language, std::string_view text);
@@ -122,60 +108,44 @@ class Plan {
   /// options, so PlanCache and the result cache key on these too.
   const ParseOptions& parse_options() const { return parse_options_; }
 
-  /// Evaluates the plan on `doc` with the language's production evaluator:
-  /// set-at-a-time XPath, TMNF datalog pipeline, dichotomy-routed CQ,
-  /// Corollary 5.2 positive FO (naive model checking for general FO
-  /// sentences). Thread-safe; touches no mutable plan state.
+  /// Evaluates the plan on `doc` with the engine plan::Route picks (or
+  /// `options.force_route`); the result names it in QueryResult::engine
+  /// with the router's rationale and predicted cost. Thread-safe; touches
+  /// no mutable plan state.
   ///
-  /// With `options.parallelism` >= 2 and a runner, an XPath plan big
-  /// enough for the classifier (`options.parallel_min_visits`) evaluates
-  /// via the partition-parallel kernels — same NodeSet, bit for bit — and
-  /// the result carries partitions/parallel_ns/merge_ns attribution.
-  /// Every evaluator charge goes to `exec`, so the run aborts with
-  /// DeadlineExceeded / ResourceExhausted / Cancelled as soon as a limit
-  /// trips (util/exec_context.h); with `options.allow_degraded`, an XPath
-  /// plan predicted to blow the visit budget falls back to the
+  /// With `options.parallelism` >= 2 and a runner, a set-at-a-time run big
+  /// enough for the router evaluates via the partition-parallel kernels —
+  /// same NodeSet, bit for bit — and the result carries
+  /// partitions/parallel_ns/merge_ns attribution. Every evaluator charge
+  /// goes to `exec`, so the run aborts with DeadlineExceeded /
+  /// ResourceExhausted / Cancelled as soon as a limit trips
+  /// (util/exec_context.h); with `options.allow_degraded`, an XPath plan
+  /// whose visit bound exceeds the visits left falls back to the
   /// O(depth * |Q|)-memory streaming evaluator over the forward rewrite
   /// computed at Compile() time, flagged `degraded`.
-  Result<QueryResult> Execute(const Document& doc, const ExecContext& exec,
-                              const ExecuteOptions& options) const;
-
-  /// Thin wrappers over Execute with default options (kept for existing
-  /// callers; serial, unbounded unless `exec` is given).
-  Result<QueryResult> Run(const Document& doc) const;
-  Result<QueryResult> Run(const Document& doc, const ExecContext& exec) const;
-  Result<QueryResult> Run(const Document& doc, const ExecContext& exec,
-                          bool allow_degraded) const;
+  Result<QueryResult> Execute(
+      const Document& doc, const ExecContext& exec = ExecContext::Unbounded(),
+      const ExecuteOptions& options = ExecuteOptions()) const;
 
   /// Wall time Compile() spent on this plan (parse + validate + classify +
   /// stream-rewrite). A cache-hit request did not pay it; per-query
   /// profiles report compile_ns() for cold requests and 0 for hits.
   uint64_t compile_ns() const { return compile_ns_; }
 
-  /// One-line compile-time classification: why Run routes this query where
-  /// it does (dichotomy class, FO positivity, stream capability, and the
+  /// One-line compile-time classification: why the native route is what
+  /// it is (dichotomy class, FO positivity, stream capability, and the
   /// |Q|*(|D|+1) visit-estimate formula). Built once at Compile(); cheap
   /// to copy into profiles and the slow-query log.
   const std::string& Explain() const { return explain_; }
 
-  /// The evaluator Run routes to, as decided at compile time (a string
-  /// literal). Run's result carries the same name in QueryResult::engine —
-  /// except under degradation, where the result says "xpath.stream".
-  const char* route_name() const;
-
   /// Compile-time routing facts (for tests, logs, and the bench).
   /// CQ only: the Theorem 6.8 signature class.
   cq::SignatureClass cq_class() const { return cq_class_; }
-  /// FO only: whether Run uses the Corollary 5.2 pipeline.
+  /// FO only: whether the native route is the Corollary 5.2 pipeline.
   bool fo_positive() const { return fo_positive_; }
   /// XPath only: whether the streaming fallback is available (the query is
   /// conjunctive, rewrites to a forward query, and supports selection).
   bool stream_capable() const { return stream_query_ != nullptr; }
-
-  /// The deterministic work estimate the degradation classifier compares
-  /// against the visit budget: |Q| * (|D| + 1) charge units, mirroring the
-  /// set-at-a-time evaluator's charge schedule.
-  uint64_t EstimatedVisits(const Document& doc) const;
 
   /// The canonical logical plan (plan/ir.h) this query lowered to, and its
   /// stable 128-bit identity. Dialect-insensitive: semantically identical
@@ -193,24 +163,22 @@ class Plan {
   /// fallback and the recipient of its native discount.
   plan::EngineKind NativeEngine() const;
 
-  /// Runtime routing table for `doc`: every eligible engine with its
-  /// estimated cost, cheapest first, one line per engine. Does not
-  /// execute anything.
+  /// Runtime routing table for `doc`: every eligible engine with the score
+  /// the router ranks it by (plan::ScoreCandidates), cheapest first, the
+  /// native engine starred. Executes nothing and bumps no route counters.
   std::string ExplainRouting(const Document& doc) const;
 
  private:
   Plan() = default;
-
-  bool PredictsBlowup(const Document& doc, const ExecContext& exec) const;
 
   /// Lowers query_ into ir_, canonicalizes, and computes eligible_ plus
   /// the cross-engine forms (twig patterns, CQ branches, FO sentences,
   /// datalog program). Called once at the end of Compile().
   void BuildLogicalPlan();
 
-  /// Runs one specific engine. `kind` must be eligible. The native XPath
-  /// arm keeps the degradation and parallel gates.
-  Result<QueryResult> ExecuteEngine(plan::EngineKind kind,
+  /// Runs one specific engine (`kind` must be eligible); `parallel`
+  /// selects the partition-parallel set-at-a-time kernels.
+  Result<QueryResult> ExecuteEngine(plan::EngineKind kind, bool parallel,
                                     const Document& doc,
                                     const ExecContext& exec,
                                     const ExecuteOptions& options) const;
@@ -220,6 +188,8 @@ class Plan {
   ParsedQuery query_;
   std::string explain_;
   uint64_t compile_ns_ = 0;
+  /// |Q| of the native visit bound |Q| * (n + 1), from the source AST.
+  uint64_t query_size_ = 1;
   cq::SignatureClass cq_class_ = cq::SignatureClass::kTau1;
   bool cq_boolean_ = false;
   bool fo_positive_ = false;

@@ -21,7 +21,7 @@
 /// parallel-evaluation attribution) rides alongside.
 ///
 /// Both `engine::Plan::Execute` and `engine::Executor::Submit` return this
-/// type; the older `Run` overloads are thin wrappers that return it too.
+/// type.
 
 namespace treeq {
 
@@ -32,19 +32,23 @@ using TupleSet = std::vector<std::vector<NodeId>>;
 struct QueryResult {
   Language language = Language::kXPath;
 
-  /// True when the engine answered with the streaming fallback instead of
-  /// the set-at-a-time evaluator (graceful degradation under a budget).
+  /// True when the router sent a budgeted request to the streaming
+  /// fallback instead of the set-at-a-time evaluator (graceful
+  /// degradation).
   bool degraded = false;
 
   /// The evaluator that produced this answer ("xpath.set_at_a_time",
   /// "xpath.stream", "cq.x_property", ...); a string literal.
   const char* engine = "";
 
-  /// Why the cost-based router picked `engine` (one line, e.g.
-  /// "cq.twigstack cost=52 (native xpath.set_at_a_time cost=804)").
-  /// Empty when the router did not run: budget-bounded requests keep the
-  /// historical native routing, and cache hits reuse a stored result.
+  /// Why the router picked `engine` (one line, e.g.
+  /// "cq.twigstack cost=52 (native xpath.set_at_a_time cost=804)";
+  /// "forced: <engine>" for a forced route). Empty on the fault-injected
+  /// fallback route. A cache hit replays the stored result's rationale.
   std::string route_rationale;
+  /// The router's predicted cost for `engine` (the score the rationale
+  /// quotes, plan/route.h), in estimated visits.
+  uint64_t route_cost = 0;
 
   /// Parallel-evaluation attribution (zero when the run stayed serial):
   /// the maximum fork degree of any parallel step, wall time spent inside

@@ -43,15 +43,15 @@ struct QueryProfile {
   /// The evaluator that actually ran ("xpath.set_at_a_time",
   /// "xpath.stream", "cq.x_property", "cq.backtracking", "cq.yannakakis",
   /// "datalog.tmnf", "fo.corollary52", "fo.naive"). For failed requests,
-  /// the route the plan would have taken.
+  /// the plan's native engine.
   std::string engine;
   /// Plan::Explain(): the compile-time classification that decided the
   /// routing (dichotomy class, positivity, stream capability, logical IR
   /// + canonical hash + eligible engines).
   std::string explain;
-  /// The cost router's one-line verdict for this execution (empty when the
-  /// router did not run: bounded budgets, forced routes report "forced:",
-  /// cache hits).
+  /// The router's one-line verdict for this execution (QueryResult::
+  /// route_rationale; forced routes report "forced:", empty on the
+  /// fault-injected fallback and on result-cache hits).
   std::string route_rationale;
   /// The plan's canonical 128-bit identity, as 32 hex chars — the key
   /// PlanCache and ResultCache share across dialects.
@@ -86,7 +86,9 @@ struct QueryProfile {
   uint64_t words_scanned = 0;     // axes.words_scanned delta
   uint64_t label_index_hits = 0;  // labelindex.hits delta
   uint64_t eval_cache_hits = 0;   // cache.eval.hits delta (axis memo)
-  /// Plan::EstimatedVisits(doc) — what the degradation classifier saw.
+  /// The router's predicted cost for the engine that ran
+  /// (QueryResult::route_cost); a result-cache hit copies the cached
+  /// result's. 0 for failed requests.
   uint64_t estimated_visits = 0;
 
   /// Queue wait + compile + execute: the latency the client observed.

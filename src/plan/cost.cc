@@ -111,10 +111,6 @@ Language EngineLanguage(EngineKind kind) {
 DocStats DocStats::For(const Document& doc) {
   DocStats stats;
   stats.nodes = static_cast<uint64_t>(doc.num_nodes());
-  const auto& depth = doc.orders().depth;
-  for (int d : depth) {
-    stats.depth = std::max(stats.depth, static_cast<uint64_t>(d));
-  }
   stats.doc = &doc;
   return stats;
 }
@@ -141,8 +137,7 @@ uint64_t EstimateCost(EngineKind kind, const LogicalPlan& plan,
   const uint64_t size = PlanSize(plan);
   switch (kind) {
     case EngineKind::kXPathSetAtATime:
-      // |Q| * (n + 1): the Theorem 6.8 set-at-a-time bound — identical to
-      // the EstimatedVisits budget the degradation gate used.
+      // |Q| * (n + 1), the set-at-a-time bound, with |Q| the IR's size.
       return SatMul(size, SatAdd(n, 1));
     case EngineKind::kXPathNaive:
       // Node-at-a-time recursion touches O(n) per context node.

@@ -10,23 +10,22 @@
 #include "tree/document.h"
 
 /// \file cost.h
-/// The cost model behind the engine router (plan/route.h). One scored
-/// decision subsumes the previous ad-hoc gates: the Theorem 6.8 dichotomy
-/// classifier, the EstimatedVisits stream-degradation gate, and the
-/// parallel_min_visits gate all become terms of per-engine cost formulas
-/// fed by cheap Document statistics (node count, depth, label
+/// The cost model behind the engine router (plan/route.h): per-engine cost
+/// formulas fed by cheap Document statistics (node count and label
 /// frequencies from the LabelIndex).
 ///
-/// Costs are unitless "estimated visits" — deliberately the same scale as
-/// ExecContext's visit accounting, so the set-at-a-time formula equals the
-/// historical EstimatedVisits bound exactly. They only need to *rank*
-/// engines; absolute accuracy is a non-goal.
+/// Costs are unitless "estimated visits", on the same scale as
+/// ExecContext's visit accounting. They only need to *rank* engines;
+/// absolute accuracy is a non-goal. The set-at-a-time formula measures |Q|
+/// on the IR (atoms plus edges), so it is not the visit bound the budget
+/// and parallel decisions compare against: that bound measures |Q| on the
+/// source AST and reaches the router as RouteFacts::native_bound.
 
 namespace treeq {
 namespace plan {
 
-/// Every physical engine the router can pick. Names (EngineName) match the
-/// engine labels QueryProfile and Plan::route_name() already expose.
+/// Every physical engine the router can pick. Names (EngineName) are the
+/// engine labels QueryResult and QueryProfile report.
 enum class EngineKind {
   kXPathSetAtATime,   // xpath.set_at_a_time
   kXPathNaive,        // xpath.naive (always-dominated baseline)
@@ -57,7 +56,6 @@ Language EngineLanguage(EngineKind kind);
 /// Document pointer for label-frequency lookups; must not outlive it.
 struct DocStats {
   uint64_t nodes = 0;
-  uint64_t depth = 0;
   const Document* doc = nullptr;
 
   static DocStats For(const Document& doc);

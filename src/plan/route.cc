@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "fault/fault.h"
 #include "obs/obs.h"
 
 namespace treeq {
@@ -47,54 +48,91 @@ void CountRouteEngine(EngineKind kind) {
   }
 }
 
+/// The router's score for one engine: EstimateCost, with the 20% native
+/// discount (defect only for a predicted win, not noise).
+uint64_t Score(EngineKind kind, EngineKind native, const LogicalPlan& plan,
+               const DocStats& stats) {
+  uint64_t cost = EstimateCost(kind, plan, stats);
+  if (kind == native) cost -= cost / 5;
+  return cost;
+}
+
 }  // namespace
 
-RouteDecision Route(const LogicalPlan& plan,
-                    const std::vector<EngineKind>& eligible,
-                    EngineKind native, const DocStats& stats) {
-  const auto start = std::chrono::steady_clock::now();
-  RouteDecision decision;
+std::vector<RouteCandidate> ScoreCandidates(
+    const LogicalPlan& plan, const std::vector<EngineKind>& eligible,
+    EngineKind native, const DocStats& stats) {
+  std::vector<RouteCandidate> candidates;
+  candidates.reserve(eligible.size());
   for (EngineKind kind : eligible) {
-    RouteCandidate c;
-    c.kind = kind;
-    c.native = kind == native;
-    c.cost = EstimateCost(kind, plan, stats);
-    if (c.native) {
-      // 20% native discount: defect only for a predicted win, not noise.
-      c.cost -= c.cost / 5;
-    }
-    decision.candidates.push_back(c);
+    candidates.push_back({kind, Score(kind, native, plan, stats),
+                          kind == native});
   }
-  std::stable_sort(decision.candidates.begin(), decision.candidates.end(),
+  std::stable_sort(candidates.begin(), candidates.end(),
                    [](const RouteCandidate& a, const RouteCandidate& b) {
                      if (a.cost != b.cost) return a.cost < b.cost;
                      return a.native && !b.native;  // native wins ties
                    });
-  decision.chosen =
-      decision.candidates.empty() ? native : decision.candidates[0].kind;
-  decision.rationale = EngineName(decision.chosen);
-  decision.rationale += " cost=";
-  decision.rationale += decision.candidates.empty()
-                            ? "?"
-                            : std::to_string(decision.candidates[0].cost);
-  if (decision.chosen != native) {
-    decision.rationale += " (native ";
-    decision.rationale += EngineName(native);
-    for (const RouteCandidate& c : decision.candidates) {
-      if (c.kind == native) {
-        decision.rationale += " cost=" + std::to_string(c.cost);
-        break;
+  return candidates;
+}
+
+RouteDecision Route(const LogicalPlan& plan,
+                    const std::vector<EngineKind>& eligible,
+                    EngineKind native, const DocStats& stats,
+                    const RouteFacts& facts) {
+  RouteDecision decision;
+  decision.chosen = native;
+  if (facts.forced.has_value()) {
+    TREEQ_OBS_INC("plan.route.forced");
+    decision.chosen = *facts.forced;
+    decision.cost = Score(decision.chosen, native, plan, stats);
+    decision.rationale = std::string("forced: ") + EngineName(decision.chosen);
+  } else if (!facts.remaining_visits.has_value() &&
+             TREEQ_FAULT_FIRED("plan.route.decide")) {
+    // Injected router failure: fall back to the native engine, the one
+    // route that needs no routing decision.
+    TREEQ_OBS_INC("plan.route.fallbacks");
+    decision.cost = Score(native, native, plan, stats);
+  } else {
+    const auto start = std::chrono::steady_clock::now();
+    std::string why;
+    if (facts.remaining_visits.has_value()) {
+      // Under a budget only the native engine's charge schedule is
+      // trusted; the streaming fallback takes over when the native bound
+      // exceeds the visits left.
+      const uint64_t left = *facts.remaining_visits;
+      decision.degraded = facts.allow_degraded && facts.native_bound > left &&
+                          std::find(eligible.begin(), eligible.end(),
+                                    EngineKind::kXPathStream) !=
+                              eligible.end();
+      if (decision.degraded) decision.chosen = EngineKind::kXPathStream;
+      decision.cost = Score(decision.chosen, native, plan, stats);
+      why = " (visit bound " + std::to_string(facts.native_bound) +
+            (facts.native_bound > left ? " > " : " <= ") +
+            std::to_string(left) + " left)";
+    } else {
+      const RouteCandidate best =
+          ScoreCandidates(plan, eligible, native, stats)[0];
+      decision.chosen = best.kind;
+      decision.cost = best.cost;
+      if (decision.chosen != native) {
+        why = std::string(" (native ") + EngineName(native) + " cost=" +
+              std::to_string(Score(native, native, plan, stats)) + ")";
       }
     }
-    decision.rationale += ")";
+    decision.rationale = EngineName(decision.chosen);
+    decision.rationale += " cost=" + std::to_string(decision.cost) + why;
+    TREEQ_OBS_INC("plan.route.decisions");
+    CountRouteEngine(decision.chosen);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    TREEQ_OBS_HISTOGRAM(
+        "plan.cost_ns",
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+            .count());
   }
-  TREEQ_OBS_INC("plan.route.decisions");
-  CountRouteEngine(decision.chosen);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  TREEQ_OBS_HISTOGRAM(
-      "plan.cost_ns",
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-          .count());
+  decision.parallel = decision.chosen == EngineKind::kXPathSetAtATime &&
+                      facts.parallel_requested &&
+                      facts.native_bound >= kParallelMinVisits;
   return decision;
 }
 

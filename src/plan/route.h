@@ -1,51 +1,100 @@
 #ifndef TREEQ_PLAN_ROUTE_H_
 #define TREEQ_PLAN_ROUTE_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "plan/cost.h"
 
 /// \file route.h
-/// The cost-based engine router. Given a logical plan, the engines that
-/// can answer it (computed at compile time by engine/plan.cc), and the
-/// document's statistics, Route() scores every candidate with
-/// EstimateCost and picks the cheapest — with a mild thumb on the scale
-/// for the query's native engine, so ties and near-ties keep the
-/// historically expected pipeline.
+/// The engine router: the one place that decides how a plan executes.
+/// Given a logical plan, the engines that can answer it (computed at
+/// compile time by engine/plan.cc), the document's statistics and the
+/// request's facts (RouteFacts), Route() returns the engine, whether the
+/// run is a budget degradation, and whether it runs parallel.
 ///
-/// Metrics: every decision bumps plan.route.decisions and a per-engine
-/// plan.route.<engine> counter, and records the decision latency in the
-/// plan.cost_ns histogram.
+///   - Unbounded requests score every eligible engine with EstimateCost
+///     and pick the cheapest, with a mild thumb on the scale for the
+///     query's native engine, so ties and near-ties keep the historically
+///     expected pipeline.
+///   - Under a visit budget the candidates are the native engine, plus
+///     xpath.stream when the request allows degradation and the plan is
+///     stream-capable. Stream wins iff the native visit bound exceeds the
+///     visits left; the run is then flagged degraded.
+///   - Set-at-a-time runs parallel iff the request brings a runner and
+///     parallelism >= 2 and the native visit bound is at least
+///     kParallelMinVisits.
+///
+/// Metrics: every budget or cost decision bumps plan.route.decisions and a
+/// per-engine plan.route.<engine> counter, and records the decision
+/// latency in the plan.cost_ns histogram. Forced routes bump
+/// plan.route.forced; the plan.route.decide fault point (unbounded,
+/// unforced requests only) falls back to the native engine and bumps
+/// plan.route.fallbacks.
 
 namespace treeq {
 namespace plan {
 
-/// One scored candidate, reported through Plan::ExplainRouting.
+/// Native visit bound below which set-at-a-time stays serial even when
+/// parallelism is requested: a query too small to amortize the fork/merge
+/// overhead of the partition-parallel kernels.
+inline constexpr uint64_t kParallelMinVisits = 1 << 16;
+
+/// One scored candidate.
 struct RouteCandidate {
   EngineKind kind = EngineKind::kXPathSetAtATime;
   uint64_t cost = 0;
   bool native = false;
 };
 
+/// What the router needs to know about one execution beyond the plan and
+/// the document.
+struct RouteFacts {
+  /// Visits left under the request's budget; nullopt when unbounded.
+  std::optional<uint64_t> remaining_visits;
+  /// The request accepts the streaming fallback when over budget.
+  bool allow_degraded = false;
+  /// The request brings a task runner and parallelism >= 2.
+  bool parallel_requested = false;
+  /// The native evaluator's visit bound |Q| * (n + 1), |Q| the size of the
+  /// source AST.
+  uint64_t native_bound = 0;
+  /// Pins the engine (must be eligible); the router then only decides
+  /// serial vs parallel.
+  std::optional<EngineKind> forced;
+};
+
 /// The router's verdict for one execution.
 struct RouteDecision {
   EngineKind chosen = EngineKind::kXPathSetAtATime;
-  /// All scored candidates, cheapest first.
-  std::vector<RouteCandidate> candidates;
+  /// The chosen engine's score, as ScoreCandidates ranks it.
+  uint64_t cost = 0;
+  /// Budget degradation to the streaming fallback.
+  bool degraded = false;
+  /// Set-at-a-time via the partition-parallel kernels.
+  bool parallel = false;
   /// One-line human rationale, e.g.
   /// "cq.twigstack cost=52 (native xpath.set_at_a_time cost=804)".
+  /// Empty on the fault-injected fallback.
   std::string rationale;
 };
 
-/// Scores `eligible` (must be non-empty and contain `native`) against
-/// `stats` and returns the cheapest engine. The native engine's score gets
-/// a 20% discount: it is the only engine whose constants we trust from
-/// the source language's own tests, so the router only defects from it
-/// for a predicted win, never on noise.
+/// Scores `eligible` (must contain `native`) against `stats`, cheapest
+/// first; the native engine wins ties. The native engine's score gets a
+/// 20% discount: it is the only engine whose constants we trust from the
+/// source language's own tests, so the router only defects from it for a
+/// predicted win, never on noise. Bumps no counters.
+std::vector<RouteCandidate> ScoreCandidates(
+    const LogicalPlan& plan, const std::vector<EngineKind>& eligible,
+    EngineKind native, const DocStats& stats);
+
+/// Decides how one execution runs (see the file comment).
 RouteDecision Route(const LogicalPlan& plan,
                     const std::vector<EngineKind>& eligible,
-                    EngineKind native, const DocStats& stats);
+                    EngineKind native, const DocStats& stats,
+                    const RouteFacts& facts);
 
 }  // namespace plan
 }  // namespace treeq

@@ -12,7 +12,7 @@
 //     a pool of XPath queries through EvalQueryFromRoot's memo overload.
 //   - Engine level: the same corpus served twice through an Executor with
 //     eval + result caches and singleflight on — the second pass is all
-//     cache hits — against Plan::Run.
+//     cache hits — against Plan::Execute.
 
 #include <gtest/gtest.h>
 
@@ -318,7 +318,7 @@ TEST(CacheCorpusDifferentialTest, XPathMemoOverloadBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // Engine level: the corpus served twice through a fully cached executor —
-// the second pass is result-cache hits — against Plan::Run.
+// the second pass is result-cache hits — against Plan::Execute.
 
 TEST(CacheEngineDifferentialTest, CachedSubmitsMatchDirectRuns) {
   EvalCache eval_cache;
@@ -341,7 +341,7 @@ TEST(CacheEngineDifferentialTest, CachedSubmitsMatchDirectRuns) {
     for (const auto& [language, text] : cases) {
       auto plan = Plan::Compile(language, text);
       ASSERT_TRUE(plan.ok()) << text;
-      Result<QueryResult> want = (*plan)->Run(*doc);
+      Result<QueryResult> want = (*plan)->Execute(*doc);
       ASSERT_TRUE(want.ok()) << text;
       for (const char* pass : {"cold", "warm"}) {
         Result<QueryResult> got =

@@ -211,7 +211,7 @@ TEST(ResultCacheTest, RoundTripsAllThreeValueShapes) {
   ResultCache cache;
   for (const Case& c : cases) {
     PlanPtr plan = Plan::Compile(c.language, c.text).value();
-    QueryResult want = plan->Run(*doc).value();
+    QueryResult want = plan->Execute(*doc).value();
 
     ResultKey key = KeyFor(plan, doc->epoch());
     EXPECT_FALSE(cache.Lookup(key).has_value());
@@ -374,7 +374,7 @@ TEST(ExecutorCacheTest, EvalCacheReusesAxisImagesAcrossRequests) {
   Executor exec(Executor::Options{.num_workers = 1,
                                   .eval_cache = &eval_cache});
 
-  Result<QueryResult> want = plan->Run(*doc);
+  Result<QueryResult> want = plan->Execute(*doc);
   ASSERT_TRUE(want.ok());
 
   Result<QueryResult> cold = exec.Submit({plan, doc, {}}).future.get();
@@ -415,7 +415,7 @@ TEST(ExecutorCacheTest, SingleflightCollapsesConcurrentIdenticalSubmits) {
   }
   ASSERT_TRUE(blocker.future.get().ok());
 
-  Result<QueryResult> want = plan->Run(*doc);
+  Result<QueryResult> want = plan->Execute(*doc);
   ASSERT_TRUE(want.ok());
   for (engine::Submission& s : dups) {
     Result<QueryResult> r = s.future.get();
@@ -461,7 +461,7 @@ TEST(ExecutorCacheTest, BoundedAndBypassRequestsNeverReuse) {
   engine::Submission fresh = exec.Submit({plan, doc, bypass});
   Result<QueryResult> fresh_result = fresh.future.get();
   ASSERT_TRUE(fresh_result.ok());
-  EXPECT_EQ(fresh_result->value, plan->Run(*doc)->value);
+  EXPECT_EQ(fresh_result->value, plan->Execute(*doc)->value);
   EXPECT_EQ(result_cache.hits(), result_hits_before);
   EXPECT_EQ(result_cache.inserts(), result_inserts_before);
   EXPECT_EQ(eval_cache.hits(), eval_hits_before);
@@ -499,7 +499,7 @@ TEST(ExecutorCacheTest, ReplaceInvalidatesThroughStoreListeners) {
   Result<QueryResult> new_result = exec.Submit({plan, v2, {}}).future.get();
   ASSERT_TRUE(new_result.ok());
   // The fresh document's answer, never the stale one.
-  EXPECT_EQ(new_result->value, plan->Run(*v2)->value);
+  EXPECT_EQ(new_result->value, plan->Execute(*v2)->value);
   EXPECT_NE(new_result->nodes(), old_result->nodes());
 
   // Remove also notifies.
@@ -541,7 +541,7 @@ TEST(ExecutorCacheTest, SubmitBatchDedupesAndHonorsPerRequestOptions) {
   ASSERT_EQ(submissions.size(), requests.size());
 
   ASSERT_TRUE(submissions[0].future.get().ok());  // blocker
-  Result<QueryResult> want = repeated->Run(*doc);
+  Result<QueryResult> want = repeated->Execute(*doc);
   ASSERT_TRUE(want.ok());
   for (int i = 1; i <= kDuplicates; ++i) {
     Result<QueryResult> r = submissions[static_cast<size_t>(i)].future.get();
@@ -557,7 +557,7 @@ TEST(ExecutorCacheTest, SubmitBatchDedupesAndHonorsPerRequestOptions) {
 
   Result<QueryResult> distinct = submissions.back().future.get();
   ASSERT_TRUE(distinct.ok());
-  EXPECT_EQ(distinct->value, other->Run(*doc)->value);
+  EXPECT_EQ(distinct->value, other->Execute(*doc)->value);
 
   // Within-batch dedup: one execution for the five duplicates, one for the
   // distinct query. The blocker (bypassed) and the bounded duplicate
@@ -571,7 +571,7 @@ TEST(ExecutorCacheTest, SubmitBatchDedupesAndHonorsPerRequestOptions) {
 TEST(CacheConcurrencyTest, ConcurrentIdenticalSubmitsAllAgree) {
   DocumentPtr doc = Catalog(3, 30);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//review/rating5").value();
-  Result<QueryResult> want = plan->Run(*doc);
+  Result<QueryResult> want = plan->Execute(*doc);
   ASSERT_TRUE(want.ok());
 
   EvalCache eval_cache;
@@ -632,7 +632,7 @@ TEST(CacheConcurrencyTest, SubmitsRaceDocumentReplacement) {
         Result<QueryResult> r = exec.Submit({plan, doc, {}}).future.get();
         // Whatever version this thread pinned, the answer must be that
         // version's answer — a stale cross-epoch hit would differ.
-        if (!r.ok() || r->value != plan->Run(*doc)->value) {
+        if (!r.ok() || r->value != plan->Execute(*doc)->value) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -45,7 +45,7 @@ TEST(PlanTest, XPathPlanMatchesDirectEvaluator) {
   const std::string query = "/catalog/product[reviews/review]/name";
   Result<PlanPtr> plan = Plan::Compile(Language::kXPath, query);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->is_boolean());
 
@@ -64,7 +64,7 @@ TEST(PlanTest, DatalogPlanMatchesDirectEvaluator) {
   )";
   Result<PlanPtr> plan = Plan::Compile(Language::kDatalog, program);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
 
   auto ast = datalog::ParseProgram(program).value();
@@ -80,7 +80,7 @@ TEST(PlanTest, BooleanCqPlanUsesDichotomy) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // Child+ alone is tau_1: the X-property route.
   EXPECT_EQ((*plan)->cq_class(), cq::SignatureClass::kTau1);
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->is_boolean());
 
@@ -95,7 +95,7 @@ TEST(PlanTest, KAryCqPlanEnumerates) {
       "Q(p, r) :- Child+(p, r), Lab_product(p), Lab_review(r).";
   Result<PlanPtr> plan = Plan::Compile(Language::kCq, query);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->is_boolean());
   EXPECT_GT(got->tuples().size(), 0u);
@@ -120,7 +120,7 @@ TEST(PlanTest, FoSentencePlans) {
   Result<PlanPtr> plan = Plan::Compile(Language::kFo, positive);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE((*plan)->fo_positive());
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   auto ast = fo::ParseFo(positive).value();
   EXPECT_EQ(got->boolean(), fo::EvaluateSentencePositive(*ast, *doc).value());
@@ -130,7 +130,7 @@ TEST(PlanTest, FoSentencePlans) {
       Plan::Compile(Language::kFo, "forall x . not Lab_nosuchlabel(x)");
   ASSERT_TRUE(negated.ok()) << negated.status().ToString();
   EXPECT_FALSE((*negated)->fo_positive());
-  Result<QueryResult> neg = (*negated)->Run(*doc);
+  Result<QueryResult> neg = (*negated)->Execute(*doc);
   ASSERT_TRUE(neg.ok());
   EXPECT_TRUE(neg->boolean());
 
@@ -294,7 +294,7 @@ TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     Result<QueryResult> expected =
-        requests[i].plan->Run(*requests[i].document);
+        requests[i].plan->Execute(*requests[i].document);
     ASSERT_TRUE(expected.ok());
     // The variant compares shape tag and payload in one go.
     EXPECT_EQ(results[i]->value, expected->value);
@@ -513,7 +513,7 @@ TEST(ExecutorTest, DegradedFallbackStreamsUnderTinyBudget) {
   DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"));
   PlanPtr plan = Plan::Compile(Language::kXPath, "//a//a//a//a").value();
   ASSERT_TRUE(plan->stream_capable());
-  NodeSet expected = plan->Run(*doc).value().nodes();
+  NodeSet expected = plan->Execute(*doc).value().nodes();
 
   Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 4});
 
@@ -532,7 +532,7 @@ TEST(ExecutorTest, DegradedFallbackStreamsUnderTinyBudget) {
   ASSERT_FALSE(hard.ok());
   EXPECT_EQ(hard.status().code(), StatusCode::kResourceExhausted);
 
-  // With degradation the classifier routes the same budget to the
+  // With degradation the router sends the same budget to the
   // streaming evaluator, which fits comfortably and produces the exact
   // answer, flagged as degraded.
   opts.allow_degraded = true;
@@ -589,9 +589,46 @@ TEST(ExecutorTest, BoundedExecutionCountersExported) {
 }
 #endif  // TREEQ_OBS_DISABLED
 
-TEST(PlanTest, ExplainAndRouteNameClassifyAtCompileTime) {
+// The degradation decision is exact: a stream-capable XPath plan degrades
+// iff its visit bound |Q|*(n+1) (|Q| the AST size) exceeds the visits
+// left in the request's budget — what is left, not the raw budget.
+TEST(PlanTest, DegradationBoundaryIsTheVisitBound) {
+  const std::string query = "//a//a//a//a";
+  DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"));
+  PlanPtr plan = Plan::Compile(Language::kXPath, query).value();
+  ASSERT_TRUE(plan->stream_capable());
+  const auto size = static_cast<uint64_t>(
+      xpath::PathSize(*xpath::ParseXPath(query).value()));
+  const uint64_t bound =
+      size * (static_cast<uint64_t>(doc->num_nodes()) + 1);
+  ExecuteOptions options;
+  options.allow_degraded = true;
+  for (uint64_t spent : {uint64_t{0}, uint64_t{777}}) {
+    SCOPED_TRACE(spent);
+    ExecContext at_bound = ExecContext::WithVisitBudget(bound + spent);
+    if (spent > 0) {
+      ASSERT_TRUE(at_bound.Charge(spent).ok());
+    }
+    Result<QueryResult> native = plan->Execute(*doc, at_bound, options);
+    ASSERT_TRUE(native.ok()) << native.status().ToString();
+    EXPECT_FALSE(native->degraded);
+    EXPECT_EQ(std::string(native->engine), "xpath.set_at_a_time");
+
+    ExecContext below = ExecContext::WithVisitBudget(bound + spent - 1);
+    if (spent > 0) {
+      ASSERT_TRUE(below.Charge(spent).ok());
+    }
+    Result<QueryResult> degraded = plan->Execute(*doc, below, options);
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    EXPECT_TRUE(degraded->degraded);
+    EXPECT_EQ(std::string(degraded->engine), "xpath.stream");
+    EXPECT_EQ(degraded->nodes(), native->nodes());
+  }
+}
+
+TEST(PlanTest, ExplainAndNativeEngineClassifyAtCompileTime) {
   PlanPtr streamable = Plan::Compile(Language::kXPath, "//a//b").value();
-  EXPECT_EQ(std::string(streamable->route_name()), "xpath.set_at_a_time");
+  EXPECT_EQ(streamable->NativeEngine(), plan::EngineKind::kXPathSetAtATime);
   EXPECT_NE(streamable->Explain().find("stream fallback available"),
             std::string::npos)
       << streamable->Explain();
@@ -605,35 +642,36 @@ TEST(PlanTest, ExplainAndRouteNameClassifyAtCompileTime) {
       Plan::Compile(Language::kCq,
                     "Q() :- Child+(x, y), Lab_a(x), Lab_b(y).")
           .value();
-  EXPECT_EQ(std::string(tractable->route_name()), "cq.x_property");
+  EXPECT_EQ(tractable->NativeEngine(), plan::EngineKind::kDichotomy);
+  EXPECT_EQ(tractable->cq_class(), cq::SignatureClass::kTau1);
   EXPECT_NE(tractable->Explain().find("X-property"), std::string::npos);
 
   PlanPtr hard = Plan::Compile(
       Language::kCq,
       "Q() :- Child(x, y), Child(y, z), Child+(x, z).").value();
-  EXPECT_EQ(std::string(hard->route_name()), "cq.backtracking");
+  EXPECT_EQ(hard->cq_class(), cq::SignatureClass::kNpHard);
   EXPECT_NE(hard->Explain().find("backtracking"), std::string::npos);
 
   PlanPtr naive =
       Plan::Compile(Language::kFo, "forall x . not Lab_z(x)").value();
-  EXPECT_EQ(std::string(naive->route_name()), "fo.naive");
+  EXPECT_EQ(naive->NativeEngine(), plan::EngineKind::kFoNaive);
   EXPECT_NE(naive->Explain().find("negation"), std::string::npos);
 }
 
 TEST(PlanTest, RunReportsTheEngineThatAnswered) {
   DocumentPtr doc = Catalog();
   PlanPtr xp = Plan::Compile(Language::kXPath, "//name").value();
-  EXPECT_EQ(std::string(xp->Run(*doc)->engine), "xpath.set_at_a_time");
+  EXPECT_EQ(std::string(xp->Execute(*doc)->engine), "xpath.set_at_a_time");
   PlanPtr bool_cq =
       Plan::Compile(Language::kCq,
                     "Q() :- Child+(x, y), Lab_product(x), Lab_review(y).")
           .value();
-  EXPECT_EQ(std::string(bool_cq->Run(*doc)->engine), "cq.x_property");
+  EXPECT_EQ(std::string(bool_cq->Execute(*doc)->engine), "cq.x_property");
   // The router may honestly send a positive FO sentence to a cheaper
   // cross-language engine; whatever it picks must be one it declared
   // eligible. Forcing the native route pins the fo.corollary52 label.
   PlanPtr fo = Plan::Compile(Language::kFo, "exists x . Lab_name(x)").value();
-  QueryResult routed = fo->Run(*doc).value();
+  QueryResult routed = fo->Execute(*doc).value();
   bool eligible = false;
   for (plan::EngineKind kind : fo->EligibleEngines()) {
     if (std::string(routed.engine) == plan::EngineName(kind)) eligible = true;
@@ -706,7 +744,7 @@ TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
   // the probed request actually waits in the queue.
   std::future<Result<QueryResult>> filler_future = exec.Submit({filler, doc, {}}).future;
   SubmitOptions opts;
-  opts.visit_budget = cost - 1;  // forces the degradation classifier
+  opts.visit_budget = cost - 1;  // forces the router to degrade
   opts.allow_degraded = true;
   opts.plan_cache_hit = hit;  // false: this request paid the compile
   Submission s = exec.Submit({plan, doc, opts});
@@ -735,7 +773,8 @@ TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
   EXPECT_GT(profile->compile_ns, 0u);
   EXPECT_GT(profile->execute_ns, 0u);
   EXPECT_GT(profile->visits, 0u);
-  EXPECT_EQ(profile->estimated_visits, plan->EstimatedVisits(*doc));
+  EXPECT_GT(profile->estimated_visits, 0u);
+  EXPECT_EQ(profile->estimated_visits, r->route_cost);
   EXPECT_NE(profile->explain.find("stream fallback available"),
             std::string::npos)
       << profile->explain;

@@ -300,11 +300,11 @@ TEST(FaultPointsTest, EveryKnownPointIsFirable) {
     // Injected router failure = the cost-based decision is abandoned and
     // the plan falls back to its native engine. The answer must be the
     // same nodes either way — misrouting recovery, not an error.
-    // Bounded runs take the legacy native path and never consult the
-    // router, so this reference result is immune to the armed plan.
+    // The fault point fires only on unbounded, unforced requests, so this
+    // bounded reference result is immune to the armed plan.
     ExecContext bounded = ExecContext::WithVisitBudget(uint64_t{1} << 40);
-    QueryResult want = plan->Run(*doc, bounded).value();
-    Result<QueryResult> got = plan->Run(*doc);
+    QueryResult want = plan->Execute(*doc, bounded).value();
+    Result<QueryResult> got = plan->Execute(*doc);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->value, want.value)
         << "fallback route must return identical results";

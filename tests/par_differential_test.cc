@@ -410,7 +410,7 @@ TEST(ParEngineTest, SubmitParallelismMatchesSerial) {
 
   auto plan = engine::Plan::Compile(Language::kXPath, "//a//b");
   ASSERT_TRUE(plan.ok());
-  Result<QueryResult> serial = plan.value()->Run(*doc);
+  Result<QueryResult> serial = plan.value()->Execute(*doc);
   ASSERT_TRUE(serial.ok());
 
   engine::Executor executor(engine::Executor::Options{.num_workers = 4});
@@ -430,32 +430,44 @@ TEST(ParEngineTest, SubmitParallelismMatchesSerial) {
   }
 }
 
-// Forcing the classifier floor down via Plan::Execute with the executor's
-// own task runner: the parallel path must run (partitions > 0) and still
-// agree bit-for-bit.
+// Plan::Execute with the executor's own task runner: a query whose visit
+// bound |Q|*(n+1) clears the router's parallel floor runs the parallel
+// path (partitions > 0) and still agrees bit-for-bit; the same query on a
+// document too small for the floor stays serial.
 TEST(ParEngineTest, ExecuteOnExecutorRunnerReportsPartitions) {
-  Rng rng(22);
-  RandomTreeOptions opts;
-  opts.num_nodes = 1500;
-  opts.attach_window = 8;
-  opts.alphabet = {"a", "b"};
-  DocumentPtr doc = MakeDocumentWithOrders(RandomTree(&rng, opts));
+  auto random_doc = [](uint64_t seed, int nodes) {
+    Rng rng(seed);
+    RandomTreeOptions opts;
+    opts.num_nodes = nodes;
+    opts.attach_window = 8;
+    opts.alphabet = {"a", "b"};
+    return MakeDocumentWithOrders(RandomTree(&rng, opts));
+  };
+  // //a//b has |Q| = 9: 9 * 8001 clears 1 << 16, 9 * 1501 does not.
+  DocumentPtr doc = random_doc(22, 8000);
+  DocumentPtr small = random_doc(22, 1500);
   auto plan = engine::Plan::Compile(Language::kXPath, "//a//b");
   ASSERT_TRUE(plan.ok());
-  Result<QueryResult> serial = plan.value()->Run(*doc);
+  Result<QueryResult> serial = plan.value()->Execute(*doc);
   ASSERT_TRUE(serial.ok());
 
   engine::Executor executor(engine::Executor::Options{.num_workers = 2});
   engine::ExecuteOptions exec_options;
   exec_options.parallelism = 8;
   exec_options.runner = &executor.task_runner();
-  exec_options.parallel_min_visits = 1;  // force the parallel route
-  exec_options.parallel_min_context = 1;
   Result<QueryResult> got = plan.value()->Execute(
       *doc, ExecContext::Unbounded(), exec_options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->nodes() == serial->nodes());
   EXPECT_GT(got->partitions, 0);
+
+  Result<QueryResult> small_serial = plan.value()->Execute(*small);
+  ASSERT_TRUE(small_serial.ok());
+  Result<QueryResult> small_got = plan.value()->Execute(
+      *small, ExecContext::Unbounded(), exec_options);
+  ASSERT_TRUE(small_got.ok()) << small_got.status().ToString();
+  EXPECT_TRUE(small_got->nodes() == small_serial->nodes());
+  EXPECT_EQ(small_got->partitions, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -137,10 +137,10 @@ TEST(PlanRouteDifferentialTest, DialectsProduceBitIdenticalResults) {
     std::vector<PlanPtr> plans = CompileAll(entry);
     ASSERT_EQ(plans.size(), entry.dialects.size());
     for (const DocumentPtr& doc : docs) {
-      Result<QueryResult> want = plans[0]->Run(*doc);
+      Result<QueryResult> want = plans[0]->Execute(*doc);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       for (size_t i = 1; i < plans.size(); ++i) {
-        Result<QueryResult> got = plans[i]->Run(*doc);
+        Result<QueryResult> got = plans[i]->Execute(*doc);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got->value, want->value)
             << entry.dialects[i].text << " on " << doc->name();
@@ -161,7 +161,7 @@ TEST(PlanRouteDifferentialTest, EveryForcedRouteAgreesWithTheRouter) {
       PlanPtr plan = Plan::Compile(d.language, d.text).value();
       ASSERT_FALSE(plan->EligibleEngines().empty()) << d.text;
       for (const DocumentPtr& doc : docs) {
-        Result<QueryResult> routed = plan->Run(*doc);
+        Result<QueryResult> routed = plan->Execute(*doc);
         ASSERT_TRUE(routed.ok()) << routed.status().ToString();
         for (plan::EngineKind kind : plan->EligibleEngines()) {
           ExecuteOptions options;
@@ -178,6 +178,48 @@ TEST(PlanRouteDifferentialTest, EveryForcedRouteAgreesWithTheRouter) {
       }
     }
   }
+}
+
+// Golden routing decisions: the engine the router picks for every
+// dialect of the corpus, on the catalog and then the random tree. A change
+// to the cost formulas, the native discount, or the candidate set that
+// flips any unbounded decision shows up here as a diff.
+TEST(PlanRouteDifferentialTest, RoutedEngineGolden) {
+  const std::vector<std::string> want = {
+      "descendant-chain#0: xpath.set_at_a_time cq.yannakakis",
+      "descendant-chain#1: cq.yannakakis cq.yannakakis",
+      "descendant-chain#2: cq.yannakakis cq.yannakakis",
+      "descendant-chain#3: cq.yannakakis cq.yannakakis",
+      "child-step#0: xpath.set_at_a_time cq.yannakakis",
+      "child-step#1: cq.yannakakis cq.yannakakis",
+      "child-step#2: cq.yannakakis cq.yannakakis",
+      "boolean-label#0: cq.dichotomy cq.dichotomy",
+      "boolean-label#1: cq.x_property cq.x_property",
+      "boolean-desc-pair#0: cq.dichotomy cq.dichotomy",
+      "boolean-desc-pair#1: cq.x_property cq.x_property",
+      "binary-tuples#0: cq.yannakakis cq.yannakakis",
+      "binary-tuples#1: cq.yannakakis cq.yannakakis",
+      "labeled-child-pair#0: cq.yannakakis cq.yannakakis",
+      "labeled-child-pair#1: cq.yannakakis cq.yannakakis",
+  };
+  std::vector<DocumentPtr> docs = {Catalog(1), Random(13, 150)};
+  std::vector<std::string> got;
+  for (const CorpusEntry& entry : Corpus()) {
+    for (size_t i = 0; i < entry.dialects.size(); ++i) {
+      const Dialect& d = entry.dialects[i];
+      PlanPtr plan = Plan::Compile(d.language, d.text).value();
+      std::string line = entry.name + std::string("#") + std::to_string(i) +
+                         ":";
+      for (const DocumentPtr& doc : docs) {
+        Result<QueryResult> routed =
+            plan->Execute(*doc, ExecContext::Unbounded(), ExecuteOptions{});
+        ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+        line += std::string(" ") + routed->engine;
+      }
+      got.push_back(line);
+    }
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(PlanRouteDifferentialTest, ForceRouteRejectsUnknownAndIneligible) {
@@ -248,7 +290,7 @@ TEST(PlanRouteDifferentialTest, DialectsShareOneResultCacheEntry) {
 TEST(PlanRouteDifferentialTest, ResultsCarryRouteRationale) {
   DocumentPtr doc = Catalog(1);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//name").value();
-  QueryResult routed = plan->Run(*doc).value();
+  QueryResult routed = plan->Execute(*doc).value();
   EXPECT_FALSE(routed.route_rationale.empty());
   EXPECT_NE(routed.route_rationale.find("cost="), std::string::npos);
   ExecContext unbounded;
