@@ -1,7 +1,6 @@
 #include "cache/eval_cache.h"
 
-#include <algorithm>
-#include <utility>
+#include <cstdint>
 
 #include "fault/fault.h"
 #include "obs/obs.h"
@@ -16,14 +15,6 @@ namespace {
 /// order-of-magnitude, it is not an allocator audit.
 constexpr size_t kEntryOverheadBytes = 128;
 
-/// splitmix64's finalizer — the standard cheap 64-bit mix.
-inline uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 size_t EntryBytes(const NodeSet& result) {
   return kEntryOverheadBytes +
          static_cast<size_t>(result.num_words()) * sizeof(uint64_t);
@@ -32,19 +23,16 @@ size_t EntryBytes(const NodeSet& result) {
 }  // namespace
 
 size_t EvalCache::KeyHash::operator()(const Key& k) const {
-  uint64_t h = Mix(k.fp_lo ^ Mix(k.fp_hi));
-  h = Mix(h ^ k.epoch);
-  h = Mix(h ^ (static_cast<uint64_t>(static_cast<uint32_t>(k.axis)) << 32 |
-               static_cast<uint32_t>(k.universe)));
+  uint64_t h = Mix64(k.fp_lo ^ Mix64(k.fp_hi));
+  h = Mix64(h ^ k.epoch);
+  h = Mix64(h ^ (static_cast<uint64_t>(static_cast<uint32_t>(k.axis)) << 32 |
+                 static_cast<uint32_t>(k.universe)));
   return static_cast<size_t>(h);
 }
 
 EvalCache::EvalCache(const EvalCacheOptions& options)
     : options_(options),
-      shard_budget_(std::max<size_t>(
-          1, options.max_bytes /
-                 static_cast<size_t>(std::max(1, options.num_shards)))),
-      shards_(static_cast<size_t>(std::max(1, options.num_shards))) {}
+      lru_(options.max_bytes, /*max_entries=*/SIZE_MAX, options.num_shards) {}
 
 EvalCache::Key EvalCache::MakeKey(uint64_t epoch, Axis axis,
                                   const NodeSet& from) {
@@ -56,7 +44,7 @@ EvalCache::Key EvalCache::MakeKey(uint64_t epoch, Axis axis,
   uint64_t pos = 0;
   for (uint64_t w : from.words()) {
     lo = (lo ^ w) * 1099511628211ull;
-    hi ^= Mix(w + (++pos) * 0x9e3779b97f4a7c15ull);
+    hi ^= Mix64(w + (++pos) * 0x9e3779b97f4a7c15ull);
   }
   Key key;
   key.epoch = epoch;
@@ -67,33 +55,19 @@ EvalCache::Key EvalCache::MakeKey(uint64_t epoch, Axis axis,
   return key;
 }
 
-EvalCache::Shard& EvalCache::ShardFor(const Key& key) {
-  return shards_[KeyHash{}(key) % shards_.size()];
-}
-
 bool EvalCache::Lookup(uint64_t epoch, Axis axis, const NodeSet& from,
                        NodeSet* to) {
   // Injected lookup failure = a forced miss: the memo recomputes, results
   // stay bit-identical, only the hit rate moves. Counted as a real miss.
   if (TREEQ_FAULT_FIRED("cache.eval.lookup")) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    lru_.CountMiss();
     TREEQ_OBS_INC("cache.eval.misses");
     return false;
   }
-  const Key key = MakeKey(epoch, axis, from);
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *to = it->second->result;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      TREEQ_OBS_INC("cache.eval.hits");
-      return true;
-    }
+  if (lru_.Lookup(MakeKey(epoch, axis, from), to)) {
+    TREEQ_OBS_INC("cache.eval.hits");
+    return true;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   TREEQ_OBS_INC("cache.eval.misses");
   return false;
 }
@@ -104,83 +78,24 @@ void EvalCache::Insert(uint64_t epoch, Axis axis, const NodeSet& from,
   // an eviction race immediately. Correctness never depends on residency.
   if (TREEQ_FAULT_FIRED("cache.eval.insert")) return;
   const size_t entry_bytes = EntryBytes(to);
-  if (entry_bytes > options_.max_entry_bytes ||
-      entry_bytes > shard_budget_) {
-    return;
+  if (entry_bytes > options_.max_entry_bytes) return;
+  // A racing insert of the same step keeps the resident copy (results are
+  // bit-identical by the memo contract).
+  const auto outcome =
+      lru_.Insert(MakeKey(epoch, axis, from), to, entry_bytes);
+  if (outcome.evicted > 0) {
+    TREEQ_OBS_COUNT("cache.eval.evictions", outcome.evicted);
   }
-  const Key key = MakeKey(epoch, axis, from);
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Racing insert of the same step; keep the resident copy (results
-      // are bit-identical by the memo contract).
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return;
-    }
-    shard.lru.push_front(Entry{key, to, entry_bytes});
-    shard.index[key] = shard.lru.begin();
-    shard.bytes += entry_bytes;
-    bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    EvictLocked(&shard);
-  }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  if (!outcome.inserted) return;
   TREEQ_OBS_INC("cache.eval.inserts");
   TREEQ_OBS_HISTOGRAM("cache.eval.entry_words",
                       static_cast<uint64_t>(to.num_words()));
 }
 
-void EvalCache::EvictLocked(Shard* shard) {
-  while (shard->bytes > shard_budget_ && !shard->lru.empty()) {
-    const Entry& victim = shard->lru.back();
-    shard->bytes -= victim.bytes;
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    shard->index.erase(victim.key);
-    shard->lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    TREEQ_OBS_INC("cache.eval.evictions");
-  }
-}
-
 void EvalCache::InvalidateDocument(uint64_t epoch) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.epoch == epoch) {
-        shard.bytes -= it->bytes;
-        bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        TREEQ_OBS_INC("cache.eval.invalidated");
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void EvalCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    bytes_.fetch_sub(shard.bytes, std::memory_order_relaxed);
-    shard.bytes = 0;
-    shard.lru.clear();
-    shard.index.clear();
-  }
-}
-
-size_t EvalCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.lru.size();
-  }
-  return total;
-}
-
-size_t EvalCache::bytes_used() const {
-  return bytes_.load(std::memory_order_relaxed);
+  const size_t erased =
+      lru_.EraseIf([epoch](const Key& key) { return key.epoch == epoch; });
+  if (erased > 0) TREEQ_OBS_COUNT("cache.eval.invalidated", erased);
 }
 
 }  // namespace cache

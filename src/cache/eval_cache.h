@@ -1,20 +1,16 @@
 #ifndef TREEQ_CACHE_EVAL_CACHE_H_
 #define TREEQ_CACHE_EVAL_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
+#include "cache/sharded_lru.h"
 #include "tree/axes.h"
 #include "tree/node_set.h"
 
 /// \file eval_cache.h
 /// Cross-query memoization of evaluation intermediates: a sharded,
-/// memory-bounded LRU of `AxisImage` results keyed by
+/// memory-bounded LRU (cache/sharded_lru.h) of `AxisImage` results keyed by
 /// (document epoch, axis, input-set fingerprint). One axis-image step is
 /// the unit every evaluator in the repo decomposes into — the set-at-a-time
 /// XPath evaluator's StepImage (forward and inverse), and the Yannakakis
@@ -77,21 +73,17 @@ class EvalCache {
   /// a dead epoch are unreachable anyway; this reclaims their bytes now.
   void InvalidateDocument(uint64_t epoch);
 
-  void Clear();
+  void Clear() { lru_.Clear(); }
 
-  size_t size() const;
-  size_t bytes_used() const;
+  size_t size() const { return lru_.size(); }
+  size_t bytes_used() const { return lru_.bytes_used(); }
   const EvalCacheOptions& options() const { return options_; }
 
   /// Lifetime tallies, independent of TREEQ_OBS_DISABLED.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t inserts() const {
-    return inserts_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return lru_.hits(); }
+  uint64_t misses() const { return lru_.misses(); }
+  uint64_t inserts() const { return lru_.inserts(); }
+  uint64_t evictions() const { return lru_.evictions(); }
 
   /// The AxisImageMemo adapter evaluators consume (tree/axes.h): one cache
   /// bound to one document epoch. Stateless beyond the binding — cheap to
@@ -123,32 +115,11 @@ class EvalCache {
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
-  struct Entry {
-    Key key;
-    NodeSet result;
-    size_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-    size_t bytes = 0;
-  };
 
   static Key MakeKey(uint64_t epoch, Axis axis, const NodeSet& from);
-  Shard& ShardFor(const Key& key);
-  /// Evicts from the back of `shard` until its budget holds. Caller holds
-  /// shard.mu.
-  void EvictLocked(Shard* shard);
 
   const EvalCacheOptions options_;
-  const size_t shard_budget_;
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<size_t> bytes_{0};
+  ShardedLru<Key, NodeSet, KeyHash> lru_;
 };
 
 }  // namespace cache

@@ -1,6 +1,5 @@
 #include "cache/result_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "fault/fault.h"
@@ -12,13 +11,6 @@ namespace cache {
 namespace {
 
 constexpr size_t kEntryOverheadBytes = 192;
-
-inline uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Approximate payload size of a result: the variant's heap footprint.
 size_t ResultBytes(const QueryResult& result) {
@@ -37,46 +29,28 @@ size_t ResultBytes(const QueryResult& result) {
 }  // namespace
 
 size_t ResultKeyHash::operator()(const ResultKey& key) const {
-  uint64_t h = Mix(key.query_hash_lo);
-  h = Mix(h ^ key.query_hash_hi);
-  h = Mix(h ^ key.doc_epoch);
+  uint64_t h = Mix64(key.query_hash_lo);
+  h = Mix64(h ^ key.query_hash_hi);
+  h = Mix64(h ^ key.doc_epoch);
   return static_cast<size_t>(h);
 }
 
 ResultCache::ResultCache(const ResultCacheOptions& options)
-    : options_(options),
-      shard_budget_(std::max<size_t>(
-          1, options.max_bytes /
-                 static_cast<size_t>(std::max(1, options.num_shards)))),
-      shard_entries_(std::max<size_t>(
-          1, options.max_entries /
-                 static_cast<size_t>(std::max(1, options.num_shards)))),
-      shards_(static_cast<size_t>(std::max(1, options.num_shards))) {}
-
-ResultCache::Shard& ResultCache::ShardFor(const ResultKey& key) {
-  return shards_[ResultKeyHash{}(key) % shards_.size()];
-}
+    : lru_(options.max_bytes, options.max_entries, options.num_shards) {}
 
 std::optional<QueryResult> ResultCache::Lookup(const ResultKey& key) {
   // Injected lookup failure = a forced miss: the request executes as if
   // the entry were evicted a moment earlier. Counted as a real miss.
   if (TREEQ_FAULT_FIRED("cache.result.lookup")) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    lru_.CountMiss();
     TREEQ_OBS_INC("cache.result.misses");
     return std::nullopt;
   }
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      TREEQ_OBS_INC("cache.result.hits");
-      return it->second->result;
-    }
+  QueryResult result;
+  if (lru_.Lookup(key, &result)) {
+    TREEQ_OBS_INC("cache.result.hits");
+    return result;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   TREEQ_OBS_INC("cache.result.misses");
   return std::nullopt;
 }
@@ -86,39 +60,14 @@ void ResultCache::Insert(const ResultKey& key, const QueryResult& result) {
   // miss and recompute. Residency is an optimization, never a contract.
   if (TREEQ_FAULT_FIRED("cache.result.insert")) return;
   const size_t entry_bytes = kEntryOverheadBytes + ResultBytes(result);
-  if (entry_bytes > shard_budget_) return;
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return;
-    }
-    shard.lru.push_front(Entry{key, result, entry_bytes});
-    shard.index[key] = shard.lru.begin();
-    shard.bytes += entry_bytes;
-    bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    EvictLocked(&shard);
+  const auto outcome = lru_.Insert(key, result, entry_bytes);
+  if (outcome.evicted > 0) {
+    TREEQ_OBS_COUNT("cache.result.evictions", outcome.evicted);
   }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  if (!outcome.inserted) return;
   TREEQ_OBS_INC("cache.result.inserts");
   TREEQ_OBS_HISTOGRAM("cache.result.entry_bytes",
                       static_cast<uint64_t>(entry_bytes));
-}
-
-void ResultCache::EvictLocked(Shard* shard) {
-  while ((shard->bytes > shard_budget_ ||
-          shard->lru.size() > shard_entries_) &&
-         !shard->lru.empty()) {
-    const Entry& victim = shard->lru.back();
-    shard->bytes -= victim.bytes;
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    shard->index.erase(victim.key);
-    shard->lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    TREEQ_OBS_INC("cache.result.evictions");
-  }
 }
 
 void ResultCache::InvalidateDocument(uint64_t epoch) {
@@ -127,43 +76,9 @@ void ResultCache::InvalidateDocument(uint64_t epoch) {
   // gets a fresh epoch, so stale entries can never satisfy a new lookup —
   // the fault only delays memory reclamation, which the storm verifies.
   if (TREEQ_FAULT_FIRED("cache.result.invalidate")) return;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.doc_epoch == epoch) {
-        shard.bytes -= it->bytes;
-        bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        TREEQ_OBS_INC("cache.result.invalidated");
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void ResultCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    bytes_.fetch_sub(shard.bytes, std::memory_order_relaxed);
-    shard.bytes = 0;
-    shard.lru.clear();
-    shard.index.clear();
-  }
-}
-
-size_t ResultCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.lru.size();
-  }
-  return total;
-}
-
-size_t ResultCache::bytes_used() const {
-  return bytes_.load(std::memory_order_relaxed);
+  const size_t erased = lru_.EraseIf(
+      [epoch](const ResultKey& key) { return key.doc_epoch == epoch; });
+  if (erased > 0) TREEQ_OBS_COUNT("cache.result.invalidated", erased);
 }
 
 std::optional<std::future<Result<QueryResult>>> InflightTable::Join(

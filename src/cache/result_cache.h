@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -13,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/sharded_lru.h"
 #include "engine/query.h"
 #include "query/parse.h"
 #include "util/status.h"
@@ -20,13 +20,13 @@
 /// \file result_cache.h
 /// Whole-query result reuse across Submits, in two cooperating pieces:
 ///
-///   - `ResultCache`: a sharded LRU of finished `QueryResult`s keyed by
-///     (document epoch, canonical plan hash). The hash is the 128-bit
-///     canonical identity from plan/canonicalize.h, so semantically
-///     identical queries — across languages, dialects, whitespace, and
-///     variable renaming — share one entry; collision odds are the
-///     128-bit birthday bound. Errors and degraded results are never
-///     inserted.
+///   - `ResultCache`: a sharded LRU (cache/sharded_lru.h) of finished
+///     `QueryResult`s keyed by (document epoch, canonical plan hash). The
+///     hash is the 128-bit canonical identity from plan/canonicalize.h,
+///     so semantically identical queries — across languages, dialects,
+///     whitespace, and variable renaming — share one entry; collision
+///     odds are the 128-bit birthday bound. Errors and degraded results
+///     are never inserted.
 ///
 ///   - `InflightTable` (singleflight): collapses concurrent identical
 ///     Submits into one execution. The first submitter of a key becomes
@@ -92,47 +92,19 @@ class ResultCache {
   /// Drops every entry of document `epoch`.
   void InvalidateDocument(uint64_t epoch);
 
-  void Clear();
+  void Clear() { lru_.Clear(); }
 
-  size_t size() const;
-  size_t bytes_used() const;
+  size_t size() const { return lru_.size(); }
+  size_t bytes_used() const { return lru_.bytes_used(); }
 
   /// Lifetime tallies, independent of TREEQ_OBS_DISABLED.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t inserts() const {
-    return inserts_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return lru_.hits(); }
+  uint64_t misses() const { return lru_.misses(); }
+  uint64_t inserts() const { return lru_.inserts(); }
+  uint64_t evictions() const { return lru_.evictions(); }
 
  private:
-  struct Entry {
-    ResultKey key;
-    QueryResult result;
-    size_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<ResultKey, std::list<Entry>::iterator, ResultKeyHash>
-        index;
-    size_t bytes = 0;
-  };
-
-  Shard& ShardFor(const ResultKey& key);
-  void EvictLocked(Shard* shard);
-
-  const ResultCacheOptions options_;
-  const size_t shard_budget_;
-  const size_t shard_entries_;
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<size_t> bytes_{0};
+  ShardedLru<ResultKey, QueryResult, ResultKeyHash> lru_;
 };
 
 /// The in-flight dedup table. Usage protocol (the executor's):

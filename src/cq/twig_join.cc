@@ -87,39 +87,20 @@ class TwigStackRunner {
   TwigStackRunner(const TwigPattern& pattern, const Tree& tree,
                   const LabelIndex& index, TwigStats* stats,
                   const ExecContext& exec)
-      : TwigStackRunner(pattern, StreamsFromIndex(pattern, tree, index),
-                        stats, exec) {}
-
-  /// Explicit-streams variant: `streams` has one document-ordered item
-  /// list per pattern node (the parallel twig join passes windowed
-  /// sub-streams here).
-  TwigStackRunner(const TwigPattern& pattern,
-                  std::vector<const std::vector<JoinItem>*> streams,
-                  TwigStats* stats, const ExecContext& exec)
-      : pattern_(pattern),
-        stats_(stats),
-        exec_(exec),
-        streams_(std::move(streams)) {
+      : pattern_(pattern), stats_(stats), exec_(exec) {
     const int m = static_cast<int>(pattern.nodes.size());
     children_.resize(m);
     for (int i = 1; i < m; ++i) {
       children_[pattern.nodes[i].parent].push_back(i);
     }
+    // Per-pattern-node streams borrowed from the label index: no arena
+    // scan and no sort per node.
+    streams_.reserve(m);
+    for (const TwigPatternNode& node : pattern.nodes) {
+      streams_.push_back(&index.Items(tree.label_table().Lookup(node.label)));
+    }
     cursor_.assign(m, 0);
     stacks_.resize(m);
-  }
-
-  /// Per-pattern-node streams borrowed from the label index: no arena scan
-  /// and no sort per node.
-  static std::vector<const std::vector<JoinItem>*> StreamsFromIndex(
-      const TwigPattern& pattern, const Tree& tree, const LabelIndex& index) {
-    std::vector<const std::vector<JoinItem>*> streams;
-    streams.reserve(pattern.nodes.size());
-    for (const TwigPatternNode& node : pattern.nodes) {
-      LabelId label = tree.label_table().Lookup(node.label);
-      streams.push_back(&index.Items(label));
-    }
-    return streams;
   }
 
   Result<TupleSet> Run() {
@@ -350,22 +331,6 @@ Result<TupleSet> TwigStackJoin(const TwigPattern& pattern, const Tree& tree,
   TREEQ_RETURN_IF_ERROR(pattern.Validate());
   TREEQ_OBS_SPAN("cq.twig.twigstack");
   TwigStackRunner runner(pattern, tree, index, stats, exec);
-  TREEQ_ASSIGN_OR_RETURN(TupleSet result, runner.Run());
-  TREEQ_OBS_COUNT("cq.twig.output_tuples", result.size());
-  return result;
-}
-
-Result<TupleSet> TwigStackJoinStreams(
-    const TwigPattern& pattern,
-    const std::vector<const std::vector<JoinItem>*>& streams,
-    TwigStats* stats, const ExecContext& exec) {
-  TREEQ_RETURN_IF_ERROR(pattern.Validate());
-  if (streams.size() != pattern.nodes.size()) {
-    return Status::InvalidArgument(
-        "TwigStackJoinStreams needs one stream per pattern node");
-  }
-  TREEQ_OBS_SPAN("cq.twig.twigstack");
-  TwigStackRunner runner(pattern, streams, stats, exec);
   TREEQ_ASSIGN_OR_RETURN(TupleSet result, runner.Run());
   TREEQ_OBS_COUNT("cq.twig.output_tuples", result.size());
   return result;

@@ -92,18 +92,6 @@ Result<TupleSet> TwigStackJoin(const TwigPattern& pattern,
                                const ExecContext& exec =
                                    ExecContext::Unbounded());
 
-/// TwigStack over caller-supplied per-pattern-node streams (one per
-/// pattern node, document-ordered, as LabelIndex::Items returns them).
-/// This is the pluggable-stream seam the partition-parallel twig join
-/// (cq/par_twig.h) uses to run one TwigStack instance per root-stream
-/// chunk against windowed non-root streams. `streams[i]` must outlive the
-/// call and must be sorted by pre.
-Result<TupleSet> TwigStackJoinStreams(
-    const TwigPattern& pattern,
-    const std::vector<const std::vector<JoinItem>*>& streams,
-    TwigStats* stats = nullptr,
-    const ExecContext& exec = ExecContext::Unbounded());
-
 /// Baseline: decompose the twig into binary (parent, child) structural
 /// joins, evaluate each with the stack-tree merge of storage/, and hash-join
 /// the edge results bottom-up. Same label-stream routing as TwigStackJoin.

@@ -40,6 +40,24 @@ void CountRequestLanguage(Language language) {
   }
 }
 
+#ifndef TREEQ_OBS_DISABLED
+/// A profile carrying the request identity every recording path (result
+/// cache hit, rejection, worker) shares; each site fills in the rest.
+obs::QueryProfile IdentityProfile(uint64_t id, const Plan& plan,
+                                  const Document& doc, bool plan_cache_hit) {
+  obs::QueryProfile profile;
+  profile.id = id;
+  profile.language = LanguageName(plan.language());
+  profile.query_hash = obs::HashQueryText(plan.text());
+  profile.query = plan.text().substr(0, obs::kMaxQueryChars);
+  profile.document = doc.name();
+  profile.explain = plan.Explain();
+  profile.canonical_hash = plan.canonical_hash().ToHex();
+  profile.cache_hit = plan_cache_hit;
+  return profile;
+}
+#endif
+
 Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
                            const ExecContextPtr& context,
                            bool allow_degraded, int parallelism,
@@ -171,17 +189,10 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
         (void)task.context->Charge(1);
 #ifndef TREEQ_OBS_DISABLED
         if (obs::FlightRecorder::Global().enabled()) {
-          const Plan& plan = *task.plan;
-          obs::QueryProfile profile;
-          profile.id = obs::NextQueryId();
-          profile.language = LanguageName(plan.language());
-          profile.query_hash = obs::HashQueryText(plan.text());
-          profile.query = plan.text().substr(0, obs::kMaxQueryChars);
-          profile.document = task.document->name();
+          obs::QueryProfile profile =
+              IdentityProfile(obs::NextQueryId(), *task.plan, *task.document,
+                              task.cache_hit);
           profile.engine = "cache.result";
-          profile.explain = plan.Explain();
-          profile.canonical_hash = plan.canonical_hash().ToHex();
-          profile.cache_hit = task.cache_hit;
           profile.result_cache_hit = true;
           profile.visits = 1;
           profile.estimated_visits = hit->route_cost;
@@ -281,16 +292,9 @@ Submission Executor::SubmitTask(Task task, bool reject_when_full) {
     // recorder is most useful.
     if (profile_plan != nullptr && profile_doc != nullptr &&
         obs::FlightRecorder::Global().enabled()) {
-      obs::QueryProfile profile;
-      profile.id = profile_id;
-      profile.language = LanguageName(profile_plan->language());
-      profile.query_hash = obs::HashQueryText(profile_plan->text());
-      profile.query = profile_plan->text().substr(0, obs::kMaxQueryChars);
-      profile.document = profile_doc->name();
+      obs::QueryProfile profile = IdentityProfile(
+          profile_id, *profile_plan, *profile_doc, profile_cache_hit);
       profile.engine = "rejected";
-      profile.explain = profile_plan->Explain();
-      profile.canonical_hash = profile_plan->canonical_hash().ToHex();
-      profile.cache_hit = profile_cache_hit;
       profile.ok = false;
       profile.status = StatusCodeName(status.code());
       TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
@@ -432,24 +436,15 @@ void Executor::WorkerLoop() {
 #ifndef TREEQ_OBS_DISABLED
     if (profiling) {
       const Plan& plan = *task->plan;
-      obs::QueryProfile profile;
-      profile.id = task->profile_id;
-      profile.language = LanguageName(plan.language());
-      profile.query_hash = obs::HashQueryText(plan.text());
-      profile.query = plan.text().substr(0, obs::kMaxQueryChars);
-      profile.document = task->document->name();
+      obs::QueryProfile profile = IdentityProfile(
+          task->profile_id, plan, *task->document, task->cache_hit);
       profile.engine =
           result.ok() ? result.value().engine
                       : treeq::plan::EngineName(plan.NativeEngine());
-      profile.explain = plan.Explain();
+      profile.degraded = result.ok() && result.value().degraded;
       if (result.ok()) {
         profile.route_rationale = result.value().route_rationale;
         profile.estimated_visits = result.value().route_cost;
-      }
-      profile.canonical_hash = plan.canonical_hash().ToHex();
-      profile.cache_hit = task->cache_hit;
-      profile.degraded = result.ok() && result.value().degraded;
-      if (result.ok()) {
         profile.partitions = result.value().partitions;
         profile.parallel_ns = result.value().parallel_ns;
         profile.merge_ns = result.value().merge_ns;

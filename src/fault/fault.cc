@@ -99,8 +99,6 @@ void SetThreadTag(const char* tag) {
   t_thread_tag = tag != nullptr ? tag : "";
 }
 
-const char* ThreadTag() { return t_thread_tag; }
-
 FaultRegistry& FaultRegistry::Global() {
   static FaultRegistry* const kRegistry = new FaultRegistry();
   return *kRegistry;

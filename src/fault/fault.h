@@ -152,7 +152,6 @@ const std::vector<std::string>& KnownPoints();
 /// Tags the calling thread for FaultRule::thread_tag filters. The pointer
 /// must outlive the thread (string literals in practice).
 void SetThreadTag(const char* tag);
-const char* ThreadTag();
 
 /// RAII arm/disarm for tests: arms `plan` on construction, disarms on
 /// destruction.

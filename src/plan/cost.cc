@@ -72,40 +72,14 @@ const char* EngineName(EngineKind kind) {
 }
 
 std::optional<EngineKind> ParseEngineName(std::string_view name) {
-  if (name == "xpath.set_at_a_time") return EngineKind::kXPathSetAtATime;
-  if (name == "xpath.naive") return EngineKind::kXPathNaive;
-  if (name == "xpath.stream") return EngineKind::kXPathStream;
-  if (name == "cq.twigstack") return EngineKind::kTwigStack;
-  if (name == "cq.structural_joins") return EngineKind::kStructuralJoins;
-  if (name == "cq.yannakakis") return EngineKind::kYannakakis;
-  if (name == "cq.dichotomy" || name == "cq.x_property" ||
-      name == "cq.backtracking") {
+  if (name == "cq.x_property" || name == "cq.backtracking") {
     return EngineKind::kDichotomy;
   }
-  if (name == "datalog.tmnf") return EngineKind::kDatalogTmnf;
-  if (name == "fo.corollary52") return EngineKind::kFoCorollary52;
-  if (name == "fo.naive") return EngineKind::kFoNaive;
-  return std::nullopt;
-}
-
-Language EngineLanguage(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kXPathSetAtATime:
-    case EngineKind::kXPathNaive:
-    case EngineKind::kXPathStream:
-      return Language::kXPath;
-    case EngineKind::kTwigStack:
-    case EngineKind::kStructuralJoins:
-    case EngineKind::kYannakakis:
-    case EngineKind::kDichotomy:
-      return Language::kCq;
-    case EngineKind::kDatalogTmnf:
-      return Language::kDatalog;
-    case EngineKind::kFoCorollary52:
-    case EngineKind::kFoNaive:
-      return Language::kFo;
+  for (int i = 0; i < kNumEngineKinds; ++i) {
+    const EngineKind kind = static_cast<EngineKind>(i);
+    if (name == EngineName(kind)) return kind;
   }
-  return Language::kXPath;
+  return std::nullopt;
 }
 
 DocStats DocStats::For(const Document& doc) {

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "plan/ir.h"
-#include "query/parse.h"
 #include "tree/document.h"
 
 /// \file cost.h
@@ -48,9 +47,6 @@ const char* EngineName(EngineKind kind);
 /// "cq.x_property" and "cq.backtracking" (both map to kDichotomy).
 /// std::nullopt for anything else.
 std::optional<EngineKind> ParseEngineName(std::string_view name);
-
-/// The language whose native pipeline implements `kind`.
-Language EngineLanguage(EngineKind kind);
 
 /// Cheap per-document statistics for the cost formulas. Holds a borrowed
 /// Document pointer for label-frequency lookups; must not outlive it.

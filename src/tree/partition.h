@@ -11,7 +11,7 @@
 
 /// \file partition.h
 /// `TreePartition`: the document decomposition behind intra-query
-/// parallelism (tree/par_axes.h, storage/par_join.h, cq/par_twig.h).
+/// parallelism (tree/par_axes.h).
 ///
 /// The pre order is dense — every pre rank in [0, n) names exactly one
 /// node — so cutting pre-rank space into K contiguous ranges yields K
@@ -20,7 +20,7 @@
 /// contiguous pre-rank intervals (the laminar-range property the
 /// descendant kernel already exploits), each range is a union of whole
 /// subtrees plus at most one "spine" of ancestors cut at the boundary;
-/// the parallel kernels never rely on more than disjointness + coverage,
+/// the parallel kernel never relies on more than disjointness + coverage,
 /// which hold unconditionally.
 ///
 /// For each degree K the partition caches one node-id mask per range

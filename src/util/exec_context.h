@@ -84,7 +84,7 @@ class ExecContext {
   /// this context's deadline, gets `visit_share` / `memory_share` as its own
   /// budgets (UINT64_MAX = unlimited), and observes this context's
   /// cancellation and sticky aborts on every charge. The parent must
-  /// outlive the child (the fork-join kernels join before returning).
+  /// outlive the child (the fork-join kernel joins before returning).
   std::shared_ptr<ExecContext> Fork(uint64_t visit_share,
                                     uint64_t memory_share) const;
 

@@ -8,14 +8,13 @@
 #include <vector>
 
 /// \file task_runner.h
-/// The fork-join seam between the parallel kernels (tree/par_axes.h,
-/// storage/par_join.h, cq/par_twig.h) and whatever executes their partition
-/// tasks. The kernels only ever need one operation — "run these closures,
-/// all of them, and return when every one has finished" — so that is the
-/// whole interface. The engine plugs in a TaskGroupRunner backed by its
-/// worker pool (engine/task_group.h, with help-running so nested tasks
-/// cannot deadlock the bounded queue); tests and benches use the two
-/// trivial implementations below.
+/// The fork-join seam between the parallel axis kernel (tree/par_axes.h)
+/// and whatever executes its partition tasks. The kernel only ever needs
+/// one operation — "run these closures, all of them, and return when every
+/// one has finished" — so that is the whole interface. The engine plugs in
+/// a TaskGroupRunner backed by its worker pool (engine/task_group.h, with
+/// help-running so nested tasks cannot deadlock the bounded queue); tests
+/// and benches use the two trivial implementations below.
 ///
 /// Contract for RunAll:
 ///   - every task is invoked exactly once, on an unspecified thread
@@ -23,7 +22,7 @@
 ///   - RunAll returns only after all tasks have returned (a join barrier:
 ///     writes made by the tasks happen-before the return);
 ///   - tasks must not call RunAll recursively (single fork level — the
-///     partition kernels never nest) and must not throw.
+///     partition kernel never nests) and must not throw.
 
 namespace treeq {
 namespace par {
@@ -68,9 +67,9 @@ class ThreadPerTaskRunner : public TaskRunner {
   }
 };
 
-/// How a partition kernel should fork. The degenerate default (parallelism
-/// 0, no runner) makes every kernel take its serial path, so a ParOptions
-/// can be threaded unconditionally.
+/// How the partition kernel should fork. The degenerate default
+/// (parallelism 0, no runner) makes it take its serial path, so a
+/// ParOptions can be threaded unconditionally.
 struct ParOptions {
   /// Partition degree; values < 2 mean "do not fork".
   int parallelism = 0;
@@ -90,7 +89,7 @@ struct ParStats {
   int partitions = 0;
   /// Wall time spent inside RunAll (fork + kernels + join), summed.
   uint64_t parallel_ns = 0;
-  /// Wall time spent OR-merging / concatenating partial results, summed.
+  /// Wall time spent OR-merging partial results, summed.
   uint64_t merge_ns = 0;
 
   void Accumulate(const ParStats& other) {

@@ -228,11 +228,6 @@ NodeSet EvalQualifier(const Tree& tree, const TreeOrders& orders,
   return EvalQualifierCtx(EvalCtx{tree, orders}, q);
 }
 
-NodeSet EvalPathExists(const Tree& tree, const TreeOrders& orders,
-                       const PathExpr& path, const NodeSet& target) {
-  return EvalPathExistsCtx(EvalCtx{tree, orders}, path, target);
-}
-
 NodeSet EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
                           const PathExpr& path) {
   TREEQ_OBS_SPAN("xpath.eval");
@@ -250,12 +245,6 @@ NodeSet EvalQualifier(const Document& doc, const Qualifier& q) {
   return EvalQualifierCtx(EvalCtx{doc.tree(), doc.orders(),
                                   &doc.label_index()},
                           q);
-}
-
-NodeSet EvalPathExists(const Document& doc, const PathExpr& path,
-                       const NodeSet& target) {
-  return EvalPathExistsCtx(
-      EvalCtx{doc.tree(), doc.orders(), &doc.label_index()}, path, target);
 }
 
 NodeSet EvalQueryFromRoot(const Document& doc, const PathExpr& path) {

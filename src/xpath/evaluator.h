@@ -34,11 +34,6 @@ NodeSet EvalPath(const Tree& tree, const TreeOrders& orders,
 NodeSet EvalQualifier(const Tree& tree, const TreeOrders& orders,
                       const Qualifier& q);
 
-/// {n : [[path]](n) intersects `target`} — the backward image used for
-/// qualifier paths.
-NodeSet EvalPathExists(const Tree& tree, const TreeOrders& orders,
-                       const PathExpr& path, const NodeSet& target);
-
 /// The unary Core XPath query [[path]](root) (Section 3).
 NodeSet EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
                           const PathExpr& path);
@@ -49,8 +44,6 @@ NodeSet EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
 NodeSet EvalPath(const Document& doc, const PathExpr& path,
                  const NodeSet& context);
 NodeSet EvalQualifier(const Document& doc, const Qualifier& q);
-NodeSet EvalPathExists(const Document& doc, const PathExpr& path,
-                       const NodeSet& target);
 NodeSet EvalQueryFromRoot(const Document& doc, const PathExpr& path);
 
 /// Bounded variants (util/exec_context.h): identical semantics, but the

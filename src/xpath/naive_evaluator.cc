@@ -118,13 +118,5 @@ Result<NodeSet> NaiveEvalPath(const Tree& tree, const TreeOrders& orders,
   return eval.EvalPath(path, context);
 }
 
-Result<bool> NaiveEvalQualifier(const Tree& tree, const TreeOrders& orders,
-                                const Qualifier& q, NodeId context,
-                                uint64_t budget, NaiveStats* stats,
-                                const ExecContext& exec) {
-  NaiveEvaluator eval(tree, orders, budget, stats, exec);
-  return eval.EvalQualifier(q, context);
-}
-
 }  // namespace xpath
 }  // namespace treeq

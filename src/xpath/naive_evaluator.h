@@ -39,14 +39,6 @@ Result<NodeSet> NaiveEvalPath(const Tree& tree, const TreeOrders& orders,
                               const ExecContext& exec =
                                   ExecContext::Unbounded());
 
-/// [[q]](context) as a Boolean, with the same budget contract.
-Result<bool> NaiveEvalQualifier(const Tree& tree, const TreeOrders& orders,
-                                const Qualifier& q, NodeId context,
-                                uint64_t budget = UINT64_MAX,
-                                NaiveStats* stats = nullptr,
-                                const ExecContext& exec =
-                                    ExecContext::Unbounded());
-
 }  // namespace xpath
 }  // namespace treeq
 

@@ -1,8 +1,7 @@
-// Differential tests for the partition-parallel kernels and the engine's
-// parallel execution path (tree/par_axes.h, storage/par_join.h,
-// cq/par_twig.h, engine/plan.h + executor.h): every parallel result must be
-// bit-identical (NodeSets) or canonical-set-identical (tuple sets) to the
-// serial kernel it shadows, at parallelism 0, 2, and 8, under both a true
+// Differential tests for the partition-parallel axis kernel and the
+// engine's parallel execution path (tree/par_axes.h, engine/plan.h +
+// executor.h): every parallel result must be bit-identical to the serial
+// kernel it shadows, at parallelism 0, 2, and 8, under both a true
 // multi-thread runner and a pinned serial runner. min_context is forced to
 // 1 throughout so even word-boundary-sized documents take the fork path.
 //
@@ -13,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <set>
 #include <string>
@@ -21,13 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include "cq/par_twig.h"
-#include "cq/twig_join.h"
 #include "engine/executor.h"
 #include "engine/plan.h"
 #include "query/parse.h"
-#include "storage/par_join.h"
-#include "storage/structural_join.h"
 #include "tree/axes.h"
 #include "tree/document.h"
 #include "tree/generator.h"
@@ -153,159 +147,6 @@ TEST(ParAxesDifferentialTest, WideFlat) {
     Tree t = Star(n);
     CheckAllAxesParallel(t, &rng, "star");
   }
-}
-
-// ---------------------------------------------------------------------------
-// ParStackTreeJoin vs StackTreeJoin: output must be bit-identical including
-// row order (the chunked join preserves the serial descendant grouping).
-
-TEST(ParJoinDifferentialTest, MatchesSerialStackTreeJoin) {
-  par::ThreadPerTaskRunner runner;
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    Rng rng(500 + seed);
-    RandomTreeOptions opts;
-    opts.num_nodes = static_cast<int>(rng.Uniform(2, 192));
-    opts.attach_window = static_cast<int>(rng.Uniform(1, 8));
-    opts.alphabet = {"a", "b"};
-    Tree t = RandomTree(&rng, opts);
-    TreeOrders o = ComputeOrders(t);
-
-    std::vector<NodeId> anc_nodes, desc_nodes;
-    for (NodeId v = 0; v < t.num_nodes(); ++v) {
-      if (rng.Bernoulli(0.5)) anc_nodes.push_back(v);
-      if (rng.Bernoulli(0.5)) desc_nodes.push_back(v);
-    }
-    std::vector<JoinItem> ancestors = MakeJoinItems(o, anc_nodes);
-    std::vector<JoinItem> descendants = MakeJoinItems(o, desc_nodes);
-
-    for (bool parent_child : {false, true}) {
-      std::vector<std::pair<NodeId, NodeId>> want =
-          StackTreeJoin(ancestors, descendants, parent_child);
-      for (int parallelism : kParallelisms) {
-        par::ParOptions options;
-        options.parallelism = parallelism;
-        options.runner = parallelism >= 2 ? &runner : nullptr;
-        options.min_context = 1;
-        std::vector<std::pair<NodeId, NodeId>> got;
-        Status s = par::ParStackTreeJoin(ancestors, descendants, parent_child,
-                                         &got, options,
-                                         ExecContext::Unbounded());
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        EXPECT_EQ(got, want) << "seed " << 500 + seed
-                             << " parent_child=" << parent_child
-                             << " k=" << parallelism;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 100-seed twig corpus: ParTwigStackJoin vs TwigStackJoin, same document
-// and pattern recipe as differential_test.cc.
-
-const std::vector<std::string> kAlphabet = {"a", "b", "c"};
-
-std::string RandomLabel(Rng* rng) {
-  return kAlphabet[static_cast<size_t>(
-      rng->Uniform(0, static_cast<int64_t>(kAlphabet.size()) - 1))];
-}
-
-Tree RandomDocumentTree(Rng* rng, int max_nodes) {
-  static const int kSizes[] = {3, 7, 31, 63, 64, 65, 96, 127, 128, 129};
-  std::vector<int> sizes;
-  for (int s : kSizes) {
-    if (s <= max_nodes) sizes.push_back(s);
-  }
-  int n = sizes[static_cast<size_t>(
-      rng->Uniform(0, static_cast<int64_t>(sizes.size()) - 1))];
-  switch (rng->Uniform(0, 3)) {
-    case 0:
-      return Chain(n, "a", "b");
-    case 1:
-      return Star(n, "a", rng->Bernoulli(0.5) ? "a" : "b");
-    default: {
-      RandomTreeOptions opt;
-      opt.num_nodes = n;
-      opt.attach_window = static_cast<int>(rng->Uniform(1, 8));
-      opt.alphabet = kAlphabet;
-      opt.second_label_prob = 0.2;
-      return RandomTree(rng, opt);
-    }
-  }
-}
-
-cq::TwigPattern RandomTwig(Rng* rng, int max_nodes) {
-  cq::TwigPattern pattern;
-  int n = static_cast<int>(rng->Uniform(1, max_nodes));
-  for (int i = 0; i < n; ++i) {
-    cq::TwigPatternNode node;
-    node.label = RandomLabel(rng);
-    if (i > 0) {
-      node.parent = static_cast<int>(rng->Uniform(0, i - 1));
-      node.edge = rng->Bernoulli(0.5) ? Axis::kChild : Axis::kDescendant;
-    }
-    pattern.nodes.push_back(std::move(node));
-  }
-  return pattern;
-}
-
-cq::TupleSet Sorted(cq::TupleSet tuples) {
-  std::sort(tuples.begin(), tuples.end());
-  return tuples;
-}
-
-TEST(ParTwigDifferentialTest, HundredSeedCorpus) {
-  const int kTrials = 100;
-  par::ThreadPerTaskRunner runner;
-  for (uint64_t seed = 0; seed < kTrials; ++seed) {
-    Rng rng(1000 + seed);
-    Document doc(RandomDocumentTree(&rng, /*max_nodes=*/129));
-    cq::TwigPattern pattern = RandomTwig(&rng, /*max_nodes=*/4);
-    ASSERT_TRUE(pattern.Validate().ok()) << pattern.ToString();
-
-    Result<cq::TupleSet> serial = cq::TwigStackJoin(pattern, doc);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    cq::TupleSet want = Sorted(std::move(serial).value());
-
-    for (int parallelism : kParallelisms) {
-      par::ParOptions options;
-      options.parallelism = parallelism;
-      options.runner = parallelism >= 2 ? &runner : nullptr;
-      options.min_context = 1;
-      Result<cq::TupleSet> got = cq::ParTwigStackJoin(pattern, doc, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(Sorted(std::move(got).value()), want)
-          << "seed " << 1000 + seed << " k=" << parallelism << " on "
-          << pattern.ToString();
-    }
-  }
-}
-
-// The parallel twig join's canonical output must equal the serial join's
-// canonical output exactly (not just as sorted multisets): both end in one
-// CanonicalizeTuples pass.
-TEST(ParTwigDifferentialTest, CanonicalOrderMatchesSerial) {
-  Rng rng(77);
-  par::ThreadPerTaskRunner runner;
-  Document doc(CatalogDocument(&rng, CatalogOptions{}));
-  cq::TwigPattern pattern;
-  pattern.nodes.push_back({"catalog", Axis::kDescendant, -1});
-  pattern.nodes.push_back({"product", Axis::kDescendant, 0});
-  pattern.nodes.push_back({"review", Axis::kDescendant, 1});
-  ASSERT_TRUE(pattern.Validate().ok());
-
-  Result<cq::TupleSet> serial = cq::TwigStackJoin(pattern, doc);
-  ASSERT_TRUE(serial.ok());
-  par::ParOptions options;
-  options.parallelism = 8;
-  options.runner = &runner;
-  options.min_context = 1;
-  par::ParStats stats;
-  Result<cq::TupleSet> parallel = cq::ParTwigStackJoin(
-      pattern, doc, options, ExecContext::Unbounded(), nullptr, &stats);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel.value(), serial.value());
-  EXPECT_GT(stats.partitions, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,22 @@ TEST(PlanRouteDifferentialTest, ForceRouteRejectsUnknownAndIneligible) {
   Result<QueryResult> ineligible = plan->Execute(*doc, unbounded, options);
   ASSERT_FALSE(ineligible.ok());
   EXPECT_EQ(ineligible.status().code(), StatusCode::kUnsupported);
+}
+
+// ParseEngineName inverts EngineName on every kind, also maps the two
+// post-hoc dichotomy labels, and rejects anything else.
+TEST(PlanRouteDifferentialTest, EngineNamesRoundTrip) {
+  for (int i = 0; i < plan::kNumEngineKinds; ++i) {
+    const plan::EngineKind kind = static_cast<plan::EngineKind>(i);
+    EXPECT_EQ(plan::ParseEngineName(plan::EngineName(kind)), kind)
+        << plan::EngineName(kind);
+  }
+  EXPECT_EQ(plan::ParseEngineName("cq.x_property"),
+            plan::EngineKind::kDichotomy);
+  EXPECT_EQ(plan::ParseEngineName("cq.backtracking"),
+            plan::EngineKind::kDichotomy);
+  EXPECT_EQ(plan::ParseEngineName("no.such.engine"), std::nullopt);
+  EXPECT_EQ(plan::ParseEngineName(""), std::nullopt);
 }
 
 // The acceptance criterion: one canonical hash ⇒ one PlanCache entry.
