@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/eval_cache.h"
@@ -232,8 +231,6 @@ void RunReuseSweep(treeq::benchjson::Record* record) {
                       "cold_ratio (all-miss mix) is the CI gate (> 0.85); "
                       "speedup rows scale with per-request evaluation cost "
                       "and are recorded, not gated");
-    record->SetNumber("hardware_concurrency",
-                      std::thread::hardware_concurrency());
     record->SetNumber("requests_per_mix", kRequestsPerMix);
     record->SetNumber("query_texts", kNumQueries);
     record->SetNumber("cold_ratio", cold_ratio);

@@ -460,8 +460,6 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
               same_text_hit_rate, same_qps);
 
   if (record != nullptr) {
-    record->SetNumber("hardware_concurrency",
-                      std::thread::hardware_concurrency());
     record->SetNumber("bounded_qps_1_thread", bounded_qps);
     record->SetNumber("bounded_vs_plain_ratio", bounded_qps / qps1);
     record->SetNumber("deadline_10ms_completion_ns_p50", deadline_p50);

@@ -33,7 +33,8 @@ treeq::cq::ConjunctiveQuery Query() {
       .value();
 }
 
-void PrintOutputSensitivity() {
+// With a record, each legs value becomes a row {legs, solutions}.
+void PrintOutputSensitivity(treeq::benchjson::Record* record = nullptr) {
   std::printf("=== Figure 6: output-sensitive enumeration ===\n");
   std::printf("%-8s %-12s %-14s\n", "legs", "solutions", "per-solution work");
   for (int legs : {2, 4, 8, 16}) {
@@ -46,6 +47,10 @@ void PrintOutputSensitivity() {
         treeq::cq::EnumerateSolutions(q, t, o, reduced.value()).value();
     std::printf("%-8d %-12zu (see timed series below)\n", legs,
                 solutions.size());
+    if (record != nullptr) {
+      record->AddRow({{"legs", legs},
+                      {"solutions", static_cast<double>(solutions.size())}});
+    }
   }
   std::printf("\n");
 }
@@ -108,8 +113,9 @@ int main(int argc, char** argv) {
     // --json mode: the headline workload runs once under a reset obs
     // registry; its work counters and spans land in the record.
     return treeq::benchjson::WriteRecord(
-        json_path, "bench_fig6_enumerate", [](treeq::benchjson::Record*) {
-          PrintOutputSensitivity();
+        json_path, "bench_fig6_enumerate",
+        [](treeq::benchjson::Record* record) {
+          PrintOutputSensitivity(record);
         });
   }
   PrintOutputSensitivity();

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,7 +22,8 @@
 /// BENCH_*.json record:
 ///
 ///   {"bench": "<name>", "wall_ns": N,
-///    "meta": {...input sizes and per-bench scalars...},
+///    "meta": {"hardware_concurrency": C, ...input sizes and per-bench
+///             scalars...},
 ///    "rows": [...optional per-configuration measurements...],
 ///    "stats": {"counters": {...}, "gauges": {...},
 ///              "histograms": {...}, "spans": [...]}}
@@ -118,11 +120,15 @@ class Record {
 };
 
 /// Runs `workload` under a reset registry, then writes the record to
-/// `path`. Returns a process exit code.
+/// `path`. Every record's meta carries the host's hardware_concurrency, so
+/// a reader can interpret timings and parallel rows. Returns a process
+/// exit code.
 inline int WriteRecord(const std::string& path, const std::string& bench_name,
                        const std::function<void(Record*)>& workload) {
   obs::StatsRegistry::Global().Reset();
   Record record;
+  record.SetNumber("hardware_concurrency",
+                   std::thread::hardware_concurrency());
   auto start = std::chrono::steady_clock::now();
   workload(&record);
   auto wall_ns = static_cast<uint64_t>(

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -135,8 +134,6 @@ void JsonWorkload(treeq::benchjson::Record* rec) {
 
   rec->SetNumber("input_nodes", doc.num_nodes());
   rec->SetNumber("reps", kReps);
-  rec->SetNumber("host_cores",
-                 static_cast<double>(std::thread::hardware_concurrency()));
   rec->SetString("query", kWorkloadQuery);
   rec->SetString("tree_shape", "balanced 4-ary, depth 10, doc-order ids");
 

@@ -10,6 +10,7 @@
 #include "bench_json.h"
 
 #include <cstdio>
+#include <string>
 
 #include "cq/twig_join.h"
 #include "tree/generator.h"
@@ -47,7 +48,9 @@ treeq::cq::TwigPattern UnselectiveTwig() {
   return p;
 }
 
-void PrintComparison() {
+// With a record, each case becomes a row {case_id, matches,
+// holistic_intermediates, binary_intermediates}; meta.case<i> names it.
+void PrintComparison(treeq::benchjson::Record* record = nullptr) {
   std::printf("=== TwigStack vs binary structural joins ===\n");
   treeq::Tree doc = MakeDoc(500);
   treeq::TreeOrders orders = treeq::ComputeOrders(doc);
@@ -59,7 +62,8 @@ void PrintComparison() {
                   {"unselective twig", UnselectiveTwig()}};
   std::printf("%-18s %-9s %-22s %-22s\n", "twig", "matches",
               "holistic intermediates", "binary intermediates");
-  for (Case& c : cases) {
+  for (int i = 0; i < 2; ++i) {
+    Case& c = cases[i];
     treeq::cq::TwigStats hs, bs;
     auto holistic = treeq::cq::TwigStackJoin(c.twig, doc, orders, &hs);
     auto binary = treeq::cq::TwigByStructuralJoins(c.twig, doc, orders, &bs);
@@ -69,6 +73,16 @@ void PrintComparison() {
                 holistic.value().size(),
                 static_cast<unsigned long long>(hs.intermediate_results),
                 static_cast<unsigned long long>(bs.intermediate_results));
+    if (record != nullptr) {
+      record->SetString("case" + std::to_string(i), c.name);
+      record->AddRow(
+          {{"case_id", i},
+           {"matches", static_cast<double>(holistic.value().size())},
+           {"holistic_intermediates",
+            static_cast<double>(hs.intermediate_results)},
+           {"binary_intermediates",
+            static_cast<double>(bs.intermediate_results)}});
+    }
   }
   std::printf("(holistic intermediates = stack pushes; the binary pipeline "
               "counts edge-join\n and join-result tuples — the gap is the "
@@ -139,8 +153,8 @@ int main(int argc, char** argv) {
     // --json mode: the headline workload runs once under a reset obs
     // registry; its work counters and spans land in the record.
     return treeq::benchjson::WriteRecord(
-        json_path, "bench_twigstack", [](treeq::benchjson::Record*) {
-          PrintComparison();
+        json_path, "bench_twigstack", [](treeq::benchjson::Record* record) {
+          PrintComparison(record);
         });
   }
   PrintComparison();

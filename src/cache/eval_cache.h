@@ -14,8 +14,9 @@
 /// (document epoch, axis, input-set fingerprint). One axis-image step is
 /// the unit every evaluator in the repo decomposes into — the set-at-a-time
 /// XPath evaluator's StepImage (forward and inverse), and the Yannakakis
-/// semijoin sweeps of the k-ary CQ route — so memoizing it captures whole
-/// XPath step images and the CQ twig reductions with a single mechanism.
+/// semijoin sweeps of the cq.yannakakis route — so memoizing it captures
+/// whole XPath step images and the CQ twig reductions with a single
+/// mechanism.
 ///
 /// Keying and invalidation: every Document carries a process-unique epoch
 /// (tree/document.h, NextDocumentEpoch). Cache keys embed it, so a replaced

@@ -1,8 +1,6 @@
 #include "cq/arc_consistency.h"
 
-#include <deque>
 #include <map>
-#include <utility>
 
 #include "datalog/horn.h"
 #include "obs/obs.h"
@@ -11,7 +9,8 @@ namespace treeq {
 namespace cq {
 namespace {
 
-/// Materialized adjacency of one axis over the tree (both directions).
+/// Materialized adjacency of one axis over the tree (both directions), the
+/// ||A|| of Proposition 6.2. Only the Horn encoding builds it.
 struct Adjacency {
   std::vector<std::vector<NodeId>> fwd;  // fwd[u] = {v : axis(u, v)}
   std::vector<std::vector<NodeId>> rev;  // rev[v] = {u : axis(u, v)}
@@ -33,125 +32,65 @@ Adjacency Materialize(const Tree& tree, const TreeOrders& orders, Axis axis) {
   return adj;
 }
 
-/// Initial candidate sets: intersection of the unary (label) atoms and the
-/// caller-provided restriction, if any.
-PreValuation InitialTheta(const ConjunctiveQuery& query, const Tree& tree,
-                          const PreValuation* initial) {
-  const int n = tree.num_nodes();
-  PreValuation theta(query.num_vars(), NodeSet::All(n));
+/// The image fixpoint. Applying atom R(x, y) — Theta(x) &= R^-1(Theta(y)),
+/// then Theta(y) &= R(Theta(x)) — leaves that atom supported both ways
+/// (a y dropped by the second step had no partner in Theta(x), so it
+/// supported nothing there). An atom therefore needs another application
+/// only after a different atom shrank one of its variables, or, for a
+/// self-loop R(x, x), after its own application shrank x. Atoms are swept
+/// in query order; each sweep is one propagation round.
+AcResult DirectAc(const ConjunctiveQuery& query, const Tree& tree,
+                  const TreeOrders& orders, const PreValuation* initial,
+                  const LabelIndex* index, const ExecContext& exec) {
+  TREEQ_OBS_SPAN("cq.ac.direct");
+  AcResult result;
+  PreValuation& theta = result.theta;
+  theta = LabelRestrictedCandidates(query, tree, index);
   if (initial != nullptr) {
     TREEQ_CHECK(static_cast<int>(initial->size()) == query.num_vars());
     for (int x = 0; x < query.num_vars(); ++x) {
       theta[x].IntersectWith((*initial)[x]);
     }
   }
-  for (const LabelAtom& a : query.label_atoms()) {
-    NodeSet& set = theta[a.var];
-    for (NodeId v = 0; v < n; ++v) {
-      if (set.Contains(v) && !tree.HasLabel(v, a.label)) set.Erase(v);
-    }
+
+  const std::vector<AxisAtom>& atoms = query.axis_atoms();
+  std::vector<std::vector<int>> atoms_of(query.num_vars());
+  for (int i = 0; i < static_cast<int>(atoms.size()); ++i) {
+    atoms_of[atoms[i].var0].push_back(i);
+    if (atoms[i].var1 != atoms[i].var0) atoms_of[atoms[i].var1].push_back(i);
   }
-  return theta;
-}
-
-std::map<Axis, Adjacency> MaterializeUsedAxes(const ConjunctiveQuery& query,
-                                              const Tree& tree,
-                                              const TreeOrders& orders) {
-  std::map<Axis, Adjacency> adjacency;
-  for (Axis axis : query.AxesUsed()) {
-    adjacency.emplace(axis, Materialize(tree, orders, axis));
-  }
-  return adjacency;
-}
-
-AcResult DirectAc(const ConjunctiveQuery& query, const Tree& tree,
-                  const TreeOrders& orders, const PreValuation* initial) {
-  TREEQ_OBS_SPAN("cq.ac.direct");
-  const int n = tree.num_nodes();
-  PreValuation theta = InitialTheta(query, tree, initial);
-  std::map<Axis, Adjacency> adjacency = MaterializeUsedAxes(query, tree, orders);
-
-  // AC-4 support counters: per directed constraint (atom, side) and value,
-  // the number of supporting partners still alive.
-  const int num_atoms = static_cast<int>(query.axis_atoms().size());
-  // counters[2 * atom + 0][v]: supports of v in Theta(var0) among Theta(var1)
-  // counters[2 * atom + 1][w]: supports of w in Theta(var1) among Theta(var0)
-  std::vector<std::vector<int>> counters(2 * num_atoms,
-                                         std::vector<int>(n, 0));
-
-  std::deque<std::pair<int, NodeId>> removed;  // (variable, value)
-  auto erase_value = [&](int var, NodeId v) {
-    if (theta[var].Contains(v)) {
-      TREEQ_OBS_INC("cq.ac.domain_shrinks");
-      theta[var].Erase(v);
-      removed.emplace_back(var, v);
+  std::vector<char> dirty(atoms.size(), 1);
+  NodeSet image(tree.num_nodes());
+  // theta[var] &= axis(theta[from]); marks the atoms that must re-run.
+  auto narrow = [&](int i, int var, Axis axis, int from) -> Status {
+    TREEQ_RETURN_IF_ERROR(
+        exec.Charge(1 + static_cast<uint64_t>(theta[from].num_words())));
+    AxisImage(tree, orders, axis, theta[from], &image);
+    const int before = theta[var].size();
+    theta[var].IntersectWith(image);
+    if (theta[var].size() == before) return Status::OK();
+    TREEQ_OBS_COUNT("cq.ac.domain_shrinks", before - theta[var].size());
+    for (int j : atoms_of[var]) {
+      if (j != i || atoms[i].var0 == atoms[i].var1) dirty[j] = 1;
     }
+    return Status::OK();
   };
-
-  // Initialize counters; values with zero support are removed.
-  for (int i = 0; i < num_atoms; ++i) {
-    const AxisAtom& atom = query.axis_atoms()[i];
-    const Adjacency& adj = adjacency.at(atom.axis);
-    for (NodeId v = 0; v < n; ++v) {
-      if (theta[atom.var0].Contains(v)) {
-        int count = 0;
-        for (NodeId w : adj.fwd[v]) {
-          if (theta[atom.var1].Contains(w)) ++count;
-        }
-        counters[2 * i][v] = count;
-      }
-      if (theta[atom.var1].Contains(v)) {
-        int count = 0;
-        for (NodeId u : adj.rev[v]) {
-          if (theta[atom.var0].Contains(u)) ++count;
-        }
-        counters[2 * i + 1][v] = count;
-      }
-    }
-  }
-  for (int i = 0; i < num_atoms; ++i) {
-    const AxisAtom& atom = query.axis_atoms()[i];
-    for (NodeId v = 0; v < n; ++v) {
-      if (theta[atom.var0].Contains(v) && counters[2 * i][v] == 0) {
-        erase_value(atom.var0, v);
-      }
-      if (theta[atom.var1].Contains(v) && counters[2 * i + 1][v] == 0) {
-        erase_value(atom.var1, v);
-      }
-    }
-  }
-
-  // Propagate removals.
-  while (!removed.empty()) {
+  for (bool again = !atoms.empty(); again;) {
     TREEQ_OBS_INC("cq.ac.propagation_rounds");
-    auto [var, value] = removed.front();
-    removed.pop_front();
-    for (int i = 0; i < num_atoms; ++i) {
-      const AxisAtom& atom = query.axis_atoms()[i];
-      const Adjacency& adj = adjacency.at(atom.axis);
-      if (atom.var1 == var) {
-        // value left Theta(var1): decrement supports of its rev-partners.
-        for (NodeId u : adj.rev[value]) {
-          if (theta[atom.var0].Contains(u) && --counters[2 * i][u] == 0) {
-            erase_value(atom.var0, u);
-          }
-        }
-      }
-      if (atom.var0 == var) {
-        for (NodeId w : adj.fwd[value]) {
-          if (theta[atom.var1].Contains(w) &&
-              --counters[2 * i + 1][w] == 0) {
-            erase_value(atom.var1, w);
-          }
-        }
-      }
+    again = false;
+    for (int i = 0; i < static_cast<int>(atoms.size()); ++i) {
+      if (!dirty[i]) continue;
+      dirty[i] = 0;
+      const AxisAtom& a = atoms[i];
+      result.status = narrow(i, a.var0, InverseAxis(a.axis), a.var1);
+      if (result.status.ok()) result.status = narrow(i, a.var1, a.axis, a.var0);
+      if (!result.status.ok()) return result;
     }
+    for (char d : dirty) again = again || d;
   }
 
-  AcResult result;
-  result.theta = std::move(theta);
   result.consistent = true;
-  for (const NodeSet& set : result.theta) {
+  for (const NodeSet& set : theta) {
     if (set.empty()) result.consistent = false;
   }
   return result;
@@ -164,7 +103,10 @@ AcResult HornAc(const ConjunctiveQuery& query, const Tree& tree,
                 const TreeOrders& orders, const PreValuation* initial) {
   TREEQ_OBS_SPAN("cq.ac.horn");
   const int n = tree.num_nodes();
-  std::map<Axis, Adjacency> adjacency = MaterializeUsedAxes(query, tree, orders);
+  std::map<Axis, Adjacency> adjacency;
+  for (Axis axis : query.AxesUsed()) {
+    adjacency.emplace(axis, Materialize(tree, orders, axis));
+  }
 
   horn::HornInstance instance;
   // Proposition ids: var * n + v.
@@ -220,14 +162,40 @@ AcResult HornAc(const ConjunctiveQuery& query, const Tree& tree,
 
 }  // namespace
 
+PreValuation LabelRestrictedCandidates(const ConjunctiveQuery& query,
+                                       const Tree& tree,
+                                       const LabelIndex* index) {
+  const int n = tree.num_nodes();
+  PreValuation cand(query.num_vars(), NodeSet::All(n));
+  for (const LabelAtom& a : query.label_atoms()) {
+    if (index != nullptr) {
+      const LabelId id = tree.label_table().Lookup(a.label);
+      if (id == kNullLabel) {
+        cand[a.var] = NodeSet(n);  // no node carries an unknown label
+      } else {
+        cand[a.var].IntersectWith(index->Set(id));
+      }
+      continue;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (cand[a.var].Contains(v) && !tree.HasLabel(v, a.label)) {
+        cand[a.var].Erase(v);
+      }
+    }
+  }
+  return cand;
+}
+
 AcResult ComputeMaxArcConsistent(const ConjunctiveQuery& query,
                                  const Tree& tree, const TreeOrders& orders,
                                  AcImplementation implementation,
-                                 const PreValuation* initial) {
+                                 const PreValuation* initial,
+                                 const LabelIndex* index,
+                                 const ExecContext& exec) {
   TREEQ_CHECK(query.Validate().ok());
   switch (implementation) {
     case AcImplementation::kDirect:
-      return DirectAc(query, tree, orders, initial);
+      return DirectAc(query, tree, orders, initial, index, exec);
     case AcImplementation::kHornEncoding:
       return HornAc(query, tree, orders, initial);
   }

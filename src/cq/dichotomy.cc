@@ -77,20 +77,18 @@ Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
                                       const Tree& tree,
                                       const TreeOrders& orders,
                                       bool* used_tractable_path,
-                                      const ExecContext& exec) {
+                                      const ExecContext& exec,
+                                      const LabelIndex* index) {
   ConjunctiveQuery normalized = query;
   normalized.NormalizeInverseAxes();
   SignatureClass c = ClassifySignature(normalized.AxesUsed());
   std::optional<TreeOrder> order = OrderForClass(c);
   if (order.has_value()) {
     if (used_tractable_path != nullptr) *used_tractable_path = true;
-    // The X-property pass is polynomial; charge it as one unit of work per
-    // node-variable pair and check the limits once up front.
-    TREEQ_RETURN_IF_ERROR(exec.Charge(
-        1 + static_cast<uint64_t>(tree.num_nodes()) * query.num_vars()));
     TREEQ_ASSIGN_OR_RETURN(
         XEvalResult result,
-        EvaluateXProperty(normalized, tree, orders, *order));
+        EvaluateXProperty(normalized, tree, orders, *order,
+                          AcImplementation::kDirect, exec, index));
     return result.satisfiable;
   }
   if (used_tractable_path != nullptr) *used_tractable_path = false;

@@ -45,22 +45,24 @@ std::optional<TreeOrder> OrderForClass(SignatureClass c);
 /// Evaluates a Boolean conjunctive query by the dichotomy: X-property
 /// evaluation (Theorem 6.5) when the signature is tractable, backtracking
 /// search otherwise. `used_tractable_path`, if non-null, reports which side
-/// ran. The ExecContext bounds the NP-hard branch (charged per assignment
-/// tried) and is checked between stages on the tractable branch.
-Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
-                                      const Tree& tree,
-                                      const TreeOrders& orders,
-                                      bool* used_tractable_path = nullptr,
-                                      const ExecContext& exec =
-                                          ExecContext::Unbounded());
+/// ran. The ExecContext bounds both branches: the NP-hard one is charged
+/// per assignment tried, the tractable one per arc-consistency image step.
+/// `index` seeds the tractable branch's label atoms.
+Result<bool> EvaluateBooleanDichotomy(
+    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    bool* used_tractable_path = nullptr,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    const LabelIndex* index = nullptr);
 
-/// Document-taking overload (tree/document.h); thin forwarder.
+/// Document-taking overload (tree/document.h); thin forwarder that routes
+/// the label atoms through the document's cached LabelIndex.
 inline Result<bool> EvaluateBooleanDichotomy(
     const ConjunctiveQuery& query, const Document& doc,
     bool* used_tractable_path = nullptr,
     const ExecContext& exec = ExecContext::Unbounded()) {
   return EvaluateBooleanDichotomy(query, doc.tree(), doc.orders(),
-                                  used_tractable_path, exec);
+                                  used_tractable_path, exec,
+                                  &doc.label_index());
 }
 
 }  // namespace cq

@@ -8,7 +8,11 @@ namespace cq {
 
 namespace {
 
-/// Figure 6, iteratively over the DFS variable order x1, ..., xn.
+/// Figure 6, iteratively over the DFS variable order x1, ..., xn, with the
+/// pointer refinement of Proposition 6.10: a variable's values under a
+/// parent binding u are read off u's partners along the parent axis —
+/// a pre-order interval for the subtree and following axes, a pointer walk
+/// for the rest — never by scanning the universe.
 class SolutionEnumerator {
  public:
   SolutionEnumerator(const ConjunctiveQuery& query, const Tree& tree,
@@ -44,6 +48,20 @@ class SolutionEnumerator {
       }
     }
 
+    // Interval walks run over pre ranks; unless node ids are pre ranks,
+    // they read a pre-rank copy of the candidate set.
+    by_pre_.assign(k, NodeSet());
+    if (!orders_.pre_is_identity) {
+      for (int v = 0; v < k; ++v) {
+        if (v == root) continue;
+        by_pre_[v] = NodeSet(tree_.num_nodes());
+        reduced_.candidates[v].ForEachMember(
+            [&](NodeId w) { by_pre_[v].Insert(orders_.pre[w]); });
+      }
+    }
+
+    partners_.assign(dfs_order_.size(), {});
+    partners_[0] = reduced_.candidates[root].ToVector();
     theta_.assign(k, kNullNode);
     results_.clear();
     limit_ = limit;
@@ -54,31 +72,125 @@ class SolutionEnumerator {
   }
 
  private:
-  // Figure 6's enumerate_satisfactions(i). The first failed charge lands in
-  // abort_ and unwinds the recursion.
+  // Figure 6's enumerate_satisfactions(i): binds x_i to each partner of
+  // its parent's value in turn (partners_[i], filled by the caller; for
+  // the root, every candidate). The first failed charge lands in abort_
+  // and unwinds the recursion.
   void EnumerateSatisfactions(int i) {
-    if (!abort_.ok() || results_.size() >= limit_) return;
     const int var = dfs_order_[i];
-    const int parent = reduced_.parent_var[var];
-    for (NodeId v = 0;
-         v < static_cast<NodeId>(reduced_.candidates[var].universe()); ++v) {
-      if (!reduced_.candidates[var].Contains(v)) continue;
+    const bool last = i == static_cast<int>(dfs_order_.size()) - 1;
+    for (NodeId v : partners_[i]) {
+      if (!abort_.ok() || results_.size() >= limit_) return;
       abort_ = exec_.Charge(1);
       if (!abort_.ok()) return;
-      if (i != 0 &&
-          !AxisHolds(tree_, orders_, reduced_.parent_axis[var],
-                     theta_[parent], v)) {
-        continue;
-      }
       theta_[var] = v;
-      if (i == static_cast<int>(dfs_order_.size()) - 1) {
+      if (last) {
         abort_ = exec_.ChargeMemory(theta_.size() * sizeof(NodeId));
         if (!abort_.ok()) return;
         results_.push_back(theta_);
-        if (results_.size() >= limit_) return;
       } else {
+        const int next = dfs_order_[i + 1];
+        CollectPartners(next, theta_[reduced_.parent_var[next]],
+                        &partners_[i + 1]);
         EnumerateSatisfactions(i + 1);
       }
+    }
+  }
+
+  // *out = { w in candidates[var] : parent_axis[var](u, w) }, in increasing
+  // node id (the order a universe scan would produce).
+  void CollectPartners(int var, NodeId u, std::vector<NodeId>* out) const {
+    const NodeSet& cand = reduced_.candidates[var];
+    out->clear();
+    auto keep = [&](NodeId w) {
+      if (w != kNullNode && cand.Contains(w)) out->push_back(w);
+    };
+    // Candidates with pre rank in [begin, end).
+    auto pre_range = [&](int begin, int end) {
+      if (orders_.pre_is_identity) {
+        cand.ForEachMemberInRange(
+            begin, end, [&](NodeId w) { out->push_back(w); });
+      } else {
+        by_pre_[var].ForEachMemberInRange(begin, end, [&](NodeId rank) {
+          out->push_back(orders_.node_at_pre[rank]);
+        });
+      }
+    };
+    bool reversed = false;  // walked in decreasing pre order
+    switch (reduced_.parent_axis[var]) {
+      case Axis::kSelf:
+        keep(u);
+        break;
+      case Axis::kChild:
+        for (NodeId c = tree_.first_child(u); c != kNullNode;
+             c = tree_.next_sibling(c)) {
+          keep(c);
+        }
+        break;
+      case Axis::kParent:
+        keep(tree_.parent(u));
+        break;
+      case Axis::kDescendant:
+        pre_range(orders_.pre[u] + 1, orders_.SubtreeEndPre(u));
+        break;
+      case Axis::kDescendantOrSelf:
+        pre_range(orders_.pre[u], orders_.SubtreeEndPre(u));
+        break;
+      case Axis::kAncestorOrSelf:
+        keep(u);
+        [[fallthrough]];
+      case Axis::kAncestor:
+        for (NodeId p = tree_.parent(u); p != kNullNode; p = tree_.parent(p)) {
+          keep(p);
+        }
+        reversed = true;
+        break;
+      case Axis::kNextSibling:
+        keep(tree_.next_sibling(u));
+        break;
+      case Axis::kPrevSibling:
+        keep(tree_.prev_sibling(u));
+        break;
+      case Axis::kFollowingSiblingOrSelf:
+        keep(u);
+        [[fallthrough]];
+      case Axis::kFollowingSibling:
+        for (NodeId s = tree_.next_sibling(u); s != kNullNode;
+             s = tree_.next_sibling(s)) {
+          keep(s);
+        }
+        break;
+      case Axis::kPrecedingSiblingOrSelf:
+        keep(u);
+        [[fallthrough]];
+      case Axis::kPrecedingSibling:
+        for (NodeId s = tree_.prev_sibling(u); s != kNullNode;
+             s = tree_.prev_sibling(s)) {
+          keep(s);
+        }
+        reversed = true;
+        break;
+      case Axis::kFollowing:
+        pre_range(orders_.SubtreeEndPre(u), tree_.num_nodes());
+        break;
+      case Axis::kPreceding:
+        // Pre ranks before u, minus u's ancestors.
+        pre_range(0, orders_.pre[u]);
+        std::erase_if(*out, [&](NodeId w) {
+          return orders_.IsProperAncestor(w, u);
+        });
+        break;
+      case Axis::kFirstChild:
+        keep(tree_.first_child(u));
+        break;
+      case Axis::kFirstChildInv:
+        if (tree_.prev_sibling(u) == kNullNode) keep(tree_.parent(u));
+        break;
+    }
+    if (orders_.pre_is_identity) {
+      if (reversed) std::reverse(out->begin(), out->end());
+    } else {
+      std::sort(out->begin(), out->end());
     }
   }
 
@@ -89,6 +201,8 @@ class SolutionEnumerator {
   const ExecContext& exec_;
   Status abort_;
   std::vector<int> dfs_order_;
+  std::vector<NodeSet> by_pre_;
+  std::vector<std::vector<NodeId>> partners_;  // per DFS position
   std::vector<NodeId> theta_;
   std::vector<std::vector<NodeId>> results_;
   uint64_t limit_ = 0;
@@ -114,15 +228,9 @@ Result<TupleSet> EvaluateAcyclic(const ConjunctiveQuery& query,
                                  uint64_t limit, const ExecContext& exec,
                                  const LabelIndex* index,
                                  AxisImageMemo* memo) {
-  // The reducer is O(|Q| * |D|); charge it as a block before running. The
-  // block charge is kept even when the memo serves some semijoin images —
-  // it prices the sweep's set algebra, which always runs — so a CQ plan's
-  // visit accounting stays deterministic cached or not.
-  TREEQ_RETURN_IF_ERROR(exec.Charge(
-      1 + static_cast<uint64_t>(tree.num_nodes()) * query.num_vars()));
   TREEQ_ASSIGN_OR_RETURN(ReducedQuery reduced,
                          FullReducer(query, tree, orders, /*root_var=*/-1,
-                                     index, memo));
+                                     index, memo, exec));
   if (!reduced.satisfiable) return TupleSet{};
   TREEQ_ASSIGN_OR_RETURN(
       std::vector<std::vector<NodeId>> solutions,

@@ -15,8 +15,10 @@
 /// query from a fully reduced (globally consistent) pre-valuation —
 /// Figure 6 and Propositions 6.9/6.10. Because every candidate value
 /// participates in a solution, the recursion of Figure 6 never dead-ends:
-/// each partial assignment passing the parent-edge check completes to at
-/// least one output.
+/// each partner of a parent binding completes to at least one output. The
+/// partners are walked directly (pre-order intervals for Child+, Child*
+/// and Following, pointer walks for the other axes), so enumeration costs
+/// O(|Q| * ||A|| + ||Q(A)||) on top of the reducer.
 
 namespace treeq {
 namespace cq {
@@ -25,15 +27,17 @@ namespace cq {
 /// in the variable order of Figure 6 (pre-order DFS of the query tree).
 /// Stops after `limit` solutions. Input must come from FullReducer on a
 /// satisfiable query (reduced.satisfiable). The ExecContext is charged one
-/// unit per candidate node examined plus the solution-vector bytes against
-/// the memory budget, so deadlines bound output enumeration too.
+/// unit per enumerated partner plus the solution-vector bytes against the
+/// memory budget, so deadlines bound output enumeration too.
 Result<std::vector<std::vector<NodeId>>> EnumerateSolutions(
     const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
     const ReducedQuery& reduced, uint64_t limit = UINT64_MAX,
     const ExecContext& exec = ExecContext::Unbounded());
 
-/// Full k-ary acyclic evaluation (Proposition 6.10 without the pointer
-/// refinement): FullReducer + enumeration + head projection, deduplicated.
+/// Full k-ary acyclic evaluation (Proposition 6.10): FullReducer +
+/// enumeration + head projection, deduplicated. Arity-0 and arity-1
+/// queries need no enumeration: see EvaluateBooleanAcyclic and
+/// EvaluateUnaryAcyclic (cq/yannakakis.h).
 /// `index` and `memo` are the FullReducer reuse hooks (cq/yannakakis.h):
 /// cached per-label candidate sets and cross-query memoized semijoin
 /// images; both optional, both result-preserving bit for bit.

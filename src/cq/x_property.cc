@@ -100,11 +100,9 @@ std::vector<NodeId> MinimumValuation(const PreValuation& theta,
   std::vector<NodeId> valuation(theta.size(), kNullNode);
   for (size_t x = 0; x < theta.size(); ++x) {
     NodeId best = kNullNode;
-    for (NodeId v = 0; v < theta[x].universe(); ++v) {
-      if (theta[x].Contains(v) && (best == kNullNode || rank[v] < rank[best])) {
-        best = v;
-      }
-    }
+    theta[x].ForEachMember([&](NodeId v) {
+      if (best == kNullNode || rank[v] < rank[best]) best = v;
+    });
     valuation[x] = best;
   }
   return valuation;
@@ -132,7 +130,9 @@ bool ValuationSatisfies(const ConjunctiveQuery& query, const Tree& tree,
 Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
                                       const Tree& tree,
                                       const TreeOrders& orders, TreeOrder order,
-                                      AcImplementation ac) {
+                                      AcImplementation ac,
+                                      const ExecContext& exec,
+                                      const LabelIndex* index) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   ConjunctiveQuery normalized = query;
   normalized.NormalizeInverseAxes();
@@ -143,7 +143,9 @@ Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
           " lacks the X-property w.r.t. " + TreeOrderName(order));
     }
   }
-  AcResult acr = ComputeMaxArcConsistent(normalized, tree, orders, ac);
+  AcResult acr = ComputeMaxArcConsistent(normalized, tree, orders, ac,
+                                         /*initial=*/nullptr, index, exec);
+  TREEQ_RETURN_IF_ERROR(acr.status);
   XEvalResult result;
   if (!acr.consistent) {
     result.satisfiable = false;

@@ -68,11 +68,13 @@ struct XEvalResult {
 
 /// Theorem 6.5: evaluates the Boolean query via arc-consistency + minimum
 /// valuation. Requires every axis of `query` (inverse-normalized) to have
-/// the X-property w.r.t. `order`; InvalidArgument otherwise.
+/// the X-property w.r.t. `order`; InvalidArgument otherwise. `exec` and
+/// `index` are passed to ComputeMaxArcConsistent.
 Result<XEvalResult> EvaluateXProperty(
     const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
-    TreeOrder order,
-    AcImplementation ac = AcImplementation::kDirect);
+    TreeOrder order, AcImplementation ac = AcImplementation::kDirect,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    const LabelIndex* index = nullptr);
 
 /// Membership check for a k-ary query: is `tuple` in the result? Realized
 /// as in Section 6 by adding singleton unary relations and evaluating the

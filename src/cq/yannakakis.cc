@@ -5,41 +5,11 @@
 namespace treeq {
 namespace cq {
 
-namespace {
-
-/// Candidate sets restricted by the unary atoms. With a label index, each
-/// atom is a word-wise intersection with the document's cached per-label
-/// bitmap; without one, the historic O(k * n) arena scan.
-PreValuation LabelRestrictedCandidates(const ConjunctiveQuery& query,
-                                       const Tree& tree,
-                                       const LabelIndex* index) {
-  const int n = tree.num_nodes();
-  PreValuation cand(query.num_vars(), NodeSet::All(n));
-  for (const LabelAtom& a : query.label_atoms()) {
-    if (index != nullptr) {
-      const LabelId id = tree.label_table().Lookup(a.label);
-      if (id == kNullLabel) {
-        cand[a.var] = NodeSet(n);  // no node carries an unknown label
-      } else {
-        cand[a.var].IntersectWith(index->Set(id));
-      }
-      continue;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (cand[a.var].Contains(v) && !tree.HasLabel(v, a.label)) {
-        cand[a.var].Erase(v);
-      }
-    }
-  }
-  return cand;
-}
-
-}  // namespace
-
 Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
                                  const Tree& tree, const TreeOrders& orders,
                                  int root_var, const LabelIndex* index,
-                                 AxisImageMemo* memo) {
+                                 AxisImageMemo* memo,
+                                 const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   if (!query.IsTreeShaped()) {
     return Status::InvalidArgument(
@@ -90,23 +60,29 @@ Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
   // parent keeps only values with a partner in every child's candidate set.
   // Both sweeps route through AxisImageMemoized, so with a memo attached
   // repeated twigs over one document reuse each other's semijoin images.
+  // Each image step charges 1 + n/64 whether or not the memo serves it, so
+  // the visit accounting stays deterministic cached or not.
   NodeSet image(n);
+  auto semijoin = [&](Axis axis, int from, int to) -> Status {
+    TREEQ_RETURN_IF_ERROR(exec.Charge(
+        1 + static_cast<uint64_t>(reduced.candidates[from].num_words())));
+    AxisImageMemoized(tree, orders, axis, reduced.candidates[from], &image,
+                      memo);
+    reduced.candidates[to].IntersectWith(image);
+    return Status::OK();
+  };
   for (int i = k - 1; i >= 1; --i) {
     int v = bfs_order[i];
-    int p = reduced.parent_var[v];
-    // p -- axis --> v; keep u in cand[p] iff exists w in cand[v] with
-    // axis(u, w), i.e. u in image of cand[v] under axis^-1.
-    AxisImageMemoized(tree, orders, InverseAxis(reduced.parent_axis[v]),
-                      reduced.candidates[v], &image, memo);
-    reduced.candidates[p].IntersectWith(image);
+    // p = parent_var[v], p -- axis --> v; keep u in cand[p] iff exists w
+    // in cand[v] with axis(u, w), i.e. u in image of cand[v] under axis^-1.
+    TREEQ_RETURN_IF_ERROR(semijoin(InverseAxis(reduced.parent_axis[v]), v,
+                                   reduced.parent_var[v]));
   }
   // Top-down pass: children keep only values reachable from the parent.
   for (int i = 1; i < k; ++i) {
     int v = bfs_order[i];
-    int p = reduced.parent_var[v];
-    AxisImageMemoized(tree, orders, reduced.parent_axis[v],
-                      reduced.candidates[p], &image, memo);
-    reduced.candidates[v].IntersectWith(image);
+    TREEQ_RETURN_IF_ERROR(
+        semijoin(reduced.parent_axis[v], reduced.parent_var[v], v));
   }
 
   reduced.satisfiable = true;
@@ -118,9 +94,13 @@ Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
 
 Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& query,
                                     const Tree& tree,
-                                    const TreeOrders& orders) {
-  TREEQ_ASSIGN_OR_RETURN(ReducedQuery reduced,
-                         FullReducer(query, tree, orders));
+                                    const TreeOrders& orders,
+                                    const ExecContext& exec,
+                                    const LabelIndex* index,
+                                    AxisImageMemo* memo) {
+  TREEQ_ASSIGN_OR_RETURN(
+      ReducedQuery reduced,
+      FullReducer(query, tree, orders, /*root_var=*/-1, index, memo, exec));
   return reduced.satisfiable;
 }
 
@@ -176,13 +156,16 @@ Result<bool> EvaluateBooleanAcyclicForest(const ConjunctiveQuery& query,
 
 Result<NodeSet> EvaluateUnaryAcyclic(const ConjunctiveQuery& query,
                                      const Tree& tree,
-                                     const TreeOrders& orders) {
+                                     const TreeOrders& orders,
+                                     const ExecContext& exec,
+                                     const LabelIndex* index,
+                                     AxisImageMemo* memo) {
   if (query.head_vars().size() != 1) {
     return Status::InvalidArgument("query is not unary");
   }
-  TREEQ_ASSIGN_OR_RETURN(
-      ReducedQuery reduced,
-      FullReducer(query, tree, orders, query.head_vars()[0]));
+  TREEQ_ASSIGN_OR_RETURN(ReducedQuery reduced,
+                         FullReducer(query, tree, orders, query.head_vars()[0],
+                                     index, memo, exec));
   if (!reduced.satisfiable) return NodeSet(tree.num_nodes());
   return reduced.candidates[query.head_vars()[0]];
 }

@@ -6,6 +6,7 @@
 #include "tree/axes.h"
 #include "tree/label_index.h"
 #include "tree/orders.h"
+#include "util/exec_context.h"
 #include "util/status.h"
 
 /// \file yannakakis.h
@@ -48,23 +49,29 @@ struct ReducedQuery {
 /// (tree/label_index.h) — one word-wise intersection per label atom
 /// instead of an O(n) arena scan — and `memo` (tree/axes.h) memoizes the
 /// axis images of the bottom-up and top-down semijoin sweeps, so repeated
-/// twigs over one document reuse each other's reductions.
-Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 int root_var = -1,
-                                 const LabelIndex* index = nullptr,
-                                 AxisImageMemo* memo = nullptr);
+/// twigs over one document reuse each other's reductions. `exec` is
+/// charged 1 + n/64 per semijoin image, memo hit or not.
+Result<ReducedQuery> FullReducer(
+    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    int root_var = -1, const LabelIndex* index = nullptr,
+    AxisImageMemo* memo = nullptr,
+    const ExecContext& exec = ExecContext::Unbounded());
 
-/// Boolean acyclic evaluation in O(||A|| * |Q|) (Theorem 4.1's tree case).
-Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& query,
-                                    const Tree& tree,
-                                    const TreeOrders& orders);
+/// Boolean acyclic evaluation in O(||A|| * |Q|) (Theorem 4.1's tree case):
+/// `reduced.satisfiable`, with nothing enumerated. `exec`, `index` and
+/// `memo` are passed to FullReducer.
+Result<bool> EvaluateBooleanAcyclic(
+    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    const LabelIndex* index = nullptr, AxisImageMemo* memo = nullptr);
 
 /// Unary acyclic evaluation in O(||A|| * |Q|) (Proposition 4.2): the head
-/// variable's fully-reduced candidate set.
-Result<NodeSet> EvaluateUnaryAcyclic(const ConjunctiveQuery& query,
-                                     const Tree& tree,
-                                     const TreeOrders& orders);
+/// variable's fully-reduced candidate set, with the reducer rooted at the
+/// head variable and nothing enumerated. Same hooks as above.
+Result<NodeSet> EvaluateUnaryAcyclic(
+    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    const LabelIndex* index = nullptr, AxisImageMemo* memo = nullptr);
 
 /// Boolean evaluation of forest-shaped queries (each connected component
 /// tree-shaped; components may be disconnected): satisfiable iff every

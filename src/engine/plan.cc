@@ -451,44 +451,44 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       return out;
     }
     case plan::EngineKind::kYannakakis: {
-      if (query_.language == Language::kCq && !cq_boolean_) {
-        TREEQ_ASSIGN_OR_RETURN(
-            TupleSet tuples,
-            cq::EvaluateAcyclic(*query_.cq, doc, UINT64_MAX, exec,
-                                options.axis_memo));
-        if (ir_.arity == 1) {
-          NodeSet nodes(doc.num_nodes());
-          for (const std::vector<NodeId>& t : tuples) nodes.Insert(t[0]);
-          out.value.emplace<NodeSet>(std::move(nodes));
-        } else {
-          NormalizeTuples(&tuples);
-          out.value.emplace<TupleSet>(std::move(tuples));
-        }
-        return out;
-      }
-      // Cross-engine (or Boolean) evaluation over the canonical branches.
+      // The full reducer leaves globally consistent candidate sets, so a
+      // Boolean answer is its satisfiability and a unary answer is the
+      // head variable's set; only k >= 2 enumerates. A k-ary CQ plan runs
+      // its own query, everything else the canonical branches.
       NodeSet nodes(doc.num_nodes());
       TupleSet tuples;
       bool answer = false;
-      for (const cq::ConjunctiveQuery& branch : cq_branches_) {
-        cq::ConjunctiveQuery query = branch;
+      auto evaluate = [&](const cq::ConjunctiveQuery& query) -> Status {
         if (ir_.arity == 0) {
-          // Satisfiability via enumeration: project onto one variable and
-          // test non-emptiness.
-          query.AddHeadVar(0);
-        }
-        TREEQ_ASSIGN_OR_RETURN(
-            TupleSet matches,
-            cq::EvaluateAcyclic(query, doc, UINT64_MAX, exec,
-                                options.axis_memo));
-        if (ir_.arity == 0) {
-          answer = answer || !matches.empty();
+          TREEQ_ASSIGN_OR_RETURN(
+              answer, cq::EvaluateBooleanAcyclic(query, doc.tree(),
+                                                 doc.orders(), exec,
+                                                 &doc.label_index(),
+                                                 options.axis_memo));
         } else if (ir_.arity == 1) {
-          for (const std::vector<NodeId>& t : matches) nodes.Insert(t[0]);
+          TREEQ_ASSIGN_OR_RETURN(
+              NodeSet selected,
+              cq::EvaluateUnaryAcyclic(query, doc.tree(), doc.orders(), exec,
+                                       &doc.label_index(),
+                                       options.axis_memo));
+          nodes.UnionWith(selected);
         } else {
+          TREEQ_ASSIGN_OR_RETURN(
+              TupleSet matches,
+              cq::EvaluateAcyclic(query, doc, UINT64_MAX, exec,
+                                  options.axis_memo));
           for (std::vector<NodeId>& t : matches) {
             tuples.push_back(std::move(t));
           }
+        }
+        return Status::OK();
+      };
+      if (query_.language == Language::kCq && !cq_boolean_) {
+        TREEQ_RETURN_IF_ERROR(evaluate(*query_.cq));
+      } else {
+        for (const cq::ConjunctiveQuery& branch : cq_branches_) {
+          if (answer) break;
+          TREEQ_RETURN_IF_ERROR(evaluate(branch));
         }
       }
       if (ir_.arity == 0) {

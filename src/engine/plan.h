@@ -76,9 +76,10 @@ struct ExecuteOptions {
 
   /// Cross-query axis-image memo (tree/axes.h; in practice a
   /// cache::EvalCache::Memo bound to the document's epoch). When set, the
-  /// serial XPath route and the k-ary CQ semijoin sweeps consult it per
+  /// serial XPath route and cq.yannakakis's semijoin sweeps consult it per
   /// axis step and store fresh images back — results stay bit-identical;
-  /// memo hits charge the cheap lookup instead of the saved kernel work.
+  /// XPath memo hits charge the cheap lookup instead of the saved kernel
+  /// work, and CQ image steps charge 1 + n/64 either way.
   /// The parallel XPath route ignores it (per-partition charge shares and
   /// whole-set memo entries don't compose).
   AxisImageMemo* axis_memo = nullptr;

@@ -97,6 +97,27 @@ class NodeSet {
     }
   }
 
+  /// Like ForEachMember but only over members in [begin, end): touches the
+  /// O((end - begin) / 64 + 1) words of the range, not the whole set.
+  template <typename Fn>
+  void ForEachMemberInRange(int begin, int end, Fn&& fn) const {
+    if (begin >= end) return;
+    const size_t first = WordOf(begin);
+    const size_t last = WordOf(end - 1);
+    for (size_t wi = first; wi <= last; ++wi) {
+      uint64_t w = words_[wi];
+      if (wi == first) w &= ~uint64_t{0} << BitOf(begin);
+      if (wi == last && BitOf(end - 1) != 63) {
+        w &= (uint64_t{1} << (BitOf(end - 1) + 1)) - 1;
+      }
+      while (w != 0) {
+        fn(static_cast<NodeId>(wi * 64 +
+                               static_cast<size_t>(std::countr_zero(w))));
+        w &= w - 1;
+      }
+    }
+  }
+
   /// Smallest / largest member, or kNullNode if empty. O(words).
   NodeId FirstMember() const;
   NodeId LastMember() const;

@@ -205,6 +205,106 @@ TEST(AcTest, InitialRestrictionIsRespected) {
   EXPECT_FALSE(ac2h.consistent);
 }
 
+// kDirect against the Horn encoding (the paper's construction) and the
+// definition, for one query, with and without an `initial` restriction.
+void ExpectDirectMatchesHorn(const ConjunctiveQuery& q, const Tree& t,
+                             const TreeOrders& o, const PreValuation* initial) {
+  AcResult direct =
+      ComputeMaxArcConsistent(q, t, o, AcImplementation::kDirect, initial);
+  AcResult horn = ComputeMaxArcConsistent(
+      q, t, o, AcImplementation::kHornEncoding, initial);
+  ASSERT_EQ(direct.consistent, horn.consistent) << q.ToString();
+  ASSERT_EQ(direct.theta.size(), horn.theta.size());
+  for (size_t x = 0; x < direct.theta.size(); ++x) {
+    EXPECT_EQ(direct.theta[x], horn.theta[x]) << q.ToString() << " var " << x;
+  }
+  if (direct.consistent) {
+    EXPECT_TRUE(IsArcConsistent(q, t, o, direct.theta)) << q.ToString();
+  }
+}
+
+// For every Axis value R: a plain edge R(x, y), a self-loop R(x, x),
+// parallel edges R(x, y), R(y, x) and R(x, y), Child+(x, y), and a cycle
+// R(x, y), R(y, z), Following(x, z) — each with and without a random
+// `initial` restriction, on trees of 12 to 200 nodes.
+class AcEveryAxisTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AcEveryAxisTest, DirectMatchesHornAndDefinition) {
+  const int sizes[] = {12, 60, 200};
+  Rng rng(300 + GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = sizes[GetParam() % 3];
+  opts.attach_window = 1 + GetParam() % 5;
+  opts.alphabet = {"a", "b"};
+  Tree t = RandomTree(&rng, opts);
+  TreeOrders o = ComputeOrders(t);
+  const int n = t.num_nodes();
+  for (int a = 0; a < kNumAxes; ++a) {
+    const Axis axis = static_cast<Axis>(a);
+    std::vector<ConjunctiveQuery> queries(4);
+    for (ConjunctiveQuery& q : queries) {
+      q.AddVar("x");
+      q.AddVar("y");
+    }
+    queries[0].AddAxisAtom(axis, 0, 1);
+    queries[0].AddLabelAtom("a", 1);
+    queries[1].AddAxisAtom(axis, 0, 0);
+    queries[1].AddLabelAtom("b", 1);
+    queries[2].AddAxisAtom(axis, 0, 1);
+    queries[2].AddAxisAtom(axis, 1, 0);
+    queries[2].AddAxisAtom(axis, 0, 1);
+    queries[2].AddAxisAtom(Axis::kDescendant, 0, 1);
+    queries[3].AddVar("z");
+    queries[3].AddAxisAtom(axis, 0, 1);
+    queries[3].AddAxisAtom(axis, 1, 2);
+    queries[3].AddAxisAtom(Axis::kFollowing, 0, 2);
+    queries[3].AddLabelAtom("a", 2);
+    for (const ConjunctiveQuery& q : queries) {
+      ExpectDirectMatchesHorn(q, t, o, nullptr);
+      PreValuation initial(q.num_vars(), NodeSet(n));
+      for (NodeSet& set : initial) {
+        for (NodeId v = 0; v < n; ++v) {
+          if (rng.Bernoulli(0.6)) set.Insert(v);
+        }
+      }
+      ExpectDirectMatchesHorn(q, t, o, &initial);
+    }
+  }
+}
+
+// Cyclic bodies of each tractable signature (Theorem 6.8's tau_1, tau_2,
+// tau_3), where arc consistency needs several propagation rounds.
+TEST_P(AcEveryAxisTest, CyclicTauBodiesMatchHorn) {
+  const char* kBodies[] = {
+      "Q() :- Child+(x, y), Child+(y, z), Child+(x, z), Lab_a(x), Lab_b(z).",
+      "Q() :- Child*(x, y), Child+(y, z), Child*(z, x), Lab_b(y).",
+      "Q() :- Following(x, y), Following(y, z), Following(x, z), Lab_a(y).",
+      "Q() :- Following(x, y), Following(y, x).",
+      "Q() :- Child(x, y), Child(x, z), NextSibling(y, z), Lab_a(y), "
+      "Lab_b(z).",
+      "Q() :- NextSibling+(x, y), NextSibling*(y, z), NextSibling(z, x).",
+      "Q() :- Child(x, y), NextSibling+(y, z), Child(x, z), Child(z, w), "
+      "FirstChild(x, y).",
+  };
+  Rng rng(400 + GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = 40 + 80 * (GetParam() % 3);
+  opts.attach_window = 2 + GetParam() % 4;
+  opts.alphabet = {"a", "b"};
+  Tree t = RandomTree(&rng, opts);
+  TreeOrders o = ComputeOrders(t);
+  for (const char* text : kBodies) {
+    ConjunctiveQuery q = MustParse(text);
+    ExpectDirectMatchesHorn(q, t, o, nullptr);
+    PreValuation initial(q.num_vars(), NodeSet::All(t.num_nodes()));
+    initial[0] = NodeSet(t.num_nodes());
+    for (NodeId v = 0; v < t.num_nodes(); v += 3) initial[0].Insert(v);
+    ExpectDirectMatchesHorn(q, t, o, &initial);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AcEveryAxisTest, ::testing::Range(0, 6));
+
 TEST(AcTest, UnsatisfiableLabelYieldsInconsistent) {
   Tree t = Chain(4, "a");
   TreeOrders o = ComputeOrders(t);

@@ -102,6 +102,56 @@ TEST(PlanTest, KAryCqPlanEnumerates) {
   EXPECT_EQ(got->cardinality(), got->tuples().size());
 }
 
+// The CQ engines charge visits where they work — 1 + n/64 per axis image,
+// 1 per enumerated partner — so a visit budget bounds them exactly and
+// deterministically, and the charge grows linearly with the document.
+TEST(PlanTest, CqEngineVisitChargesAreExactAndLinear) {
+  struct Case {
+    const char* route;
+    const char* text;
+  };
+  const Case cases[] = {
+      {"cq.dichotomy", "Q() :- Child+(x, y), Lab_product(x), Lab_rating1(y)."},
+      {"cq.yannakakis",
+       "Q(p, r) :- Child+(p, r), Lab_product(p), Lab_review(r)."},
+  };
+  auto budget = [](uint64_t visits) {
+    ExecContext::Limits limits;
+    limits.visit_budget = visits;
+    return limits;
+  };
+  for (const Case& c : cases) {
+    PlanPtr plan = Plan::Compile(Language::kCq, c.text).value();
+    ExecuteOptions options;
+    options.force_route = c.route;
+    auto cost_on = [&](const Document& doc) {
+      ExecContext probe(budget(UINT64_MAX - 1));
+      Result<QueryResult> r = plan->Execute(doc, probe, options);
+      EXPECT_TRUE(r.ok()) << c.route << ": " << r.status().ToString();
+      return probe.visits_used();
+    };
+    DocumentPtr doc = Catalog(1, 120);
+    const uint64_t cost = cost_on(*doc);
+    ASSERT_GT(cost, 1u) << c.route;
+
+    ExecContext enough(budget(cost));
+    EXPECT_TRUE(plan->Execute(*doc, enough, options).ok()) << c.route;
+    uint64_t tripped_at[2] = {0, 0};
+    for (uint64_t& at : tripped_at) {
+      ExecContext starved(budget(cost - 1));
+      Result<QueryResult> r = plan->Execute(*doc, starved, options);
+      ASSERT_FALSE(r.ok()) << c.route;
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      at = starved.visits_used();
+    }
+    EXPECT_EQ(tripped_at[0], tripped_at[1]) << c.route;
+
+    const uint64_t doubled = cost_on(*Catalog(1, 240));
+    EXPECT_LE(doubled * 10, cost * 23) << c.route << ": " << cost << " -> "
+                                       << doubled;
+  }
+}
+
 TEST(PlanTest, NonTreeShapedKAryCqRejectedAtCompile) {
   // A cycle: x-y-z-x. Boolean cycles route to backtracking, but k-ary
   // plans require tree shape and must fail at compile time, not run time.

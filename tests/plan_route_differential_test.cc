@@ -17,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cq/enumerate.h"
 #include "plan/cost.h"
 #include "tree/generator.h"
 #include "util/random.h"
@@ -179,6 +181,55 @@ TEST(PlanRouteDifferentialTest, EveryForcedRouteAgreesWithTheRouter) {
       }
     }
   }
+}
+
+// Arity-0 and arity-1 answers from cq.yannakakis come straight from the
+// full reducer; they must equal enumerating every satisfaction of the
+// plan's own canonical branches and projecting onto the head.
+TEST(PlanRouteDifferentialTest, ReducerAnswersMatchEnumerateThenProject) {
+  std::vector<DocumentPtr> docs = {Catalog(1), Catalog(7, 3),
+                                   Random(13, 150)};
+  ExecContext unbounded;
+  ExecuteOptions options;
+  options.force_route = "cq.yannakakis";
+  int checked = 0;
+  for (const CorpusEntry& entry : Corpus()) {
+    SCOPED_TRACE(entry.name);
+    for (const Dialect& d : entry.dialects) {
+      PlanPtr plan = Plan::Compile(d.language, d.text).value();
+      const plan::LogicalPlan& ir = plan->ir();
+      const std::vector<plan::EngineKind>& eligible = plan->EligibleEngines();
+      if (ir.arity > 1 ||
+          std::find(eligible.begin(), eligible.end(),
+                    plan::EngineKind::kYannakakis) == eligible.end()) {
+        continue;
+      }
+      for (const DocumentPtr& doc : docs) {
+        bool any = false;
+        NodeSet nodes(doc->num_nodes());
+        for (const plan::QueryGraph& branch : ir.branches) {
+          cq::ConjunctiveQuery q;
+          ASSERT_TRUE(plan::GraphToCq(branch, &q));
+          if (ir.arity == 0) q.AddHeadVar(0);
+          Result<cq::TupleSet> tuples = cq::EvaluateAcyclic(q, *doc);
+          ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+          any = any || !tuples->empty();
+          for (const std::vector<NodeId>& t : tuples.value()) {
+            nodes.Insert(t[0]);
+          }
+        }
+        Result<QueryResult> got = plan->Execute(*doc, unbounded, options);
+        ASSERT_TRUE(got.ok()) << d.text << ": " << got.status().ToString();
+        if (ir.arity == 0) {
+          EXPECT_EQ(got->boolean(), any) << d.text << " on " << doc->name();
+        } else {
+          EXPECT_EQ(got->nodes(), nodes) << d.text << " on " << doc->name();
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 20);
 }
 
 // Golden routing decisions: the engine the router picks for every

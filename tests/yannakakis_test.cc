@@ -176,6 +176,53 @@ TEST_P(EnumeratePropertyTest, BacktrackFree) {
   EXPECT_EQ(some.value().size(), 7u);
 }
 
+// Every solution, over edges of every axis and its inverse (Following,
+// PrecedingSibling and Parent included): enumeration from the reduced
+// sets must list exactly the naive evaluator's full valuations, once
+// each, on trees whose node ids are and are not pre ranks.
+TEST_P(EnumeratePropertyTest, SolutionsMatchNaiveOnEveryAxis) {
+  Rng rng(1000 + GetParam());
+  std::vector<Axis> pool;
+  for (int a = 0; a < kNumAxes; ++a) pool.push_back(static_cast<Axis>(a));
+  RandomTreeOptions opts;
+  opts.num_nodes = 16;
+  opts.attach_window = 1 + GetParam() % 4;
+  opts.alphabet = {"a", "b"};
+  CatalogOptions copts;
+  copts.num_products = 2;
+  std::vector<Tree> trees;
+  trees.push_back(RandomTree(&rng, opts));
+  trees.push_back(CatalogDocument(&rng, copts));
+  for (const Tree& t : trees) {
+    TreeOrders o = ComputeOrders(t);
+    for (int trial = 0; trial < 12; ++trial) {
+      const int vars = 2 + static_cast<int>(rng.Uniform(0, 1));
+      ConjunctiveQuery q = RandomTreeQuery(&rng, vars, pool, {"a", "b"},
+                                           /*arity=*/0);
+      if (trial % 3 == 0) {
+        q.AddAxisAtom(Axis::kFollowing, 0, q.AddVar("f"));
+      } else if (trial % 3 == 1) {
+        q.AddAxisAtom(Axis::kPrecedingSibling, q.AddVar("s"), 0);
+      } else {
+        q.AddAxisAtom(Axis::kParent, 0, q.AddVar("p"));
+      }
+      ConjunctiveQuery full = q;
+      for (int v = 0; v < full.num_vars(); ++v) full.AddHeadVar(v);
+      Result<ReducedQuery> reduced = FullReducer(q, t, o);
+      ASSERT_TRUE(reduced.ok()) << q.ToString();
+      Result<std::vector<std::vector<NodeId>>> listed =
+          EnumerateSolutions(q, t, o, reduced.value());
+      ASSERT_TRUE(listed.ok()) << q.ToString();
+      TupleSet got = listed.value();
+      CanonicalizeTuples(&got);
+      EXPECT_EQ(got.size(), listed.value().size()) << q.ToString();
+      Result<TupleSet> want = NaiveEvaluateCq(full, t, o);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got, want.value()) << q.ToString();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EnumeratePropertyTest, ::testing::Range(0, 6));
 
 TEST(EnumerateTest, UnsatisfiableYieldsEmpty) {
