@@ -121,8 +121,7 @@ class Record {
 
 /// Runs `workload` under a reset registry, then writes the record to
 /// `path`. Every record's meta carries the host's hardware_concurrency, so
-/// a reader can interpret timings and parallel rows. Returns a process
-/// exit code.
+/// a reader can interpret timings. Returns a process exit code.
 inline int WriteRecord(const std::string& path, const std::string& bench_name,
                        const std::function<void(Record*)>& workload) {
   obs::StatsRegistry::Global().Reset();

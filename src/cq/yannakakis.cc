@@ -106,7 +106,9 @@ Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& query,
 
 Result<bool> EvaluateBooleanAcyclicForest(const ConjunctiveQuery& query,
                                           const Tree& tree,
-                                          const TreeOrders& orders) {
+                                          const TreeOrders& orders,
+                                          const ExecContext& exec,
+                                          const LabelIndex* index) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   // Split into connected components and run the reducer on each.
   const int k = query.num_vars();
@@ -147,8 +149,9 @@ Result<bool> EvaluateBooleanAcyclicForest(const ConjunctiveQuery& query,
     for (const LabelAtom& a : query.label_atoms()) {
       if (comp[a.var] == c) sub.AddLabelAtom(a.label, local[a.var]);
     }
-    TREEQ_ASSIGN_OR_RETURN(bool satisfiable,
-                           EvaluateBooleanAcyclic(sub, tree, orders));
+    TREEQ_ASSIGN_OR_RETURN(
+        bool satisfiable,
+        EvaluateBooleanAcyclic(sub, tree, orders, exec, index));
     if (!satisfiable) return false;
   }
   return true;

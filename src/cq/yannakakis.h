@@ -76,10 +76,12 @@ Result<NodeSet> EvaluateUnaryAcyclic(
 /// Boolean evaluation of forest-shaped queries (each connected component
 /// tree-shaped; components may be disconnected): satisfiable iff every
 /// component is. This is what the Theorem 5.1 rewriting outputs feed into
-/// (Corollary 5.2's linear-time positive-FO pipeline).
-Result<bool> EvaluateBooleanAcyclicForest(const ConjunctiveQuery& query,
-                                          const Tree& tree,
-                                          const TreeOrders& orders);
+/// (Corollary 5.2's linear-time positive-FO pipeline). `exec` and `index`
+/// are passed to each component's EvaluateBooleanAcyclic.
+Result<bool> EvaluateBooleanAcyclicForest(
+    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    const LabelIndex* index = nullptr);
 
 }  // namespace cq
 }  // namespace treeq

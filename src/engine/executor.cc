@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <unordered_set>
@@ -60,9 +59,7 @@ obs::QueryProfile IdentityProfile(uint64_t id, const Plan& plan,
 
 Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
                            const ExecContextPtr& context,
-                           bool allow_degraded, int parallelism,
-                           par::TaskRunner* runner,
-                           cache::EvalCache* eval_cache) {
+                           bool allow_degraded, cache::EvalCache* eval_cache) {
   if (plan == nullptr) {
     return Status::InvalidArgument("null plan submitted");
   }
@@ -76,10 +73,6 @@ Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
   CountRequestLanguage(plan->language());
   ExecuteOptions options;
   options.allow_degraded = allow_degraded;
-  if (parallelism >= 2) {
-    options.parallelism = parallelism;
-    options.runner = runner;
-  }
   // Bind the cross-query memo to this document's epoch for the duration of
   // the evaluation; the memo object itself is stateless and cheap.
   std::optional<cache::EvalCache::Memo> memo;
@@ -153,8 +146,6 @@ void Executor::Shutdown() {
   // Close() has had its promise fulfilled.
 }
 
-par::TaskRunner& Executor::task_runner() { return group_runner_; }
-
 Submission Executor::Submit(QueryRequest request) {
   return SubmitWithCollapse(std::move(request), singleflight_);
 }
@@ -165,7 +156,6 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
   task.plan = std::move(request.plan);
   task.document = std::move(request.document);
   task.allow_degraded = options.allow_degraded;
-  task.parallelism = options.parallelism;
   task.bypass_cache = options.bypass_cache;
   task.cache_hit = options.plan_cache_hit;
   ExecContext::Limits limits;
@@ -261,8 +251,6 @@ Submission Executor::SubmitTask(Task task, bool reject_when_full) {
   const uint64_t profile_id = task.profile_id;
   const bool profile_cache_hit = task.cache_hit;
 #endif
-  WorkItem item;
-  item.request.emplace(std::move(task));
   bool accepted;
   if (shutdown_.load(std::memory_order_acquire)) {
     accepted = false;
@@ -271,13 +259,13 @@ Submission Executor::SubmitTask(Task task, bool reject_when_full) {
     // full queue — same rejection counter, same Unavailable contract.
     accepted = false;
   } else if (reject_when_full) {
-    accepted = queue_.TryPush(std::move(item));
+    accepted = queue_.TryPush(std::move(task));
   } else {
-    accepted = queue_.Push(std::move(item));
+    accepted = queue_.Push(std::move(task));
   }
   if (!accepted) {
-    // The task (with the promise) was consumed either way; rebuild a
-    // pre-failed future. Shutdown wins over "queue full" for the message —
+    // The task's promise went into a failed push or is dropped with
+    // `task`; either way, rebuild a pre-failed future. Shutdown wins over "queue full" for the message —
     // a TryPush can lose to either.
     const bool down = shutdown_.load(std::memory_order_acquire);
     if (!down) TREEQ_OBS_INC("engine.rejected");
@@ -367,17 +355,7 @@ void Executor::WorkerLoop() {
   obs::Counter* const eval_hits =
       obs::StatsRegistry::Global().GetCounter("cache.eval.hits");
 #endif
-  while (std::optional<WorkItem> item = queue_.Pop()) {
-    if (item->is_child()) {
-      // A forked child task of another request's fork-join group
-      // (RunChildren). The child flushes the shadow itself before
-      // signaling its group, so the forking request's "future ready
-      // implies stats visible" contract holds even when children run on
-      // foreign workers.
-      item->child();
-      continue;
-    }
-    std::optional<Task>& task = item->request;
+  while (std::optional<Task> task = queue_.Pop()) {
     auto start = std::chrono::steady_clock::now();
 #ifndef TREEQ_OBS_DISABLED
     // The shadow was flushed at the previous request boundary, but snapshot
@@ -412,7 +390,7 @@ void Executor::WorkerLoop() {
         return injected;
       }
       return RunOne(task->plan, task->document, task->context,
-                    task->allow_degraded, task->parallelism, &group_runner_,
+                    task->allow_degraded,
                     task->bypass_cache ? nullptr : eval_cache_);
     }();
     // Publish a reusable outcome before anyone can observe the future: ok
@@ -445,9 +423,6 @@ void Executor::WorkerLoop() {
       if (result.ok()) {
         profile.route_rationale = result.value().route_rationale;
         profile.estimated_visits = result.value().route_cost;
-        profile.partitions = result.value().partitions;
-        profile.parallel_ns = result.value().parallel_ns;
-        profile.merge_ns = result.value().merge_ns;
       }
       profile.ok = result.ok();
       profile.status = StatusCodeName(result.status().code());
@@ -477,70 +452,6 @@ void Executor::WorkerLoop() {
       inflight_.Complete(*task->result_key, result);
     }
     task->promise.set_value(std::move(result));
-  }
-}
-
-void Executor::RunChildren(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  struct Group {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending = 0;
-  };
-  auto group = std::make_shared<Group>();
-  group->pending = tasks.size();
-  auto wrap = [&group](std::function<void()> task) {
-    return [group, task = std::move(task)] {
-      task();
-      // Make the child's buffered counter deltas globally visible before
-      // the forking request can observe completion, so the request-level
-      // "future ready implies stats visible" contract survives children
-      // running on foreign workers.
-      if (obs::ShadowCounters* shadow = obs::ShadowCounters::Current()) {
-        shadow->Flush();
-      }
-      std::lock_guard<std::mutex> lock(group->mu);
-      if (--group->pending == 0) group->cv.notify_all();
-    };
-  };
-  // Queue all but the first child AHEAD of pending requests (children are
-  // bounded by the fork degree, so jumping the capacity bound is safe) and
-  // run the first on this thread. A front-push only fails when the queue
-  // closed mid-shutdown; then the child runs inline — completion never
-  // depends on the pool.
-  std::function<void()> first = wrap(std::move(tasks[0]));
-  for (size_t i = 1; i < tasks.size(); ++i) {
-    std::function<void()> child = wrap(std::move(tasks[i]));
-    WorkItem item;
-    item.child = child;
-    // An injected scheduling failure exercises the same fallback as a
-    // closed queue: the child runs inline on the forking thread, so
-    // fork-join completion never depends on the pool.
-    if (TREEQ_FAULT_FIRED("engine.child.push") ||
-        !queue_.TryPushFront(std::move(item))) {
-      child();
-    }
-  }
-  first();
-  // Help-run queued children — ours or another group's, both keep the
-  // system draining — until this group completes. The front-children
-  // invariant makes the blocking step safe: TryPopIf failing means no
-  // child tasks are queued anywhere, so every child of this group is
-  // already running on some worker, and that worker will signal the cv.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(group->mu);
-      if (group->pending == 0) return;
-    }
-    std::optional<WorkItem> item =
-        queue_.TryPopIf([](const WorkItem& w) { return w.is_child(); });
-    if (item.has_value()) {
-      item->child();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(group->mu);
-    group->cv.wait(lock, [&group] { return group->pending == 0; });
-    return;
   }
 }
 

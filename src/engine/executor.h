@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -16,11 +15,9 @@
 #include "cache/result_cache.h"
 #include "engine/mpmc_queue.h"
 #include "engine/plan.h"
-#include "engine/task_group.h"
 #include "tree/document.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/task_runner.h"
 
 /// \file executor.h
 /// A fixed-size worker pool that evaluates (plan, document) requests
@@ -98,13 +95,6 @@ struct SubmitOptions {
   /// (PlanCache::GetOrCompile's `was_hit` out-param). The per-query
   /// profile then reports compile_ns = 0: a hit did not pay compilation.
   bool plan_cache_hit = false;
-  /// Intra-query parallelism degree for this request: 0 (the default)
-  /// evaluates serially — bit-identical to an unparallel executor — and
-  /// >= 2 lets a set-at-a-time XPath run big enough for the router
-  /// (plan::kParallelMinVisits) fork its axis steps across that many
-  /// subtree partitions, run as child tasks on this same worker pool
-  /// (engine/task_group.h).
-  int parallelism = 0;
   /// Opt this request out of every cache layer: no result-cache lookup or
   /// insert, no singleflight collapse, no eval-cache memo. For requests
   /// that must observe a fresh evaluation (and for the bench's cold path).
@@ -164,8 +154,7 @@ class Executor {
   /// The front door: enqueues one request. Attaches an ExecContext built
   /// from `request.options` and returns it alongside the future so the
   /// caller can Cancel(); respects `options.reject_when_full` for
-  /// admission control and `options.parallelism` for intra-query
-  /// parallelism. The future carries the evaluation result, or an
+  /// admission control. The future carries the evaluation result, or an
   /// InvalidArgument status for a null plan/document; after Shutdown() it
   /// is an already-failed Unavailable future.
   Submission Submit(QueryRequest request);
@@ -195,25 +184,17 @@ class Executor {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  /// The fork-join runner that schedules par:: child tasks on this pool
-  /// (engine/task_group.h). Exposed so callers driving Plan::Execute
-  /// directly can still borrow the executor's workers for parallelism.
-  par::TaskRunner& task_runner();
-
   /// The singleflight in-flight table, read-only. The fault storm harness
   /// and the churn tests assert it drains to empty (no leaked flights)
   /// once every submitted future is ready.
   const cache::InflightTable& inflight() const { return inflight_; }
 
  private:
-  friend class TaskGroupRunner;
-
   struct Task {
     PlanPtr plan;
     DocumentPtr document;
     ExecContextPtr context;  // null = unbounded
     bool allow_degraded = false;
-    int parallelism = 0;
     bool bypass_cache = false;
     /// Set for cache-eligible requests that missed the result cache: the
     /// worker inserts the finished result under this key, and — when
@@ -230,33 +211,13 @@ class Executor {
     std::promise<Result<QueryResult>> promise;
   };
 
-  /// One queue entry: a client request OR a forked child task of an
-  /// in-flight request (fork-join, engine/task_group.h). Children are
-  /// pushed to the queue front and requests to the back, so children are
-  /// always ahead of requests — the invariant RunChildren's help loop
-  /// relies on.
-  struct WorkItem {
-    std::optional<Task> request;
-    std::function<void()> child;
-    bool is_child() const { return !request.has_value(); }
-  };
-
   /// Submit with an explicit collapse policy (Submit uses the executor's
   /// singleflight flag; SubmitBatch forces collapsing within the batch).
   Submission SubmitWithCollapse(QueryRequest request, bool collapse);
   Submission SubmitTask(Task task, bool reject_when_full);
   void WorkerLoop();
 
-  /// Fork-join: runs every closure exactly once — on this pool's workers,
-  /// on the calling thread, or both — and returns when all are done.
-  /// Callable from worker threads (a worker blocked on its children
-  /// help-runs queued child tasks instead of sleeping, so a pool of any
-  /// size makes progress) and from external threads. Child tasks must not
-  /// fork again.
-  void RunChildren(std::vector<std::function<void()>> tasks);
-
-  BoundedQueue<WorkItem> queue_;
-  TaskGroupRunner group_runner_{this};
+  BoundedQueue<Task> queue_;
   std::atomic<bool> shutdown_{false};
   std::mutex join_mu_;
   std::vector<std::thread> workers_;

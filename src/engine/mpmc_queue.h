@@ -52,38 +52,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Pushes to the FRONT of the queue, bypassing the capacity bound; fails
-  /// — with `item` consumed — only when the queue is closed. This is the
-  /// fork-join hand-off (engine/task_group.h): child tasks of an
-  /// in-flight request jump ahead of queued requests (so helping workers
-  /// always find children before new requests) and must never block the
-  /// worker that forked them (their count is bounded by the fork degree,
-  /// not by client behavior, so the capacity bound is not needed).
-  bool TryPushFront(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return false;
-      items_.push_front(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking pop of the front item only if `pred(front)` holds;
-  /// nullopt when the queue is empty or the front fails the predicate.
-  /// With the front-children invariant above, TryPopIf(is_child) returning
-  /// nullopt proves no child tasks are queued at all.
-  template <typename Pred>
-  std::optional<T> TryPopIf(Pred&& pred) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty() || !pred(items_.front())) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   /// Blocks until an item is available. Returns nullopt once the queue is
   /// closed and fully drained.
   std::optional<T> Pop() {

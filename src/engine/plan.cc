@@ -344,17 +344,14 @@ Result<QueryResult> Plan::Execute(const Document& doc,
     facts.remaining_visits = budget > used ? budget - used : 0;
   }
   facts.allow_degraded = options.allow_degraded;
-  facts.parallel_requested =
-      options.parallelism >= 2 && options.runner != nullptr;
   facts.native_bound =
       query_size_ * (static_cast<uint64_t>(doc.num_nodes()) + 1);
 
   plan::RouteDecision decision = plan::Route(
       ir_, eligible_, NativeEngine(), plan::DocStats::For(doc), facts);
   if (decision.degraded) TREEQ_OBS_INC("engine.degraded");
-  TREEQ_ASSIGN_OR_RETURN(
-      QueryResult out,
-      ExecuteEngine(decision.chosen, decision.parallel, doc, exec, options));
+  TREEQ_ASSIGN_OR_RETURN(QueryResult out,
+                         ExecuteEngine(decision.chosen, doc, exec, options));
   out.degraded = decision.degraded;
   out.route_rationale = std::move(decision.rationale);
   out.route_cost = decision.cost;
@@ -362,7 +359,6 @@ Result<QueryResult> Plan::Execute(const Document& doc,
 }
 
 Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
-                                        bool parallel,
                                         const Document& doc,
                                         const ExecContext& exec,
                                         const ExecuteOptions& options) const {
@@ -371,23 +367,6 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
   out.engine = plan::EngineName(kind);
   switch (kind) {
     case plan::EngineKind::kXPathSetAtATime: {
-      // The parallel evaluator's answer is bit-identical to the serial one.
-      if (parallel) {
-        TREEQ_OBS_INC("engine.parallel_runs");
-        par::ParOptions par_options;
-        par_options.parallelism = options.parallelism;
-        par_options.runner = options.runner;
-        par::ParStats par_stats;
-        TREEQ_ASSIGN_OR_RETURN(
-            NodeSet nodes,
-            xpath::EvalQueryFromRootParallel(doc, *query_.xpath, exec,
-                                             par_options, &par_stats));
-        out.partitions = par_stats.partitions;
-        out.parallel_ns = par_stats.parallel_ns;
-        out.merge_ns = par_stats.merge_ns;
-        out.value.emplace<NodeSet>(std::move(nodes));
-        return out;
-      }
       TREEQ_ASSIGN_OR_RETURN(
           NodeSet nodes, xpath::EvalQueryFromRoot(doc, *query_.xpath, exec,
                                                   options.axis_memo));

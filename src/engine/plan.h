@@ -15,7 +15,6 @@
 #include "tree/document.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/task_runner.h"
 
 /// \file plan.h
 /// A `Plan` is a query parsed, validated, and routed once, then executable
@@ -38,10 +37,10 @@
 ///     form converts to;
 ///   - |Q|, the source AST size behind the native visit bound |Q|*(n+1).
 ///
-/// Execute() has one path: the router (plan/route.h) decides the engine,
-/// budget degradation and serial vs parallel from the document and the
-/// request's facts — or honours ExecuteOptions::force_route, which pins an
-/// engine for tests and experiments — and the chosen engine runs.
+/// Execute() has one path: the router (plan/route.h) decides the engine
+/// and budget degradation from the document and the request's facts — or
+/// honours ExecuteOptions::force_route, which pins an engine for tests and
+/// experiments — and the chosen engine runs.
 ///
 /// A compiled Plan is immutable; Execute is const and thread-safe, so one
 /// PlanPtr is shared freely across the Executor's workers.
@@ -55,33 +54,19 @@ class Plan;
 using PlanPtr = std::shared_ptr<const Plan>;
 
 /// Per-execution knobs for Plan::Execute. Default-constructed options run
-/// the routed engine serially, without degradation.
+/// the routed engine without degradation.
 struct ExecuteOptions {
   /// Graceful degradation under a visit budget: a stream-capable XPath
   /// plan whose native visit bound exceeds the visits left runs on the
   /// streaming evaluator instead, flagged `degraded`.
   bool allow_degraded = false;
 
-  /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial;
-  /// >= 2 lets a set-at-a-time XPath run whose visit bound clears
-  /// plan::kParallelMinVisits fork its axis-image steps across that many
-  /// subtree partitions on `runner`. Ignored (the run stays serial) when
-  /// `runner` is null.
-  int parallelism = 0;
-
-  /// Who runs forked partition tasks. The Executor passes its own
-  /// fork-join runner (engine/task_group.h); standalone callers can pass a
-  /// par::ThreadPerTaskRunner or par::SerialRunner (util/task_runner.h).
-  par::TaskRunner* runner = nullptr;
-
   /// Cross-query axis-image memo (tree/axes.h; in practice a
   /// cache::EvalCache::Memo bound to the document's epoch). When set, the
-  /// serial XPath route and cq.yannakakis's semijoin sweeps consult it per
-  /// axis step and store fresh images back — results stay bit-identical;
-  /// XPath memo hits charge the cheap lookup instead of the saved kernel
-  /// work, and CQ image steps charge 1 + n/64 either way.
-  /// The parallel XPath route ignores it (per-partition charge shares and
-  /// whole-set memo entries don't compose).
+  /// set-at-a-time XPath route and cq.yannakakis's semijoin sweeps consult
+  /// it per axis step and store fresh images back — results stay
+  /// bit-identical; XPath memo hits charge the cheap lookup instead of the
+  /// saved kernel work, and CQ image steps charge 1 + n/64 either way.
   AxisImageMemo* axis_memo = nullptr;
 
   /// When non-empty, bypasses the router and runs this engine (a
@@ -114,14 +99,10 @@ class Plan {
   /// with the router's rationale and predicted cost. Thread-safe; touches
   /// no mutable plan state.
   ///
-  /// With `options.parallelism` >= 2 and a runner, a set-at-a-time run big
-  /// enough for the router evaluates via the partition-parallel kernels —
-  /// same NodeSet, bit for bit — and the result carries
-  /// partitions/parallel_ns/merge_ns attribution. Every evaluator charge
-  /// goes to `exec`, so the run aborts with DeadlineExceeded /
-  /// ResourceExhausted / Cancelled as soon as a limit trips
-  /// (util/exec_context.h); with `options.allow_degraded`, an XPath plan
-  /// whose visit bound exceeds the visits left falls back to the
+  /// Every evaluator charge goes to `exec`, so the run aborts with
+  /// DeadlineExceeded / ResourceExhausted / Cancelled as soon as a limit
+  /// trips (util/exec_context.h); with `options.allow_degraded`, an XPath
+  /// plan whose visit bound exceeds the visits left falls back to the
   /// O(depth * |Q|)-memory streaming evaluator over the forward rewrite
   /// computed at Compile() time, flagged `degraded`.
   Result<QueryResult> Execute(
@@ -177,9 +158,8 @@ class Plan {
   /// datalog program). Called once at the end of Compile().
   void BuildLogicalPlan();
 
-  /// Runs one specific engine (`kind` must be eligible); `parallel`
-  /// selects the partition-parallel set-at-a-time kernels.
-  Result<QueryResult> ExecuteEngine(plan::EngineKind kind, bool parallel,
+  /// Runs one specific engine (`kind` must be eligible).
+  Result<QueryResult> ExecuteEngine(plan::EngineKind kind,
                                     const Document& doc,
                                     const ExecContext& exec,
                                     const ExecuteOptions& options) const;

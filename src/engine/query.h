@@ -18,7 +18,7 @@
 /// were all populated-or-garbage. `treeq::QueryResult` collapses them into
 /// one tagged variant: exactly one of the three shapes is held, accessors
 /// check the tag, and execution metadata (engine route, degradation flag,
-/// parallel-evaluation attribution) rides alongside.
+/// route rationale and cost) rides alongside.
 ///
 /// Both `engine::Plan::Execute` and `engine::Executor::Submit` return this
 /// type.
@@ -49,13 +49,6 @@ struct QueryResult {
   /// The router's predicted cost for `engine` (the score the rationale
   /// quotes, plan/route.h), in estimated visits.
   uint64_t route_cost = 0;
-
-  /// Parallel-evaluation attribution (zero when the run stayed serial):
-  /// the maximum fork degree of any parallel step, wall time spent inside
-  /// forked kernels, and wall time merging partial results.
-  int partitions = 0;
-  uint64_t parallel_ns = 0;
-  uint64_t merge_ns = 0;
 
   /// The answer itself: a NodeSet (kXPath, kDatalog), a TupleSet (k-ary
   /// kCq), or a bool (Boolean kCq, kFo sentences).

@@ -86,11 +86,11 @@ const std::vector<std::string>& KnownPoints() {
           "cache.eval.insert",       "cache.eval.lookup",
           "cache.flight.join",       "cache.result.insert",
           "cache.result.invalidate", "cache.result.lookup",
-          "engine.child.push",       "engine.queue.pop",
-          "engine.queue.push",       "engine.shutdown",
-          "engine.worker.run",       "exec.budget.charge",
-          "exec.deadline.check",     "exec.memory.charge",
-          "plan.route.decide",       "store.evict.notify",
+          "engine.queue.pop",        "engine.queue.push",
+          "engine.shutdown",         "engine.worker.run",
+          "exec.budget.charge",      "exec.deadline.check",
+          "exec.memory.charge",      "plan.route.decide",
+          "store.evict.notify",
       };
   return *kPoints;
 }

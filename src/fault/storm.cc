@@ -263,10 +263,9 @@ StormReport RunStorm(const StormOptions& options, const FaultPlan& plan) {
         if (rng.Bernoulli(0.25)) t.cancelled = true;
       } else {
         // Unbounded submit: cache-eligible unless bypassing; sometimes
-        // admission-controlled, sometimes parallel.
+        // admission-controlled.
         if (rng.Bernoulli(0.15)) request->options.bypass_cache = true;
         if (rng.Bernoulli(0.3)) request->options.reject_when_full = true;
-        if (rng.Bernoulli(0.2)) request->options.parallelism = 2;
       }
       submit_calls.fetch_add(1, std::memory_order_relaxed);
       t.submission = executor.Submit(*std::move(request));

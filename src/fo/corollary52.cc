@@ -169,7 +169,8 @@ Result<std::vector<cq::ConjunctiveQuery>> PositiveFoToCqUnion(
 Result<bool> EvaluateSentencePositive(const Formula& formula, const Tree& tree,
                                       const TreeOrders& orders,
                                       Corollary52Stats* stats,
-                                      const ExecContext& exec) {
+                                      const ExecContext& exec,
+                                      const LabelIndex* index) {
   if (!FreeVariables(formula).empty()) {
     return Status::InvalidArgument("formula has free variables");
   }
@@ -186,12 +187,9 @@ Result<bool> EvaluateSentencePositive(const Formula& formula, const Tree& tree,
           static_cast<int>(rewritten.queries.size());
     }
     for (const cq::ConjunctiveQuery& acyclic : rewritten.queries) {
-      // Each Yannakakis pass is O(|Q| * |D|); charge it as a block.
-      TREEQ_RETURN_IF_ERROR(exec.Charge(
-          1 + static_cast<uint64_t>(tree.num_nodes()) * acyclic.num_vars()));
-      TREEQ_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          cq::EvaluateBooleanAcyclicForest(acyclic, tree, orders));
+      TREEQ_ASSIGN_OR_RETURN(bool satisfiable,
+                             cq::EvaluateBooleanAcyclicForest(
+                                 acyclic, tree, orders, exec, index));
       if (satisfiable) return true;
     }
   }

@@ -39,22 +39,24 @@ struct Corollary52Stats {
 };
 
 /// Corollary 5.2: truth of a positive FO sentence via the pipeline above.
-/// The ExecContext is charged one linear pass per acyclic disjunct, so
-/// unions blown up by the DNF conversion abort at a deadline.
-Result<bool> EvaluateSentencePositive(const Formula& formula,
-                                      const Tree& tree,
-                                      const TreeOrders& orders,
-                                      Corollary52Stats* stats = nullptr,
-                                      const ExecContext& exec =
-                                          ExecContext::Unbounded());
+/// Each Yannakakis pass charges the ExecContext 1 + n/64 per axis image
+/// (cq::FullReducer), so budgets, deadlines and cancellation trip inside
+/// it. `index`, when set, seeds the label atoms' candidate sets from the
+/// document's LabelIndex.
+Result<bool> EvaluateSentencePositive(
+    const Formula& formula, const Tree& tree, const TreeOrders& orders,
+    Corollary52Stats* stats = nullptr,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    const LabelIndex* index = nullptr);
 
-/// Document-taking overload (tree/document.h); thin forwarder.
+/// Document-taking overload (tree/document.h): uses the document's cached
+/// LabelIndex.
 inline Result<bool> EvaluateSentencePositive(
     const Formula& formula, const Document& doc,
     Corollary52Stats* stats = nullptr,
     const ExecContext& exec = ExecContext::Unbounded()) {
   return EvaluateSentencePositive(formula, doc.tree(), doc.orders(), stats,
-                                  exec);
+                                  exec, &doc.label_index());
 }
 
 }  // namespace fo

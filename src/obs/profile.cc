@@ -22,9 +22,6 @@ void QueryProfile::WriteJson(std::ostream& os) const {
      << JsonEscape(status) << "\", \"queue_wait_ns\": " << queue_wait_ns
      << ", \"compile_ns\": " << compile_ns
      << ", \"execute_ns\": " << execute_ns
-     << ", \"partitions\": " << partitions
-     << ", \"parallel_ns\": " << parallel_ns
-     << ", \"merge_ns\": " << merge_ns
      << ", \"total_ns\": " << total_ns() << ", \"visits\": " << visits
      << ", \"words_scanned\": " << words_scanned
      << ", \"label_index_hits\": " << label_index_hits

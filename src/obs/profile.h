@@ -73,13 +73,6 @@ struct QueryProfile {
   uint64_t compile_ns = 0;
   uint64_t execute_ns = 0;
 
-  /// Intra-query parallelism attribution (QueryResult pass-through): the
-  /// maximum fork degree of any parallel step, wall time inside forked
-  /// kernels, and wall time merging partials. All zero for serial runs.
-  int partitions = 0;
-  uint64_t parallel_ns = 0;
-  uint64_t merge_ns = 0;
-
   /// Counter deltas attributed to this request (ShadowCounters snapshot
   /// around the evaluation; see DESIGN.md "Per-query observability").
   uint64_t visits = 0;            // ExecContext charge units spent

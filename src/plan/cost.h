@@ -17,8 +17,8 @@
 /// ExecContext's visit accounting. They only need to *rank* engines;
 /// absolute accuracy is a non-goal. The set-at-a-time formula measures |Q|
 /// on the IR (atoms plus edges), so it is not the visit bound the budget
-/// and parallel decisions compare against: that bound measures |Q| on the
-/// source AST and reaches the router as RouteFacts::native_bound.
+/// decision compares against: that bound measures |Q| on the source AST
+/// and reaches the router as RouteFacts::native_bound.
 
 namespace treeq {
 namespace plan {

@@ -130,9 +130,6 @@ RouteDecision Route(const LogicalPlan& plan,
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
   }
-  decision.parallel = decision.chosen == EngineKind::kXPathSetAtATime &&
-                      facts.parallel_requested &&
-                      facts.native_bound >= kParallelMinVisits;
   return decision;
 }
 

@@ -12,8 +12,8 @@
 /// The engine router: the one place that decides how a plan executes.
 /// Given a logical plan, the engines that can answer it (computed at
 /// compile time by engine/plan.cc), the document's statistics and the
-/// request's facts (RouteFacts), Route() returns the engine, whether the
-/// run is a budget degradation, and whether it runs parallel.
+/// request's facts (RouteFacts), Route() returns the engine and whether
+/// the run is a budget degradation.
 ///
 ///   - Unbounded requests score every eligible engine with EstimateCost
 ///     and pick the cheapest, with a mild thumb on the scale for the
@@ -23,9 +23,6 @@
 ///     xpath.stream when the request allows degradation and the plan is
 ///     stream-capable. Stream wins iff the native visit bound exceeds the
 ///     visits left; the run is then flagged degraded.
-///   - Set-at-a-time runs parallel iff the request brings a runner and
-///     parallelism >= 2 and the native visit bound is at least
-///     kParallelMinVisits.
 ///
 /// Metrics: every budget or cost decision bumps plan.route.decisions and a
 /// per-engine plan.route.<engine> counter, and records the decision
@@ -36,11 +33,6 @@
 
 namespace treeq {
 namespace plan {
-
-/// Native visit bound below which set-at-a-time stays serial even when
-/// parallelism is requested: a query too small to amortize the fork/merge
-/// overhead of the partition-parallel kernels.
-inline constexpr uint64_t kParallelMinVisits = 1 << 16;
 
 /// One scored candidate.
 struct RouteCandidate {
@@ -56,13 +48,10 @@ struct RouteFacts {
   std::optional<uint64_t> remaining_visits;
   /// The request accepts the streaming fallback when over budget.
   bool allow_degraded = false;
-  /// The request brings a task runner and parallelism >= 2.
-  bool parallel_requested = false;
   /// The native evaluator's visit bound |Q| * (n + 1), |Q| the size of the
   /// source AST.
   uint64_t native_bound = 0;
-  /// Pins the engine (must be eligible); the router then only decides
-  /// serial vs parallel.
+  /// Pins the engine (must be eligible); the router then only scores it.
   std::optional<EngineKind> forced;
 };
 
@@ -73,8 +62,6 @@ struct RouteDecision {
   uint64_t cost = 0;
   /// Budget degradation to the streaming fallback.
   bool degraded = false;
-  /// Set-at-a-time via the partition-parallel kernels.
-  bool parallel = false;
   /// One-line human rationale, e.g.
   /// "cq.twigstack cost=52 (native xpath.set_at_a_time cost=804)".
   /// Empty on the fault-injected fallback.

@@ -8,7 +8,6 @@
 
 #include "tree/label_index.h"
 #include "tree/orders.h"
-#include "tree/partition.h"
 #include "tree/tree.h"
 
 /// \file document.h
@@ -107,25 +106,6 @@ class Document {
     return index_computed_.load(std::memory_order_acquire);
   }
 
-  /// The subtree-range partition for intra-query parallelism
-  /// (tree/partition.h). Built at most once, lazily, from the cached
-  /// orders; concurrent first calls are safe. Per-degree masks inside it
-  /// are themselves cached on first use.
-  const TreePartition& partition() const {
-    if (!partition_computed_.load(std::memory_order_acquire)) {
-      std::call_once(partition_once_, [this] {
-        partition_ = std::make_unique<TreePartition>(tree_, orders());
-        partition_computed_.store(true, std::memory_order_release);
-      });
-    }
-    return *partition_;
-  }
-
-  /// True once the partition is available without computation.
-  bool partition_computed() const {
-    return partition_computed_.load(std::memory_order_acquire);
-  }
-
  private:
   Tree tree_;
   std::string name_;
@@ -136,9 +116,6 @@ class Document {
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<LabelIndex> label_index_;
   mutable std::atomic<bool> index_computed_{false};
-  mutable std::once_flag partition_once_;
-  mutable std::unique_ptr<TreePartition> partition_;
-  mutable std::atomic<bool> partition_computed_{false};
 };
 
 /// Shared read-only handle to a Document. The engine APIs traffic in these.

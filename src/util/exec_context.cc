@@ -30,52 +30,15 @@ ExecContext ExecContext::WithVisitBudget(uint64_t visits) {
   return ExecContext(limits);
 }
 
-std::shared_ptr<ExecContext> ExecContext::Fork(uint64_t visit_share,
-                                               uint64_t memory_share) const {
-  Limits limits;
-  limits.deadline = limits_.deadline;
-  limits.visit_budget = visit_share;
-  limits.memory_budget = memory_share;
-  auto child = std::make_shared<ExecContext>(limits);
-  child->parent_ = this;
-  // Force the slow charge path even for unlimited shares: that is where
-  // the parent's cancellation / sticky abort is observed.
-  child->limited_ = true;
-  TREEQ_OBS_INC("exec.forks");
-  return child;
-}
-
-uint64_t ExecContext::RemainingVisits() const {
-  if (limits_.visit_budget == UINT64_MAX) return UINT64_MAX;
-  const uint64_t used = visits_used_.load(std::memory_order_relaxed);
-  return limits_.visit_budget > used ? limits_.visit_budget - used : 0;
-}
-
-uint64_t ExecContext::RemainingMemory() const {
-  if (limits_.memory_budget == UINT64_MAX) return UINT64_MAX;
-  const uint64_t used = memory_used_.load(std::memory_order_relaxed);
-  return limits_.memory_budget > used ? limits_.memory_budget - used : 0;
-}
-
-void ExecContext::AbsorbChildUsage(const ExecContext& child) const {
-  visits_used_.fetch_add(child.visits_used(), std::memory_order_relaxed);
-  memory_used_.fetch_add(child.memory_used(), std::memory_order_relaxed);
-}
-
 Status ExecContext::ChargeSlow(uint64_t units) const {
   AbortKind aborted = abort_.load(std::memory_order_relaxed);
   if (aborted != AbortKind::kNone) return AbortStatus(aborted);
   if (cancelled_.load(std::memory_order_relaxed)) {
     return Trip(AbortKind::kCancelled);
   }
-  // Cancellation fan-out: a cancelled or tripped parent stops every child
-  // at its next charge (children are always limited_, so this runs).
-  if (parent_ != nullptr && (parent_->cancelled() || parent_->expired())) {
-    return Trip(AbortKind::kCancelled);
-  }
   // Injected limit trips route through the real sticky-abort machinery —
-  // identical counters, identical Status rendering, identical fan-out to
-  // forked children — so a storm exercises the genuine failure paths.
+  // identical counters, identical Status rendering — so a storm exercises
+  // the genuine failure paths.
   // Guarded on limited_: the shared Unbounded() context must never trip.
   if (limited_) {
     if (TREEQ_FAULT_FIRED("exec.budget.charge")) {
@@ -106,9 +69,6 @@ Status ExecContext::ChargeMemory(uint64_t bytes) const {
   if (cancelled_.load(std::memory_order_relaxed)) {
     return Trip(AbortKind::kCancelled);
   }
-  if (parent_ != nullptr && (parent_->cancelled() || parent_->expired())) {
-    return Trip(AbortKind::kCancelled);
-  }
   if (limited_ && TREEQ_FAULT_FIRED("exec.memory.charge")) {
     return Trip(AbortKind::kMemoryBudget);
   }
@@ -124,9 +84,6 @@ Status ExecContext::CheckNow() const {
   AbortKind aborted = abort_.load(std::memory_order_relaxed);
   if (aborted != AbortKind::kNone) return AbortStatus(aborted);
   if (cancelled_.load(std::memory_order_relaxed)) {
-    return Trip(AbortKind::kCancelled);
-  }
-  if (parent_ != nullptr && (parent_->cancelled() || parent_->expired())) {
     return Trip(AbortKind::kCancelled);
   }
   if (limited_ && limits_.deadline != Clock::time_point::max() &&

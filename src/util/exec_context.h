@@ -35,14 +35,6 @@
 /// Once a limit trips the context is sticky — every later charge returns
 /// the same error — so deep evaluator recursions unwind promptly.
 ///
-/// Parallel stages fork child contexts with `Fork()`: the child gets the
-/// parent's deadline, its own share of the remaining visit/memory budgets,
-/// and a back-pointer for cancellation fan-out — a `Cancel()` (or sticky
-/// abort) on the parent makes every child's next charge fail. After the
-/// join barrier the parent absorbs the children's spend with
-/// `AbsorbChildUsage` (non-tripping: reconciliation never aborts by
-/// itself; the parent's *next* charge sees the combined total).
-///
 /// The shared `ExecContext::Unbounded()` context never trips and its fast
 /// path performs no writes, so pre-existing unlimited entry points cost one
 /// predictable branch per charge site.
@@ -79,24 +71,6 @@ class ExecContext {
   /// Convenience factories.
   static ExecContext WithDeadline(Clock::duration timeout);
   static ExecContext WithVisitBudget(uint64_t visits);
-
-  /// Child context for one partition of a forked parallel stage: inherits
-  /// this context's deadline, gets `visit_share` / `memory_share` as its own
-  /// budgets (UINT64_MAX = unlimited), and observes this context's
-  /// cancellation and sticky aborts on every charge. The parent must
-  /// outlive the child (the fork-join kernel joins before returning).
-  std::shared_ptr<ExecContext> Fork(uint64_t visit_share,
-                                    uint64_t memory_share) const;
-
-  /// Visit / memory budget still unspent (UINT64_MAX when unlimited).
-  /// Parallel stages divide these across partitions before forking.
-  uint64_t RemainingVisits() const;
-  uint64_t RemainingMemory() const;
-
-  /// Adds a joined child's spend to this context's usage without tripping
-  /// any limit: the merge itself always completes, and the reconciled total
-  /// is enforced by the parent's next Charge.
-  void AbsorbChildUsage(const ExecContext& child) const;
 
   const Limits& limits() const { return limits_; }
   bool has_limits() const { return limited_; }
@@ -157,10 +131,6 @@ class ExecContext {
 
   Limits limits_;
   bool limited_ = false;
-  /// Set only on forked children; checked in the slow charge paths so a
-  /// parent Cancel()/abort fans out. Children are always `limited_`, so
-  /// every child charge takes the slow path and sees the parent state.
-  const ExecContext* parent_ = nullptr;
   std::atomic<bool> cancelled_{false};
   mutable std::atomic<uint64_t> visits_used_{0};
   mutable std::atomic<uint64_t> memory_used_{0};

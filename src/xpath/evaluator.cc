@@ -2,8 +2,6 @@
 
 #include "obs/obs.h"
 #include "tree/label_index.h"
-#include "tree/par_axes.h"
-#include "tree/partition.h"
 
 namespace treeq {
 namespace xpath {
@@ -25,35 +23,15 @@ struct EvalCtx {
   const LabelIndex* labels = nullptr;
   const ExecContext* exec = nullptr;
   Status* abort = nullptr;
-  // Parallel evaluation (EvalQueryFromRootParallel): when all three are
-  // set, axis-image steps route through ParAxisImage, which forks large
-  // context sets across the document's subtree partitions.
-  const TreePartition* partition = nullptr;
-  const par::ParOptions* par = nullptr;
-  par::ParStats* pstats = nullptr;
-  // Cross-query axis-image memo (tree/axes.h); serial evaluations consult
-  // it per step. Mutually exclusive with the parallel route above — the
-  // parallel kernels charge per-partition shares that a memo hit would
-  // skip, so parallel runs stay unmemoized.
+  // Cross-query axis-image memo (tree/axes.h), consulted per step.
   AxisImageMemo* memo = nullptr;
 };
 
-/// One axis-image step: the serial kernel with the serial charge schedule
-/// (1 + |from|), or — under EvalQueryFromRootParallel — the partition-
-/// parallel kernel, which keeps that exact schedule for small inputs and
-/// charges per-partition shares for forked ones. Returns false after
-/// recording the abort status when a budget trips.
+/// One axis-image step with the charge schedule 1 + |from| (a memo hit
+/// charges its lookup instead). Returns false after recording the abort
+/// status when a budget trips.
 bool StepImage(const EvalCtx& ctx, Axis axis, const NodeSet& from,
                NodeSet* to) {
-  if (ctx.partition != nullptr && ctx.par != nullptr && ctx.exec != nullptr) {
-    Status s = par::ParAxisImage(ctx.tree, ctx.orders, *ctx.partition, axis,
-                                 from, to, *ctx.par, *ctx.exec, ctx.pstats);
-    if (!s.ok()) {
-      *ctx.abort = std::move(s);
-      return false;
-    }
-    return true;
-  }
   if (ctx.memo != nullptr && ctx.memo->Lookup(axis, from, to)) {
     // A memo hit charges the lookup actually paid — one op plus the words
     // fingerprinted — not the O(|from|) kernel work it saved. Budgets
@@ -287,23 +265,8 @@ Result<NodeSet> EvalQueryFromRoot(const Document& doc, const PathExpr& path,
                                   AxisImageMemo* memo) {
   TREEQ_OBS_SPAN("xpath.eval");
   Status abort;
-  EvalCtx ctx{doc.tree(), doc.orders(), &doc.label_index(), &exec, &abort};
-  ctx.memo = memo;
-  NodeSet out = EvalPathCtx(
-      ctx, path, NodeSet::Singleton(doc.num_nodes(), doc.tree().root()));
-  if (!abort.ok()) return abort;
-  return out;
-}
-
-Result<NodeSet> EvalQueryFromRootParallel(const Document& doc,
-                                          const PathExpr& path,
-                                          const ExecContext& exec,
-                                          const par::ParOptions& options,
-                                          par::ParStats* stats) {
-  TREEQ_OBS_SPAN("xpath.eval");
-  Status abort;
-  EvalCtx ctx{doc.tree(),    doc.orders(), &doc.label_index(), &exec,
-              &abort,        &doc.partition(), &options,       stats};
+  EvalCtx ctx{doc.tree(), doc.orders(), &doc.label_index(), &exec, &abort,
+              memo};
   NodeSet out = EvalPathCtx(
       ctx, path, NodeSet::Singleton(doc.num_nodes(), doc.tree().root()));
   if (!abort.ok()) return abort;

@@ -7,7 +7,6 @@
 #include "tree/tree.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/task_runner.h"
 #include "xpath/ast.h"
 
 /// \file evaluator.h
@@ -71,20 +70,6 @@ Result<NodeSet> EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
 Result<NodeSet> EvalQueryFromRoot(const Document& doc, const PathExpr& path,
                                   const ExecContext& exec,
                                   AxisImageMemo* memo);
-
-/// Partition-parallel variant: identical result (bit-identical NodeSet) and
-/// abort semantics, but each axis-image step whose context set is at least
-/// `options.min_context` nodes is forked across `options.parallelism`
-/// subtree partitions of the document (tree/par_axes.h) on
-/// `options.runner`. Steps below the threshold — and everything else in the
-/// query — keep the exact serial charge schedule; forked steps charge each
-/// child 1 + |context_i|. `stats`, when set, accumulates fork attribution
-/// across all forked steps of the query.
-Result<NodeSet> EvalQueryFromRootParallel(const Document& doc,
-                                          const PathExpr& path,
-                                          const ExecContext& exec,
-                                          const par::ParOptions& options,
-                                          par::ParStats* stats = nullptr);
 
 }  // namespace xpath
 }  // namespace treeq

@@ -102,8 +102,9 @@ TEST(PlanTest, KAryCqPlanEnumerates) {
   EXPECT_EQ(got->cardinality(), got->tuples().size());
 }
 
-// The CQ engines charge visits where they work — 1 + n/64 per axis image,
-// 1 per enumerated partner — so a visit budget bounds them exactly and
+// The CQ engines — the Corollary 5.2 pipeline's Yannakakis passes
+// included — charge visits where they work: 1 + n/64 per axis image, 1 per
+// enumerated partner. So a visit budget bounds them exactly and
 // deterministically, and the charge grows linearly with the document.
 TEST(PlanTest, CqEngineVisitChargesAreExactAndLinear) {
   struct Case {
@@ -114,6 +115,8 @@ TEST(PlanTest, CqEngineVisitChargesAreExactAndLinear) {
       {"cq.dichotomy", "Q() :- Child+(x, y), Lab_product(x), Lab_rating1(y)."},
       {"cq.yannakakis",
        "Q(p, r) :- Child+(p, r), Lab_product(p), Lab_review(r)."},
+      {"fo.corollary52",
+       "Q() :- Child+(x, y), Lab_product(x), Lab_rating1(y)."},
   };
   auto budget = [](uint64_t visits) {
     ExecContext::Limits limits;
@@ -525,6 +528,40 @@ TEST(ExecutorTest, CancelledFutureNeverDeliversAResult) {
   Result<QueryResult> r = s.future.get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+}
+
+// A Cancel that lands while a worker is already evaluating stops the run
+// at its next charge, and the future completes Cancelled instead of
+// hanging.
+TEST(ExecutorTest, CancelMidRunCompletesCancelled) {
+  Rng rng(33);
+  RandomTreeOptions opts;
+  opts.num_nodes = 6000;
+  opts.attach_window = 8;
+  opts.alphabet = {"a", "b"};
+  DocumentPtr doc = MakeDocumentWithOrders(RandomTree(&rng, opts));
+  PlanPtr plan = Plan::Compile(Language::kXPath, "//a//b//a//b//a").value();
+
+  Executor executor(Executor::Options{.num_workers = 2});
+  // Repeat until a Cancel lands mid-evaluation (timing-dependent); a
+  // pre-started Cancel is also a valid outcome, so each round accepts
+  // either Cancelled or a completed result and stops at first Cancelled.
+  bool saw_cancelled = false;
+  for (int round = 0; round < 20 && !saw_cancelled; ++round) {
+    QueryRequest request;
+    request.plan = plan;
+    request.document = doc;
+    Submission submission = executor.Submit(std::move(request));
+    std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
+    submission.Cancel();
+    Result<QueryResult> got = submission.future.get();  // must not hang
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kCancelled)
+          << got.status().ToString();
+      saw_cancelled = true;
+    }
+  }
+  EXPECT_TRUE(saw_cancelled);
 }
 
 TEST(ExecutorTest, VisitBudgetIsDeterministicAcrossSubmissions) {

@@ -224,11 +224,8 @@ TEST(ExecContextFaultTest, InjectedTripsAreStickyAndRenderRealStatuses) {
     Status status = context.Charge();
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), c.code);
-    // Sticky: later charges keep failing with the same kind, and the trip
-    // fans out to forked children exactly like a real abort.
+    // Sticky: later charges keep failing with the same kind.
     EXPECT_EQ(context.Charge().code(), c.code);
-    auto child = context.Fork(100, 100);
-    EXPECT_FALSE(child->Charge().ok());
   }
 }
 

@@ -262,16 +262,6 @@ TEST(FaultPointsTest, EveryKnownPointIsFirable) {
     ASSERT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.status().code(), StatusCode::kUnavailable);
   };
-  drivers["engine.child.push"] = [&] {
-    // Fork-join children: every queue-front push consults the point;
-    // injected = the child runs inline on the forking thread instead.
-    engine::Executor executor(engine::Executor::Options{});
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 4; ++i) tasks.push_back([&] { ++ran; });
-    executor.task_runner().RunAll(std::move(tasks));
-    EXPECT_EQ(ran.load(), 4) << "children must run even when pushes fail";
-  };
   drivers["engine.shutdown"] = [&] {
     engine::Executor executor(engine::Executor::Options{});
     executor.Shutdown();  // injected status is advisory; must not abort
