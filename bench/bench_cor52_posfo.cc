@@ -13,8 +13,8 @@
 #include "fo/corollary52.h"
 #include "fo/evaluator.h"
 #include "fo/parser.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace {
@@ -42,11 +42,10 @@ void PrintPipelineShape() {
   std::printf("=== Corollary 5.2 pipeline shape ===\n");
   std::printf("sentence: %s\n", kSentence);
   auto f = std::move(treeq::fo::ParseFo(kSentence)).value();
-  treeq::Tree t = MakeTree(400);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(400));
   treeq::fo::Corollary52Stats stats;
-  auto fast = treeq::fo::EvaluateSentencePositive(*f, t, o, &stats);
-  auto slow = treeq::fo::EvaluateSentenceNaive(*f, t, o);
+  auto fast = treeq::fo::EvaluateSentencePositive(*f, doc, &stats);
+  auto slow = treeq::fo::EvaluateSentenceNaive(*f, doc);
   TREEQ_CHECK(fast.ok() && slow.ok());
   std::printf("CQ disjuncts after DNF:      %d\n", stats.cq_disjuncts);
   std::printf("acyclic disjuncts explored:  %d\n", stats.acyclic_disjuncts);
@@ -57,10 +56,9 @@ void PrintPipelineShape() {
 
 void BM_Corollary52Pipeline(benchmark::State& state) {
   auto f = std::move(treeq::fo::ParseFo(kSentence)).value();
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    auto r = treeq::fo::EvaluateSentencePositive(*f, t, o);
+    auto r = treeq::fo::EvaluateSentencePositive(*f, doc);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetComplexityN(state.range(0));
@@ -73,10 +71,9 @@ BENCHMARK(BM_Corollary52Pipeline)
 
 void BM_NaiveFoModelChecking(benchmark::State& state) {
   auto f = std::move(treeq::fo::ParseFo(kSentence)).value();
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    auto r = treeq::fo::EvaluateSentenceNaive(*f, t, o);
+    auto r = treeq::fo::EvaluateSentenceNaive(*f, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }

@@ -15,8 +15,8 @@
 #include "cq/naive.h"
 #include "cq/parser.h"
 #include "cq/yannakakis.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace {
@@ -38,13 +38,12 @@ void PrintOutputSensitivity(treeq::benchjson::Record* record = nullptr) {
   std::printf("=== Figure 6: output-sensitive enumeration ===\n");
   std::printf("%-8s %-12s %-14s\n", "legs", "solutions", "per-solution work");
   for (int legs : {2, 4, 8, 16}) {
-    treeq::Tree t = MakeDoc(legs);
-    treeq::TreeOrders o = treeq::ComputeOrders(t);
+    treeq::Document doc(MakeDoc(legs));
     treeq::cq::ConjunctiveQuery q = Query();
     treeq::Result<treeq::cq::ReducedQuery> reduced =
-        treeq::cq::FullReducer(q, t, o);
+        treeq::cq::FullReducer(q, doc);
     auto solutions =
-        treeq::cq::EnumerateSolutions(q, t, o, reduced.value()).value();
+        treeq::cq::EnumerateSolutions(q, doc, reduced.value()).value();
     std::printf("%-8d %-12zu (see timed series below)\n", legs,
                 solutions.size());
     if (record != nullptr) {
@@ -56,14 +55,13 @@ void PrintOutputSensitivity(treeq::benchjson::Record* record = nullptr) {
 }
 
 void BM_EnumerateFromReduced(benchmark::State& state) {
-  treeq::Tree t = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = Query();
   treeq::cq::ReducedQuery reduced =
-      std::move(treeq::cq::FullReducer(q, t, o)).value();
+      std::move(treeq::cq::FullReducer(q, doc)).value();
   size_t out = 0;
   for (auto _ : state) {
-    auto solutions = treeq::cq::EnumerateSolutions(q, t, o, reduced).value();
+    auto solutions = treeq::cq::EnumerateSolutions(q, doc, reduced).value();
     out = solutions.size();
     benchmark::DoNotOptimize(solutions.data());
   }
@@ -80,11 +78,10 @@ BENCHMARK(BM_EnumerateFromReduced)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_FullReducerOnly(benchmark::State& state) {
-  treeq::Tree t = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = Query();
   for (auto _ : state) {
-    auto reduced = treeq::cq::FullReducer(q, t, o);
+    auto reduced = treeq::cq::FullReducer(q, doc);
     benchmark::DoNotOptimize(reduced.ok());
   }
 }
@@ -95,11 +92,10 @@ BENCHMARK(BM_FullReducerOnly)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_NaiveBaseline(benchmark::State& state) {
-  treeq::Tree t = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = Query();
   for (auto _ : state) {
-    auto tuples = treeq::cq::NaiveEvaluateCq(q, t, o);
+    auto tuples = treeq::cq::NaiveEvaluateCq(q, doc);
     benchmark::DoNotOptimize(tuples.ok());
   }
 }

@@ -21,8 +21,8 @@
 #include "datalog/evaluator.h"
 #include "datalog/tmnf.h"
 #include "stream/stream_eval.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 #include "xpath/evaluator.h"
 #include "xpath/naive_evaluator.h"
@@ -45,12 +45,11 @@ constexpr const char* kQuery = "//product[reviews/review/comment]";
 
 void PrintLanguageMap() {
   std::printf("=== Figure 7 as a translation/compatibility matrix ===\n");
-  treeq::Tree doc = MakeDoc(100);
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(100));
   auto xp = treeq::xpath::ParseXPath(kQuery).value();
 
   // 1. Core XPath, set-at-a-time.
-  treeq::NodeSet direct = treeq::xpath::EvalQueryFromRoot(doc, orders, *xp);
+  treeq::NodeSet direct = treeq::xpath::EvalQueryFromRoot(doc, *xp).value();
   std::printf("%-44s -> %d nodes\n", "Core XPath (set-at-a-time)",
               direct.size());
 
@@ -68,7 +67,8 @@ void PrintLanguageMap() {
   // 3. Conjunctive XPath -> CQ -> Theorem 5.1 -> forward XPath -> stream.
   auto fwd = std::move(treeq::xpath::ToForwardXPath(*xp)).value();
   auto selected =
-      std::move(treeq::stream::StreamMatcher::SelectFromTree(*fwd, doc))
+      std::move(
+          treeq::stream::StreamMatcher::SelectFromTree(*fwd, doc.tree()))
           .value();
   std::printf("%-44s -> %zu nodes\n",
               "XPath -> CQ -> acyclic -> forward -> stream", selected.size());
@@ -89,7 +89,7 @@ void PrintLanguageMap() {
     cq2.AddHeadVar(xcq.result_var);
   }
   auto via_reducer =
-      std::move(treeq::cq::EvaluateUnaryAcyclic(cq2, doc, orders)).value();
+      std::move(treeq::cq::EvaluateUnaryAcyclic(cq2, doc)).value();
   // The CQ leaves the context variable unanchored, so it also admits
   // non-root contexts; restrict by intersecting with the root-anchored
   // answer for the comparison below.
@@ -103,11 +103,10 @@ void PrintLanguageMap() {
 }
 
 void BM_XPathSetAtATime(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   auto xp = treeq::xpath::ParseXPath(kQuery).value();
   for (auto _ : state) {
-    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(doc, orders, *xp);
+    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(doc, *xp).value();
     benchmark::DoNotOptimize(r.size());
   }
 }
@@ -115,7 +114,7 @@ BENCHMARK(BM_XPathSetAtATime)->Arg(100)->Arg(1000)->Unit(
     benchmark::kMicrosecond);
 
 void BM_ViaDatalogHorn(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   auto xp = treeq::xpath::ParseXPath(kQuery).value();
   auto program = treeq::xpath::XPathToDatalog(*xp).value();
   for (auto _ : state) {
@@ -139,11 +138,10 @@ BENCHMARK(BM_ViaStreamingForward)->Arg(100)->Arg(1000)->Unit(
     benchmark::kMicrosecond);
 
 void BM_NaiveRecursiveXPath(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   auto xp = treeq::xpath::ParseXPath(kQuery).value();
   for (auto _ : state) {
-    auto r = treeq::xpath::NaiveEvalPath(doc, orders, *xp, doc.root());
+    auto r = treeq::xpath::NaiveEvalPath(doc, *xp, doc.tree().root());
     benchmark::DoNotOptimize(r.ok());
   }
 }

@@ -16,8 +16,8 @@
 #include "cq/parser.h"
 #include "cq/treewidth_eval.h"
 #include "cq/yannakakis.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace {
@@ -63,12 +63,11 @@ void PrintWorkCounters() {
   std::printf("(shallow tree: 400 nodes; query: k Child+ steps)\n");
   std::printf("%-6s %-22s %-22s\n", "k", "backtrack assignments",
               "reducer semijoins (=2(k))");
-  treeq::Tree t = MakeShallowTree(400);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeShallowTree(400));
   for (int k : {2, 4, 6, 8}) {
     treeq::cq::ConjunctiveQuery q = PathQuery(k);
     treeq::cq::NaiveCqStats stats;
-    auto r = treeq::cq::NaiveEvaluateCq(q, t, o, UINT64_MAX, &stats);
+    auto r = treeq::cq::NaiveEvaluateCq(q, doc, &stats);
     TREEQ_CHECK(r.ok());
     std::printf("%-6d %-22llu %-22d\n", k,
                 static_cast<unsigned long long>(stats.assignments_tried),
@@ -78,11 +77,10 @@ void PrintWorkCounters() {
 }
 
 void BM_FullReducerDataSweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = PathQuery(4);
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateUnaryAcyclic(q, t, o);
+    auto r = treeq::cq::EvaluateUnaryAcyclic(q, doc);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetComplexityN(state.range(0));
@@ -94,11 +92,10 @@ BENCHMARK(BM_FullReducerDataSweep)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BacktrackDataSweep(benchmark::State& state) {
-  treeq::Tree t = MakeShallowTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeShallowTree(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = PathQuery(4);
   for (auto _ : state) {
-    auto r = treeq::cq::NaiveEvaluateCq(q, t, o);
+    auto r = treeq::cq::NaiveEvaluateCq(q, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -106,11 +103,10 @@ BENCHMARK(BM_BacktrackDataSweep)->Arg(512)->Arg(1024)->Unit(
     benchmark::kMillisecond);
 
 void BM_FullReducerQuerySweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(2048);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(2048));
   treeq::cq::ConjunctiveQuery q = PathQuery(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateUnaryAcyclic(q, t, o);
+    auto r = treeq::cq::EvaluateUnaryAcyclic(q, doc);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetComplexityN(state.range(0));
@@ -124,11 +120,10 @@ BENCHMARK(BM_FullReducerQuerySweep)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BacktrackQuerySweep(benchmark::State& state) {
-  treeq::Tree t = MakeShallowTree(1024);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeShallowTree(1024));
   treeq::cq::ConjunctiveQuery q = PathQuery(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto r = treeq::cq::NaiveEvaluateCq(q, t, o);
+    auto r = treeq::cq::NaiveEvaluateCq(q, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -140,15 +135,14 @@ BENCHMARK(BM_BacktrackQuerySweep)->Arg(2)->Arg(3)->Arg(4)->Unit(
 // label-pruned here). Acyclicity-based engines cannot run this query at
 // all; backtracking can, but with no polynomial guarantee.
 void BM_TreewidthCyclicTriangle(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   auto q = treeq::cq::ParseCq(
                "Q() :- Child(x, y), Child(y, z), Child+(x, z), Lab_a(x), "
                "Lab_b(z).")
                .value();
   treeq::cq::TreewidthEvalStats stats;
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateBooleanTreewidth(q, t, o, &stats);
+    auto r = treeq::cq::EvaluateBooleanTreewidth(q, doc, &stats);
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["width"] = stats.width;

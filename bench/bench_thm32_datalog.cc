@@ -54,9 +54,9 @@ void PrintGroundingSizes() {
               "ground clauses", "clauses/node");
   treeq::datalog::Program p = FixedProgram();
   for (int n : {100, 1000, 10000}) {
-    treeq::Tree t = MakeTree(n);
+    treeq::Document doc(MakeTree(n));
     treeq::datalog::EvalStats stats;
-    auto r = treeq::datalog::EvaluateDatalog(p, t, &stats);
+    auto r = treeq::datalog::EvaluateDatalog(p, doc, &stats);
     TREEQ_CHECK(r.ok());
     std::printf("%-10d %-10d %-14d %-14.2f\n", n, p.SizeInAtoms(),
                 stats.ground_clauses,
@@ -66,10 +66,10 @@ void PrintGroundingSizes() {
 }
 
 void BM_DataSweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   treeq::datalog::Program p = FixedProgram();
   for (auto _ : state) {
-    auto r = treeq::datalog::EvaluateDatalog(p, t);
+    auto r = treeq::datalog::EvaluateDatalog(p, doc);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetComplexityN(state.range(0));
@@ -81,10 +81,10 @@ BENCHMARK(BM_DataSweep)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ProgramSweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(4096);
+  treeq::Document doc(MakeTree(4096));
   treeq::datalog::Program p = ChainedProgram(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto r = treeq::datalog::EvaluateDatalog(p, t);
+    auto r = treeq::datalog::EvaluateDatalog(p, doc);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetComplexityN(p.SizeInAtoms());
@@ -103,11 +103,10 @@ BENCHMARK(BM_ProgramSweep)
 // per-iteration rule matching is polynomial, not linear, so it falls behind
 // quickly in the data sweep.
 void BM_NaiveOracleDataSweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   treeq::datalog::Program p = FixedProgram();
   for (auto _ : state) {
-    auto r = treeq::datalog::EvaluateDatalogNaive(p, t, o);
+    auto r = treeq::datalog::EvaluateDatalogNaive(p, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }

@@ -15,8 +15,8 @@
 #include "cq/naive.h"
 #include "cq/parser.h"
 #include "cq/x_property.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace {
@@ -51,17 +51,16 @@ void PrintHeadline(treeq::benchjson::Record* record = nullptr) {
   const treeq::obs::StatsRegistry& stats =
       treeq::obs::StatsRegistry::Global();
   for (int n : {100, 400, 1600}) {
-    treeq::Tree t = MakeTree(n);
-    treeq::TreeOrders o = treeq::ComputeOrders(t);
+    treeq::Document doc(MakeTree(n));
     const uint64_t words_before = stats.CounterValue("axes.words_scanned");
-    auto fast = treeq::cq::EvaluateXProperty(CyclicTau1(), t, o,
+    auto fast = treeq::cq::EvaluateXProperty(CyclicTau1(), doc,
                                              treeq::cq::TreeOrder::kPre);
     const uint64_t words =
         stats.CounterValue("axes.words_scanned") - words_before;
     auto horn = treeq::cq::EvaluateXProperty(
-        CyclicTau1(), t, o, treeq::cq::TreeOrder::kPre,
+        CyclicTau1(), doc, treeq::cq::TreeOrder::kPre,
         treeq::cq::AcImplementation::kHornEncoding);
-    auto slow = treeq::cq::NaiveSatisfiableCq(CyclicTau1(), t, o);
+    auto slow = treeq::cq::NaiveSatisfiableCq(CyclicTau1(), doc);
     const bool direct_sat = fast.value().satisfiable;
     const bool horn_sat = horn.value().satisfiable;
     std::printf("%-8d %-14s %-18s %-14s %-14llu\n", n,
@@ -80,11 +79,10 @@ void PrintHeadline(treeq::benchjson::Record* record = nullptr) {
 }
 
 void BM_XPropertyDirect(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = CyclicTau1();
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateXProperty(q, t, o,
+    auto r = treeq::cq::EvaluateXProperty(q, doc,
                                           treeq::cq::TreeOrder::kPre,
                                           treeq::cq::AcImplementation::kDirect);
     benchmark::DoNotOptimize(r.ok());
@@ -101,12 +99,11 @@ BENCHMARK(BM_XPropertyDirect)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_XPropertyHornEncoding(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = CyclicTau1();
   for (auto _ : state) {
     auto r = treeq::cq::EvaluateXProperty(
-        q, t, o, treeq::cq::TreeOrder::kPre,
+        q, doc, treeq::cq::TreeOrder::kPre,
         treeq::cq::AcImplementation::kHornEncoding);
     benchmark::DoNotOptimize(r.ok());
   }
@@ -122,11 +119,10 @@ BENCHMARK(BM_XPropertyHornEncoding)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BacktrackingBaseline(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   treeq::cq::ConjunctiveQuery q = CyclicTau1();
   for (auto _ : state) {
-    auto r = treeq::cq::NaiveSatisfiableCq(q, t, o);
+    auto r = treeq::cq::NaiveSatisfiableCq(q, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -135,14 +131,13 @@ BENCHMARK(BM_BacktrackingBaseline)->Arg(128)->Arg(512)->Unit(
 
 // tau_2 and tau_3 workloads through the same evaluator.
 void BM_XPropertyTau2(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   auto q = treeq::cq::ParseCq(
                "Q() :- Following(x, y), Following(y, z), Following(x, z), "
                "Lab_a(x), Lab_b(y), Lab_c(z).")
                .value();
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateXProperty(q, t, o,
+    auto r = treeq::cq::EvaluateXProperty(q, doc,
                                           treeq::cq::TreeOrder::kPost);
     benchmark::DoNotOptimize(r.ok());
   }
@@ -151,14 +146,13 @@ BENCHMARK(BM_XPropertyTau2)->Arg(256)->Arg(512)->Unit(
     benchmark::kMicrosecond);
 
 void BM_XPropertyTau3(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   auto q = treeq::cq::ParseCq(
                "Q() :- Child(x, y), Child(x, z), NextSibling(y, z), "
                "Lab_a(y), Lab_b(z).")
                .value();
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateXProperty(q, t, o,
+    auto r = treeq::cq::EvaluateXProperty(q, doc,
                                           treeq::cq::TreeOrder::kBflr);
     benchmark::DoNotOptimize(r.ok());
   }

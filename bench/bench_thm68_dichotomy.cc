@@ -15,8 +15,8 @@
 #include "cq/dichotomy.h"
 #include "cq/naive.h"
 #include "cq/parser.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace {
@@ -80,12 +80,10 @@ treeq::Tree HardTree(int n) {
 void PrintSearchBlowup() {
   std::printf("hard-side search effort (signature {Child, Child+}):\n");
   std::printf("%-6s %-22s\n", "k", "backtrack assignments");
-  treeq::Tree t = HardTree(220);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(HardTree(220));
   for (int k : {1, 2, 3, 4}) {
     treeq::cq::NaiveCqStats stats;
-    auto r = treeq::cq::NaiveSatisfiableCq(HardQuery(k), t, o, UINT64_MAX,
-                                           &stats);
+    auto r = treeq::cq::NaiveSatisfiableCq(HardQuery(k), doc, &stats);
     TREEQ_CHECK(r.ok());
     std::printf("%-6d %-22llu\n", k,
                 static_cast<unsigned long long>(stats.assignments_tried));
@@ -107,12 +105,11 @@ treeq::cq::ConjunctiveQuery Tau1Chain(int k) {
 }
 
 void BM_DispatcherTractable(benchmark::State& state) {
-  treeq::Tree t = HardTree(300);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(HardTree(300));
   treeq::cq::ConjunctiveQuery q = Tau1Chain(static_cast<int>(state.range(0)));
   bool tractable = false;
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateBooleanDichotomy(q, t, o, &tractable);
+    auto r = treeq::cq::EvaluateBooleanDichotomy(q, doc, &tractable);
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["tractable_path"] = tractable ? 1 : 0;
@@ -121,12 +118,11 @@ BENCHMARK(BM_DispatcherTractable)->Arg(2)->Arg(4)->Arg(8)->Unit(
     benchmark::kMicrosecond);
 
 void BM_DispatcherNpHard(benchmark::State& state) {
-  treeq::Tree t = HardTree(220);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(HardTree(220));
   treeq::cq::ConjunctiveQuery q = HardQuery(static_cast<int>(state.range(0)));
   bool tractable = true;
   for (auto _ : state) {
-    auto r = treeq::cq::EvaluateBooleanDichotomy(q, t, o, &tractable);
+    auto r = treeq::cq::EvaluateBooleanDichotomy(q, doc, &tractable);
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["tractable_path"] = tractable ? 1 : 0;

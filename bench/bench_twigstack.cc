@@ -13,8 +13,8 @@
 #include <string>
 
 #include "cq/twig_join.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace {
@@ -52,8 +52,7 @@ treeq::cq::TwigPattern UnselectiveTwig() {
 // holistic_intermediates, binary_intermediates}; meta.case<i> names it.
 void PrintComparison(treeq::benchjson::Record* record = nullptr) {
   std::printf("=== TwigStack vs binary structural joins ===\n");
-  treeq::Tree doc = MakeDoc(500);
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(500));
   struct Case {
     const char* name;
     treeq::cq::TwigPattern twig;
@@ -65,8 +64,8 @@ void PrintComparison(treeq::benchjson::Record* record = nullptr) {
   for (int i = 0; i < 2; ++i) {
     Case& c = cases[i];
     treeq::cq::TwigStats hs, bs;
-    auto holistic = treeq::cq::TwigStackJoin(c.twig, doc, orders, &hs);
-    auto binary = treeq::cq::TwigByStructuralJoins(c.twig, doc, orders, &bs);
+    auto holistic = treeq::cq::TwigStackJoin(c.twig, doc, &hs);
+    auto binary = treeq::cq::TwigByStructuralJoins(c.twig, doc, &bs);
     TREEQ_CHECK(holistic.ok() && binary.ok());
     TREEQ_CHECK(holistic.value() == binary.value());
     std::printf("%-18s %-9zu %-22llu %-22llu\n", c.name,
@@ -90,11 +89,10 @@ void PrintComparison(treeq::benchjson::Record* record = nullptr) {
 }
 
 void BM_TwigStackSelective(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::TwigPattern twig = SelectiveTwig();
   for (auto _ : state) {
-    auto r = treeq::cq::TwigStackJoin(twig, doc, orders);
+    auto r = treeq::cq::TwigStackJoin(twig, doc);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetComplexityN(doc.num_nodes());
@@ -107,11 +105,10 @@ BENCHMARK(BM_TwigStackSelective)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BinaryJoinsSelective(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::TwigPattern twig = SelectiveTwig();
   for (auto _ : state) {
-    auto r = treeq::cq::TwigByStructuralJoins(twig, doc, orders);
+    auto r = treeq::cq::TwigByStructuralJoins(twig, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -122,11 +119,10 @@ BENCHMARK(BM_BinaryJoinsSelective)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_TwigStackUnselective(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::TwigPattern twig = UnselectiveTwig();
   for (auto _ : state) {
-    auto r = treeq::cq::TwigStackJoin(twig, doc, orders);
+    auto r = treeq::cq::TwigStackJoin(twig, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -134,11 +130,10 @@ BENCHMARK(BM_TwigStackUnselective)->Arg(250)->Arg(1000)->Unit(
     benchmark::kMicrosecond);
 
 void BM_BinaryJoinsUnselective(benchmark::State& state) {
-  treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(MakeDoc(static_cast<int>(state.range(0))));
   treeq::cq::TwigPattern twig = UnselectiveTwig();
   for (auto _ : state) {
-    auto r = treeq::cq::TwigByStructuralJoins(twig, doc, orders);
+    auto r = treeq::cq::TwigByStructuralJoins(twig, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }

@@ -13,8 +13,8 @@
 
 #include "bench_json.h"
 #include "obs/stats.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 #include "xpath/evaluator.h"
 #include "xpath/naive_evaluator.h"
@@ -58,13 +58,14 @@ void PrintBlowupTable() {
               "steps)\n");
   std::printf("%-6s %-20s %-20s\n", "k", "naive applications",
               "set-at-a-time axis ops (=k)");
-  treeq::Tree t = MakeTree(60);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(60));
   for (int k : {1, 2, 3, 4, 5}) {
     auto q = RightNestedChain(k);
     treeq::xpath::NaiveStats stats;
-    auto r = treeq::xpath::NaiveEvalPath(t, o, *q, t.root(),
-                                         /*budget=*/500'000'000, &stats);
+    const treeq::ExecContext budget =
+        treeq::ExecContext::WithVisitBudget(500'000'000);
+    auto r = treeq::xpath::NaiveEvalPath(doc, *q, doc.tree().root(), &stats,
+                                         budget);
     if (!r.ok()) {
       std::printf("%-6d %-20s %-20d\n", k, "(budget exceeded)", k);
       continue;
@@ -78,11 +79,10 @@ void PrintBlowupTable() {
 }
 
 void BM_SetAtATimeDataSweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(static_cast<int>(state.range(0)));
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(static_cast<int>(state.range(0))));
   auto q = treeq::xpath::ParseXPath(DescendantChain(4)).value();
   for (auto _ : state) {
-    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(t, o, *q);
+    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(doc, *q).value();
     benchmark::DoNotOptimize(r.size());
   }
   state.SetComplexityN(state.range(0));
@@ -94,13 +94,12 @@ BENCHMARK(BM_SetAtATimeDataSweep)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SetAtATimeQuerySweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(4096);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(4096));
   auto q = treeq::xpath::ParseXPath(
                DescendantChain(static_cast<int>(state.range(0))))
                .value();
   for (auto _ : state) {
-    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(t, o, *q);
+    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(doc, *q).value();
     benchmark::DoNotOptimize(r.size());
   }
   state.SetComplexityN(state.range(0));
@@ -115,11 +114,10 @@ BENCHMARK(BM_SetAtATimeQuerySweep)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_NaiveQuerySweep(benchmark::State& state) {
-  treeq::Tree t = MakeTree(48);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(48));
   auto q = RightNestedChain(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto r = treeq::xpath::NaiveEvalPath(t, o, *q, t.root());
+    auto r = treeq::xpath::NaiveEvalPath(doc, *q, doc.tree().root());
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -128,13 +126,12 @@ BENCHMARK(BM_NaiveQuerySweep)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Unit(
 
 // Qualifier-heavy query: nested predicates are where early engines melted.
 void BM_NestedQualifiers(benchmark::State& state) {
-  treeq::Tree t = MakeTree(2048);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
+  treeq::Document doc(MakeTree(2048));
   std::string text = "descendant::a";
   for (int i = 0; i < 6; ++i) text = "descendant::a[" + text + "]";
   auto q = treeq::xpath::ParseXPath(text).value();
   for (auto _ : state) {
-    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(t, o, *q);
+    treeq::NodeSet r = treeq::xpath::EvalQueryFromRoot(doc, *q).value();
     benchmark::DoNotOptimize(r.size());
   }
 }
@@ -146,19 +143,20 @@ BENCHMARK(BM_NestedQualifiers)->Unit(benchmark::kMicrosecond);
 // the paper's combined-complexity contrast as data.
 void JsonWorkload(treeq::benchjson::Record* rec) {
   treeq::obs::StatsRegistry& reg = treeq::obs::StatsRegistry::Global();
-  treeq::Tree t = MakeTree(60);
-  treeq::TreeOrders o = treeq::ComputeOrders(t);
-  rec->SetNumber("input_nodes", t.num_nodes());
+  treeq::Document doc(MakeTree(60));
+  rec->SetNumber("input_nodes", doc.num_nodes());
   rec->SetString("query_shape", "k right-nested descendant steps");
   for (int k : {1, 2, 3, 4, 5}) {
     auto q = RightNestedChain(k);
     uint64_t naive_before = reg.CounterValue("xpath.naive.rule_applications");
+    const treeq::ExecContext budget =
+        treeq::ExecContext::WithVisitBudget(500'000'000);
     auto t0 = std::chrono::steady_clock::now();
-    auto naive = treeq::xpath::NaiveEvalPath(t, o, *q, t.root(),
-                                             /*budget=*/500'000'000);
+    auto naive = treeq::xpath::NaiveEvalPath(doc, *q, doc.tree().root(),
+                                             /*stats=*/nullptr, budget);
     auto t1 = std::chrono::steady_clock::now();
     uint64_t axis_before = reg.CounterValue("xpath.axis_ops");
-    treeq::NodeSet fast = treeq::xpath::EvalQueryFromRoot(t, o, *q);
+    treeq::NodeSet fast = treeq::xpath::EvalQueryFromRoot(doc, *q).value();
     auto t2 = std::chrono::steady_clock::now();
     auto ns = [](auto d) {
       return static_cast<double>(
@@ -181,7 +179,7 @@ void JsonWorkload(treeq::benchjson::Record* rec) {
   // One qualifier-bearing query so the dump also carries per-qualifier work
   // (xpath.qualifier_ops), not just axis applications.
   auto qual = treeq::xpath::ParseXPath("descendant::a[descendant::a]").value();
-  treeq::NodeSet qr = treeq::xpath::EvalQueryFromRoot(t, o, *qual);
+  treeq::NodeSet qr = treeq::xpath::EvalQueryFromRoot(doc, *qual).value();
   rec->SetNumber("qualified_result_size", static_cast<double>(qr.size()));
 }
 

@@ -5,12 +5,13 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "cq/enumerate.h"
 #include "cq/parser.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
-#include "tree/orders.h"
+#include "tree/document.h"
 #include "tree/tree.h"
 #include "tree/xml.h"
 #include "xpath/evaluator.h"
@@ -49,14 +50,16 @@ int main() {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  const treeq::Tree& tree = parsed.value();
-  treeq::TreeOrders orders = treeq::ComputeOrders(tree);
+  // A Document bundles the tree with its orders and label index: the one
+  // input every query engine takes.
+  const treeq::Document doc(std::move(parsed).value());
+  const treeq::Tree& tree = doc.tree();
   std::printf("document with %d nodes, depth %d:\n%s\n", tree.num_nodes(),
               tree.Depth(), ToOutline(tree).c_str());
 
   // 2. Core XPath, evaluated set-at-a-time in O(|D| * |Q|).
   auto xp = treeq::xpath::ParseXPath("//book[author]/author").value();
-  treeq::NodeSet authors = treeq::xpath::EvalQueryFromRoot(tree, orders, *xp);
+  treeq::NodeSet authors = treeq::xpath::EvalQueryFromRoot(doc, *xp).value();
   std::printf("XPath //book[author]/author selects %d nodes:\n",
               authors.size());
   PrintNodes(tree, authors.ToVector());
@@ -69,7 +72,7 @@ int main() {
     ?- DbBook.
   )").value();
   treeq::Result<treeq::NodeSet> db_books =
-      treeq::datalog::EvaluateDatalog(program, tree);
+      treeq::datalog::EvaluateDatalog(program, doc);
   std::printf("\ndatalog DbBook selects %d nodes:\n", db_books.value().size());
   PrintNodes(tree, db_books.value().ToVector());
 
@@ -78,7 +81,7 @@ int main() {
   auto cq = treeq::cq::ParseCq(
       "Q(s, a) :- Child+(s, a), Lab_shelf(s), Lab_author(a).").value();
   treeq::Result<treeq::cq::TupleSet> pairs =
-      treeq::cq::EvaluateAcyclic(cq, tree, orders);
+      treeq::cq::EvaluateAcyclic(cq, doc);
   std::printf("\nCQ (shelf, author) has %zu result tuples:\n",
               pairs.value().size());
   for (const auto& tuple : pairs.value()) {

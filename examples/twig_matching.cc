@@ -11,18 +11,17 @@
 #include "cq/arc_consistency.h"
 #include "cq/enumerate.h"
 #include "cq/twig_join.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 int main() {
   treeq::Rng rng(2026);
   treeq::CatalogOptions options;
   options.num_products = 200;
-  treeq::Tree doc = treeq::CatalogDocument(&rng, options);
-  treeq::TreeOrders orders = treeq::ComputeOrders(doc);
+  treeq::Document doc(treeq::CatalogDocument(&rng, options));
   std::printf("catalog document: %d nodes, depth %d\n", doc.num_nodes(),
-              doc.Depth());
+              doc.tree().Depth());
 
   // The twig:  product[.//rating5][.//comment]
   treeq::cq::TwigPattern twig;
@@ -34,7 +33,7 @@ int main() {
   // 1. TwigStack.
   treeq::cq::TwigStats holistic_stats;
   treeq::Result<treeq::cq::TupleSet> holistic =
-      treeq::cq::TwigStackJoin(twig, doc, orders, &holistic_stats);
+      treeq::cq::TwigStackJoin(twig, doc, &holistic_stats);
   if (!holistic.ok()) {
     std::fprintf(stderr, "%s\n", holistic.status().ToString().c_str());
     return 1;
@@ -49,7 +48,7 @@ int main() {
   // 2. Binary structural-join pipeline.
   treeq::cq::TwigStats binary_stats;
   treeq::Result<treeq::cq::TupleSet> binary =
-      treeq::cq::TwigByStructuralJoins(twig, doc, orders, &binary_stats);
+      treeq::cq::TwigByStructuralJoins(twig, doc, &binary_stats);
   std::printf("binary joins:     %5zu matches, %6llu intermediate tuples\n",
               binary.value().size(),
               static_cast<unsigned long long>(
@@ -57,10 +56,9 @@ int main() {
 
   // 3. Arc-consistency + backtracking-free enumeration (Figure 6).
   treeq::cq::ConjunctiveQuery query = twig.ToConjunctiveQuery();
-  treeq::cq::AcResult ac =
-      treeq::cq::ComputeMaxArcConsistent(query, doc, orders);
+  treeq::cq::AcResult ac = treeq::cq::ComputeMaxArcConsistent(query, doc);
   treeq::Result<treeq::cq::TupleSet> enumerated =
-      treeq::cq::EvaluateAcyclic(query, doc, orders);
+      treeq::cq::EvaluateAcyclic(query, doc);
   std::printf("AC + enumerate:   %5zu matches; candidate sets:",
               enumerated.value().size());
   for (int v = 0; v < query.num_vars(); ++v) {

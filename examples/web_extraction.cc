@@ -9,9 +9,11 @@
 // cell is the price, and discount rows carry class="sale".
 
 #include <cstdio>
+#include <utility>
 
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
+#include "tree/document.h"
 #include "tree/tree.h"
 #include "tree/xml.h"
 
@@ -67,7 +69,8 @@ int main() {
     std::fprintf(stderr, "%s\n", page.status().ToString().c_str());
     return 1;
   }
-  const treeq::Tree& tree = page.value();
+  const treeq::Document doc(std::move(page).value());
+  const treeq::Tree& tree = doc.tree();
 
   treeq::Result<treeq::datalog::Program> wrapper =
       treeq::datalog::ParseProgram(kWrapper);
@@ -86,7 +89,7 @@ int main() {
     program.set_query_predicate(pred);
     treeq::datalog::EvalStats stats;
     treeq::Result<treeq::NodeSet> result =
-        treeq::datalog::EvaluateDatalog(program, tree, &stats);
+        treeq::datalog::EvaluateDatalog(program, doc, &stats);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;

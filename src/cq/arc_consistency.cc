@@ -39,13 +39,14 @@ Adjacency Materialize(const Tree& tree, const TreeOrders& orders, Axis axis) {
 /// only after a different atom shrank one of its variables, or, for a
 /// self-loop R(x, x), after its own application shrank x. Atoms are swept
 /// in query order; each sweep is one propagation round.
-AcResult DirectAc(const ConjunctiveQuery& query, const Tree& tree,
-                  const TreeOrders& orders, const PreValuation* initial,
-                  const LabelIndex* index, const ExecContext& exec) {
+AcResult DirectAc(const ConjunctiveQuery& query, const Document& doc,
+                  const PreValuation* initial, const ExecContext& exec) {
   TREEQ_OBS_SPAN("cq.ac.direct");
+  const Tree& tree = doc.tree();
+  const TreeOrders& orders = doc.orders();
   AcResult result;
   PreValuation& theta = result.theta;
-  theta = LabelRestrictedCandidates(query, tree, index);
+  theta = LabelRestrictedCandidates(query, doc);
   if (initial != nullptr) {
     TREEQ_CHECK(static_cast<int>(initial->size()) == query.num_vars());
     for (int x = 0; x < query.num_vars(); ++x) {
@@ -163,48 +164,40 @@ AcResult HornAc(const ConjunctiveQuery& query, const Tree& tree,
 }  // namespace
 
 PreValuation LabelRestrictedCandidates(const ConjunctiveQuery& query,
-                                       const Tree& tree,
-                                       const LabelIndex* index) {
-  const int n = tree.num_nodes();
+                                       const Document& doc) {
+  const int n = doc.num_nodes();
   PreValuation cand(query.num_vars(), NodeSet::All(n));
   for (const LabelAtom& a : query.label_atoms()) {
-    if (index != nullptr) {
-      const LabelId id = tree.label_table().Lookup(a.label);
-      if (id == kNullLabel) {
-        cand[a.var] = NodeSet(n);  // no node carries an unknown label
-      } else {
-        cand[a.var].IntersectWith(index->Set(id));
-      }
-      continue;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (cand[a.var].Contains(v) && !tree.HasLabel(v, a.label)) {
-        cand[a.var].Erase(v);
-      }
+    const LabelId id = doc.tree().label_table().Lookup(a.label);
+    if (id == kNullLabel) {
+      cand[a.var] = NodeSet(n);  // no node carries an unknown label
+    } else {
+      cand[a.var].IntersectWith(doc.label_index().Set(id));
     }
   }
   return cand;
 }
 
 AcResult ComputeMaxArcConsistent(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
+                                 const Document& doc,
                                  AcImplementation implementation,
                                  const PreValuation* initial,
-                                 const LabelIndex* index,
                                  const ExecContext& exec) {
   TREEQ_CHECK(query.Validate().ok());
   switch (implementation) {
     case AcImplementation::kDirect:
-      return DirectAc(query, tree, orders, initial, index, exec);
+      return DirectAc(query, doc, initial, exec);
     case AcImplementation::kHornEncoding:
-      return HornAc(query, tree, orders, initial);
+      return HornAc(query, doc.tree(), doc.orders(), initial);
   }
   TREEQ_CHECK(false);
   return {};
 }
 
-bool IsArcConsistent(const ConjunctiveQuery& query, const Tree& tree,
-                     const TreeOrders& orders, const PreValuation& theta) {
+bool IsArcConsistent(const ConjunctiveQuery& query, const Document& doc,
+                     const PreValuation& theta) {
+  const Tree& tree = doc.tree();
+  const TreeOrders& orders = doc.orders();
   const int n = tree.num_nodes();
   for (const NodeSet& set : theta) {
     if (set.empty()) return false;

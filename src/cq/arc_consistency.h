@@ -4,8 +4,7 @@
 #include <vector>
 
 #include "cq/ast.h"
-#include "tree/label_index.h"
-#include "tree/orders.h"
+#include "tree/document.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -51,30 +50,29 @@ struct AcResult {
   Status status;
 };
 
-/// Per-variable candidate sets restricted by the unary (label) atoms. With
-/// a label index, each atom is a word-wise intersection with the
-/// document's cached per-label bitmap; without one, an O(n) arena scan.
+/// Per-variable candidate sets restricted by the unary (label) atoms: each
+/// atom is a word-wise intersection with the document's cached per-label
+/// bitmap (tree/label_index.h).
 PreValuation LabelRestrictedCandidates(const ConjunctiveQuery& query,
-                                       const Tree& tree,
-                                       const LabelIndex* index);
+                                       const Document& doc);
 
 /// Computes the subset-maximal arc-consistent pre-valuation of `query` on
-/// `tree`. If `initial` is non-null it restricts the starting candidate
+/// `doc`. If `initial` is non-null it restricts the starting candidate
 /// sets (used e.g. for the singleton relations of tuple-membership checks,
 /// Section 6); by default every variable starts at the whole domain.
-/// `index` seeds the label atoms from the document's LabelIndex. kDirect
+/// kDirect seeds the label atoms from the document's LabelIndex and
 /// charges `exec` 1 + n/64 per axis image, the set-at-a-time unit;
 /// kHornEncoding ignores it.
 AcResult ComputeMaxArcConsistent(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ConjunctiveQuery& query, const Document& doc,
     AcImplementation implementation = AcImplementation::kDirect,
-    const PreValuation* initial = nullptr, const LabelIndex* index = nullptr,
+    const PreValuation* initial = nullptr,
     const ExecContext& exec = ExecContext::Unbounded());
 
 /// Checks the arc-consistency conditions for `theta` directly from the
 /// definition (O(|Q| * n^2); for tests).
-bool IsArcConsistent(const ConjunctiveQuery& query, const Tree& tree,
-                     const TreeOrders& orders, const PreValuation& theta);
+bool IsArcConsistent(const ConjunctiveQuery& query, const Document& doc,
+                     const PreValuation& theta);
 
 }  // namespace cq
 }  // namespace treeq

@@ -74,11 +74,9 @@ std::optional<TreeOrder> OrderForClass(SignatureClass c) {
 }
 
 Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
-                                      const Tree& tree,
-                                      const TreeOrders& orders,
+                                      const Document& doc,
                                       bool* used_tractable_path,
-                                      const ExecContext& exec,
-                                      const LabelIndex* index) {
+                                      const ExecContext& exec) {
   ConjunctiveQuery normalized = query;
   normalized.NormalizeInverseAxes();
   SignatureClass c = ClassifySignature(normalized.AxesUsed());
@@ -87,13 +85,12 @@ Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
     if (used_tractable_path != nullptr) *used_tractable_path = true;
     TREEQ_ASSIGN_OR_RETURN(
         XEvalResult result,
-        EvaluateXProperty(normalized, tree, orders, *order,
-                          AcImplementation::kDirect, exec, index));
+        EvaluateXProperty(normalized, doc, *order, AcImplementation::kDirect,
+                          exec));
     return result.satisfiable;
   }
   if (used_tractable_path != nullptr) *used_tractable_path = false;
-  return NaiveSatisfiableCq(normalized, tree, orders, UINT64_MAX,
-                            /*stats=*/nullptr, exec);
+  return NaiveSatisfiableCq(normalized, doc, /*stats=*/nullptr, exec);
 }
 
 }  // namespace cq

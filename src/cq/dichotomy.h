@@ -7,7 +7,6 @@
 #include "cq/ast.h"
 #include "cq/x_property.h"
 #include "tree/document.h"
-#include "tree/orders.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -47,23 +46,10 @@ std::optional<TreeOrder> OrderForClass(SignatureClass c);
 /// search otherwise. `used_tractable_path`, if non-null, reports which side
 /// ran. The ExecContext bounds both branches: the NP-hard one is charged
 /// per assignment tried, the tractable one per arc-consistency image step.
-/// `index` seeds the tractable branch's label atoms.
 Result<bool> EvaluateBooleanDichotomy(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
-    bool* used_tractable_path = nullptr,
-    const ExecContext& exec = ExecContext::Unbounded(),
-    const LabelIndex* index = nullptr);
-
-/// Document-taking overload (tree/document.h); thin forwarder that routes
-/// the label atoms through the document's cached LabelIndex.
-inline Result<bool> EvaluateBooleanDichotomy(
     const ConjunctiveQuery& query, const Document& doc,
     bool* used_tractable_path = nullptr,
-    const ExecContext& exec = ExecContext::Unbounded()) {
-  return EvaluateBooleanDichotomy(query, doc.tree(), doc.orders(),
-                                  used_tractable_path, exec,
-                                  &doc.label_index());
-}
+    const ExecContext& exec = ExecContext::Unbounded());
 
 }  // namespace cq
 }  // namespace treeq

@@ -211,7 +211,7 @@ class SolutionEnumerator {
 }  // namespace
 
 Result<std::vector<std::vector<NodeId>>> EnumerateSolutions(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ConjunctiveQuery& query, const Document& doc,
     const ReducedQuery& reduced, uint64_t limit, const ExecContext& exec) {
   if (!reduced.satisfiable) {
     return std::vector<std::vector<NodeId>>{};
@@ -219,22 +219,21 @@ Result<std::vector<std::vector<NodeId>>> EnumerateSolutions(
   if (static_cast<int>(reduced.parent_var.size()) != query.num_vars()) {
     return Status::InvalidArgument("reduced query does not match the query");
   }
-  SolutionEnumerator enumerator(query, tree, orders, reduced, exec);
+  SolutionEnumerator enumerator(query, doc.tree(), doc.orders(), reduced,
+                                exec);
   return enumerator.Run(limit);
 }
 
 Result<TupleSet> EvaluateAcyclic(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 uint64_t limit, const ExecContext& exec,
-                                 const LabelIndex* index,
+                                 const Document& doc, const ExecContext& exec,
                                  AxisImageMemo* memo) {
-  TREEQ_ASSIGN_OR_RETURN(ReducedQuery reduced,
-                         FullReducer(query, tree, orders, /*root_var=*/-1,
-                                     index, memo, exec));
+  TREEQ_ASSIGN_OR_RETURN(
+      ReducedQuery reduced,
+      FullReducer(query, doc, /*root_var=*/-1, memo, exec));
   if (!reduced.satisfiable) return TupleSet{};
   TREEQ_ASSIGN_OR_RETURN(
       std::vector<std::vector<NodeId>> solutions,
-      EnumerateSolutions(query, tree, orders, reduced, limit, exec));
+      EnumerateSolutions(query, doc, reduced, UINT64_MAX, exec));
   TupleSet tuples;
   tuples.reserve(solutions.size());
   for (const std::vector<NodeId>& solution : solutions) {

@@ -5,8 +5,6 @@
 
 #include "cq/ast.h"
 #include "cq/yannakakis.h"
-#include "tree/document.h"
-#include "tree/orders.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -30,35 +28,20 @@ namespace cq {
 /// unit per enumerated partner plus the solution-vector bytes against the
 /// memory budget, so deadlines bound output enumeration too.
 Result<std::vector<std::vector<NodeId>>> EnumerateSolutions(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ConjunctiveQuery& query, const Document& doc,
     const ReducedQuery& reduced, uint64_t limit = UINT64_MAX,
     const ExecContext& exec = ExecContext::Unbounded());
 
 /// Full k-ary acyclic evaluation (Proposition 6.10): FullReducer +
 /// enumeration + head projection, deduplicated. Arity-0 and arity-1
 /// queries need no enumeration: see EvaluateBooleanAcyclic and
-/// EvaluateUnaryAcyclic (cq/yannakakis.h).
-/// `index` and `memo` are the FullReducer reuse hooks (cq/yannakakis.h):
-/// cached per-label candidate sets and cross-query memoized semijoin
-/// images; both optional, both result-preserving bit for bit.
+/// EvaluateUnaryAcyclic (cq/yannakakis.h). `exec` and `memo` are passed
+/// to FullReducer; enumeration charges `exec` too.
 Result<TupleSet> EvaluateAcyclic(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 uint64_t limit = UINT64_MAX,
+                                 const Document& doc,
                                  const ExecContext& exec =
                                      ExecContext::Unbounded(),
-                                 const LabelIndex* index = nullptr,
                                  AxisImageMemo* memo = nullptr);
-
-/// Document-taking overload (tree/document.h); thin forwarder that routes
-/// the label atoms through the document's cached LabelIndex.
-inline Result<TupleSet> EvaluateAcyclic(
-    const ConjunctiveQuery& query, const Document& doc,
-    uint64_t limit = UINT64_MAX,
-    const ExecContext& exec = ExecContext::Unbounded(),
-    AxisImageMemo* memo = nullptr) {
-  return EvaluateAcyclic(query, doc.tree(), doc.orders(), limit, exec,
-                         &doc.label_index(), memo);
-}
 
 }  // namespace cq
 }  // namespace treeq

@@ -9,10 +9,9 @@ namespace {
 
 class Backtracker {
  public:
-  Backtracker(const ConjunctiveQuery& query, const Tree& tree,
-              const TreeOrders& orders, uint64_t budget, NaiveCqStats* stats,
-              const ExecContext& exec)
-      : query_(query), tree_(tree), orders_(orders), budget_(budget),
+  Backtracker(const ConjunctiveQuery& query, const Document& doc,
+              NaiveCqStats* stats, const ExecContext& exec)
+      : query_(query), tree_(doc.tree()), orders_(doc.orders()),
         stats_(stats), exec_(exec) {}
 
   /// Runs the search. If `first_only`, stops after one satisfying
@@ -43,10 +42,6 @@ class Backtracker {
     for (NodeId v = 0; v < tree_.num_nodes(); ++v) {
       if (stats_ != nullptr) ++stats_->assignments_tried;
       TREEQ_RETURN_IF_ERROR(exec_.Charge(1));
-      if (budget_ == 0) {
-        return Status::ResourceExhausted("naive CQ evaluation budget exceeded");
-      }
-      --budget_;
       assignment_[var] = v;
       bool ok = true;
       for (const LabelAtom& a : query_.label_atoms()) {
@@ -76,7 +71,6 @@ class Backtracker {
   const ConjunctiveQuery& query_;
   const Tree& tree_;
   const TreeOrders& orders_;
-  uint64_t budget_;
   NaiveCqStats* stats_;
   const ExecContext& exec_;
   bool first_only_ = false;
@@ -88,20 +82,18 @@ class Backtracker {
 }  // namespace
 
 Result<TupleSet> NaiveEvaluateCq(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 uint64_t budget, NaiveCqStats* stats,
+                                 const Document& doc, NaiveCqStats* stats,
                                  const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
-  Backtracker search(query, tree, orders, budget, stats, exec);
+  Backtracker search(query, doc, stats, exec);
   return search.Run(/*first_only=*/false);
 }
 
 Result<bool> NaiveSatisfiableCq(const ConjunctiveQuery& query,
-                                const Tree& tree, const TreeOrders& orders,
-                                uint64_t budget, NaiveCqStats* stats,
+                                const Document& doc, NaiveCqStats* stats,
                                 const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
-  Backtracker search(query, tree, orders, budget, stats, exec);
+  Backtracker search(query, doc, stats, exec);
   TREEQ_ASSIGN_OR_RETURN(TupleSet results, search.Run(/*first_only=*/true));
   return !results.empty();
 }

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "cq/ast.h"
-#include "tree/orders.h"
+#include "tree/document.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -23,21 +23,19 @@ struct NaiveCqStats {
 };
 
 /// All result tuples (deduplicated, sorted). For Boolean queries, a
-/// singleton {{}} if satisfiable and {} otherwise. `budget` bounds the
-/// number of assignments tried (ResourceExhausted when exceeded). The
-/// ExecContext is charged one unit per assignment tried, so deadlines and
-/// cancellation abort the NP-hard search cooperatively.
+/// singleton {{}} if satisfiable and {} otherwise. The ExecContext is
+/// charged one unit per assignment tried, so visit budgets bound the
+/// search and deadlines and cancellation abort the NP-hard search
+/// cooperatively.
 Result<TupleSet> NaiveEvaluateCq(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 uint64_t budget = UINT64_MAX,
+                                 const Document& doc,
                                  NaiveCqStats* stats = nullptr,
                                  const ExecContext& exec =
                                      ExecContext::Unbounded());
 
 /// Boolean satisfiability only (stops at the first witness).
 Result<bool> NaiveSatisfiableCq(const ConjunctiveQuery& query,
-                                const Tree& tree, const TreeOrders& orders,
-                                uint64_t budget = UINT64_MAX,
+                                const Document& doc,
                                 NaiveCqStats* stats = nullptr,
                                 const ExecContext& exec =
                                     ExecContext::Unbounded());

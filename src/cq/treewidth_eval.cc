@@ -275,20 +275,20 @@ void JoinComponent(const ComponentEval& eval, size_t order_index,
 }  // namespace
 
 Result<bool> EvaluateBooleanTreewidth(const ConjunctiveQuery& query,
-                                      const Tree& tree,
-                                      const TreeOrders& orders,
+                                      const Document& doc,
                                       TreewidthEvalStats* stats) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   for (const Component& component : SplitComponents(query)) {
-    TREEQ_ASSIGN_OR_RETURN(ComponentEval eval,
-                           EvaluateComponent(component, tree, orders, stats));
+    TREEQ_ASSIGN_OR_RETURN(
+        ComponentEval eval,
+        EvaluateComponent(component, doc.tree(), doc.orders(), stats));
     if (!eval.satisfiable) return false;
   }
   return true;
 }
 
 Result<TupleSet> EvaluateTreewidth(const ConjunctiveQuery& query,
-                                   const Tree& tree, const TreeOrders& orders,
+                                   const Document& doc,
                                    TreewidthEvalStats* stats) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   std::vector<Component> components = SplitComponents(query);
@@ -300,8 +300,9 @@ Result<TupleSet> EvaluateTreewidth(const ConjunctiveQuery& query,
   };
   std::vector<ComponentHeads> parts;
   for (const Component& component : components) {
-    TREEQ_ASSIGN_OR_RETURN(ComponentEval eval,
-                           EvaluateComponent(component, tree, orders, stats));
+    TREEQ_ASSIGN_OR_RETURN(
+        ComponentEval eval,
+        EvaluateComponent(component, doc.tree(), doc.orders(), stats));
     if (!eval.satisfiable) return TupleSet{};
     ComponentHeads part;
     std::map<int, int> local_of;  // query var -> component var

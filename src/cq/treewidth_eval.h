@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "cq/ast.h"
-#include "tree/orders.h"
+#include "tree/document.h"
 #include "tree/treewidth.h"
 #include "util/status.h"
 
@@ -39,15 +39,14 @@ struct TreewidthEvalStats {
 /// Evaluates the Boolean query via the decomposition. Any conjunctive
 /// query is accepted; cost is exponential only in the decomposition width.
 Result<bool> EvaluateBooleanTreewidth(const ConjunctiveQuery& query,
-                                      const Tree& tree,
-                                      const TreeOrders& orders,
+                                      const Document& doc,
                                       TreewidthEvalStats* stats = nullptr);
 
 /// Full evaluation: all result tuples over the query's head variables
 /// (deduplicated, sorted). Uses the same decomposition machinery, with the
 /// head variables joined into the bags that cover them.
 Result<TupleSet> EvaluateTreewidth(const ConjunctiveQuery& query,
-                                   const Tree& tree, const TreeOrders& orders,
+                                   const Document& doc,
                                    TreewidthEvalStats* stats = nullptr);
 
 }  // namespace cq

@@ -84,9 +84,8 @@ constexpr int kInf = INT32_MAX;
 /// elements and a stack of (element, pointer into the parent's stack).
 class TwigStackRunner {
  public:
-  TwigStackRunner(const TwigPattern& pattern, const Tree& tree,
-                  const LabelIndex& index, TwigStats* stats,
-                  const ExecContext& exec)
+  TwigStackRunner(const TwigPattern& pattern, const Document& doc,
+                  TwigStats* stats, const ExecContext& exec)
       : pattern_(pattern), stats_(stats), exec_(exec) {
     const int m = static_cast<int>(pattern.nodes.size());
     children_.resize(m);
@@ -95,9 +94,11 @@ class TwigStackRunner {
     }
     // Per-pattern-node streams borrowed from the label index: no arena
     // scan and no sort per node.
+    const LabelIndex& index = doc.label_index();
     streams_.reserve(m);
     for (const TwigPatternNode& node : pattern.nodes) {
-      streams_.push_back(&index.Items(tree.label_table().Lookup(node.label)));
+      streams_.push_back(
+          &index.Items(doc.tree().label_table().Lookup(node.label)));
     }
     cursor_.assign(m, 0);
     stacks_.resize(m);
@@ -324,40 +325,23 @@ class TwigStackRunner {
 
 }  // namespace
 
-Result<TupleSet> TwigStackJoin(const TwigPattern& pattern, const Tree& tree,
-                               const TreeOrders& /*orders*/,
-                               const LabelIndex& index, TwigStats* stats,
+Result<TupleSet> TwigStackJoin(const TwigPattern& pattern,
+                               const Document& doc, TwigStats* stats,
                                const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(pattern.Validate());
   TREEQ_OBS_SPAN("cq.twig.twigstack");
-  TwigStackRunner runner(pattern, tree, index, stats, exec);
+  TwigStackRunner runner(pattern, doc, stats, exec);
   TREEQ_ASSIGN_OR_RETURN(TupleSet result, runner.Run());
   TREEQ_OBS_COUNT("cq.twig.output_tuples", result.size());
   return result;
 }
 
-Result<TupleSet> TwigStackJoin(const TwigPattern& pattern, const Tree& tree,
-                               const TreeOrders& orders, TwigStats* stats,
-                               const ExecContext& exec) {
-  LabelIndex index(tree, orders);
-  return TwigStackJoin(pattern, tree, orders, index, stats, exec);
-}
-
-Result<TupleSet> TwigStackJoin(const TwigPattern& pattern,
-                               const Document& doc, TwigStats* stats,
-                               const ExecContext& exec) {
-  return TwigStackJoin(pattern, doc.tree(), doc.orders(), doc.label_index(),
-                       stats, exec);
-}
-
 Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
-                                       const Tree& tree,
-                                       const TreeOrders& orders,
-                                       const LabelIndex& index,
-                                       TwigStats* stats,
+                                       const Document& doc, TwigStats* stats,
                                        const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(pattern.Validate());
   TREEQ_OBS_SPAN("cq.twig.structural_joins");
+  const LabelIndex& index = doc.label_index();
   const int m = static_cast<int>(pattern.nodes.size());
 
   // Partial matches per pattern node, bottom-up: tuples over the pattern
@@ -365,7 +349,7 @@ Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
   // pattern nodes outside the subtree).
   std::vector<TupleSet> partial(m);
   for (int q = m - 1; q >= 0; --q) {
-    LabelId label = tree.label_table().Lookup(pattern.nodes[q].label);
+    LabelId label = doc.tree().label_table().Lookup(pattern.nodes[q].label);
     const std::vector<JoinItem>& self_items = index.Items(label);
     // Start with the node's own matches.
     TREEQ_RETURN_IF_ERROR(exec.Charge(1 + self_items.size()));
@@ -386,7 +370,7 @@ Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
       std::sort(c_nodes.begin(), c_nodes.end());
       c_nodes.erase(std::unique(c_nodes.begin(), c_nodes.end()),
                     c_nodes.end());
-      std::vector<JoinItem> c_items = MakeJoinItems(orders, c_nodes);
+      std::vector<JoinItem> c_items = MakeJoinItems(doc.orders(), c_nodes);
       std::vector<std::pair<NodeId, NodeId>> edge_pairs = StackTreeJoin(
           self_items, c_items, pattern.nodes[c].edge == Axis::kChild);
       TREEQ_OBS_COUNT("cq.twig.candidate_pairs", edge_pairs.size());
@@ -428,23 +412,6 @@ Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
   TupleSet result = std::move(partial[0]);
   CanonicalizeTuples(&result);
   return result;
-}
-
-Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
-                                       const Tree& tree,
-                                       const TreeOrders& orders,
-                                       TwigStats* stats,
-                                       const ExecContext& exec) {
-  LabelIndex index(tree, orders);
-  return TwigByStructuralJoins(pattern, tree, orders, index, stats, exec);
-}
-
-Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
-                                       const Document& doc,
-                                       TwigStats* stats,
-                                       const ExecContext& exec) {
-  return TwigByStructuralJoins(pattern, doc.tree(), doc.orders(),
-                               doc.label_index(), stats, exec);
 }
 
 }  // namespace cq

@@ -7,8 +7,6 @@
 
 #include "cq/ast.h"
 #include "tree/document.h"
-#include "tree/label_index.h"
-#include "tree/orders.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -67,25 +65,13 @@ struct TwigStats {
 /// TwigStack: all matches of `pattern`, one tuple per match with arity
 /// |pattern| (tuple[i] = document node matched by pattern node i).
 ///
-/// Label streams come from `index` (tree/label_index.h): one index build
-/// serves every pattern node, instead of one arena scan + sort per node.
-/// The (tree, orders) overload builds a throwaway index; the Document
-/// overload reuses the document's cached one.
+/// Label streams come from the document's cached LabelIndex
+/// (tree/label_index.h): one index build serves every pattern node and
+/// every call, instead of one arena scan + sort per node.
 ///
 /// Both algorithms charge the ExecContext per stream advance / stack push /
 /// solution emitted (and the intermediate tuples against the memory
 /// budget), so skew-blown joins abort instead of running away.
-Result<TupleSet> TwigStackJoin(const TwigPattern& pattern, const Tree& tree,
-                               const TreeOrders& orders,
-                               const LabelIndex& index,
-                               TwigStats* stats = nullptr,
-                               const ExecContext& exec =
-                                   ExecContext::Unbounded());
-Result<TupleSet> TwigStackJoin(const TwigPattern& pattern, const Tree& tree,
-                               const TreeOrders& orders,
-                               TwigStats* stats = nullptr,
-                               const ExecContext& exec =
-                                   ExecContext::Unbounded());
 Result<TupleSet> TwigStackJoin(const TwigPattern& pattern,
                                const Document& doc,
                                TwigStats* stats = nullptr,
@@ -95,19 +81,6 @@ Result<TupleSet> TwigStackJoin(const TwigPattern& pattern,
 /// Baseline: decompose the twig into binary (parent, child) structural
 /// joins, evaluate each with the stack-tree merge of storage/, and hash-join
 /// the edge results bottom-up. Same label-stream routing as TwigStackJoin.
-Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
-                                       const Tree& tree,
-                                       const TreeOrders& orders,
-                                       const LabelIndex& index,
-                                       TwigStats* stats = nullptr,
-                                       const ExecContext& exec =
-                                           ExecContext::Unbounded());
-Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
-                                       const Tree& tree,
-                                       const TreeOrders& orders,
-                                       TwigStats* stats = nullptr,
-                                       const ExecContext& exec =
-                                           ExecContext::Unbounded());
 Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
                                        const Document& doc,
                                        TwigStats* stats = nullptr,

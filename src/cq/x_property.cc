@@ -128,11 +128,9 @@ bool ValuationSatisfies(const ConjunctiveQuery& query, const Tree& tree,
 }  // namespace
 
 Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
-                                      const Tree& tree,
-                                      const TreeOrders& orders, TreeOrder order,
+                                      const Document& doc, TreeOrder order,
                                       AcImplementation ac,
-                                      const ExecContext& exec,
-                                      const LabelIndex* index) {
+                                      const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   ConjunctiveQuery normalized = query;
   normalized.NormalizeInverseAxes();
@@ -143,8 +141,8 @@ Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
           " lacks the X-property w.r.t. " + TreeOrderName(order));
     }
   }
-  AcResult acr = ComputeMaxArcConsistent(normalized, tree, orders, ac,
-                                         /*initial=*/nullptr, index, exec);
+  AcResult acr = ComputeMaxArcConsistent(normalized, doc, ac,
+                                         /*initial=*/nullptr, exec);
   TREEQ_RETURN_IF_ERROR(acr.status);
   XEvalResult result;
   if (!acr.consistent) {
@@ -152,8 +150,9 @@ Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
     return result;
   }
   // Lemma 6.4: the minimum valuation is consistent.
-  result.witness = MinimumValuation(acr.theta, RankOf(orders, order));
-  if (!ValuationSatisfies(normalized, tree, orders, result.witness)) {
+  result.witness = MinimumValuation(acr.theta, RankOf(doc.orders(), order));
+  if (!ValuationSatisfies(normalized, doc.tree(), doc.orders(),
+                          result.witness)) {
     return Status::Internal(
         "minimum valuation not consistent — Lemma 6.4 violated (bug)");
   }
@@ -162,8 +161,7 @@ Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
 }
 
 Result<bool> XPropertyTupleCheck(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 TreeOrder order,
+                                 const Document& doc, TreeOrder order,
                                  const std::vector<NodeId>& tuple) {
   if (tuple.size() != query.head_vars().size()) {
     return Status::InvalidArgument("tuple arity mismatch");
@@ -179,19 +177,18 @@ Result<bool> XPropertyTupleCheck(const ConjunctiveQuery& query,
   }
   // Singleton relations X_i = {a_i} (Section 6), expressed as an initial
   // pre-valuation restriction.
-  PreValuation initial(normalized.num_vars(),
-                       NodeSet::All(tree.num_nodes()));
+  const int n = doc.num_nodes();
+  PreValuation initial(normalized.num_vars(), NodeSet::All(n));
   for (size_t i = 0; i < tuple.size(); ++i) {
-    NodeSet singleton =
-        NodeSet::Singleton(tree.num_nodes(), tuple[i]);
+    NodeSet singleton = NodeSet::Singleton(n, tuple[i]);
     initial[normalized.head_vars()[i]].IntersectWith(singleton);
   }
-  AcResult acr = ComputeMaxArcConsistent(normalized, tree, orders,
+  AcResult acr = ComputeMaxArcConsistent(normalized, doc,
                                          AcImplementation::kDirect, &initial);
   if (!acr.consistent) return false;
   std::vector<NodeId> witness =
-      MinimumValuation(acr.theta, RankOf(orders, order));
-  if (!ValuationSatisfies(normalized, tree, orders, witness)) {
+      MinimumValuation(acr.theta, RankOf(doc.orders(), order));
+  if (!ValuationSatisfies(normalized, doc.tree(), doc.orders(), witness)) {
     return Status::Internal(
         "minimum valuation not consistent — Lemma 6.4 violated (bug)");
   }

@@ -68,20 +68,18 @@ struct XEvalResult {
 
 /// Theorem 6.5: evaluates the Boolean query via arc-consistency + minimum
 /// valuation. Requires every axis of `query` (inverse-normalized) to have
-/// the X-property w.r.t. `order`; InvalidArgument otherwise. `exec` and
-/// `index` are passed to ComputeMaxArcConsistent.
+/// the X-property w.r.t. `order`; InvalidArgument otherwise. `exec` is
+/// passed to ComputeMaxArcConsistent.
 Result<XEvalResult> EvaluateXProperty(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
-    TreeOrder order, AcImplementation ac = AcImplementation::kDirect,
-    const ExecContext& exec = ExecContext::Unbounded(),
-    const LabelIndex* index = nullptr);
+    const ConjunctiveQuery& query, const Document& doc, TreeOrder order,
+    AcImplementation ac = AcImplementation::kDirect,
+    const ExecContext& exec = ExecContext::Unbounded());
 
 /// Membership check for a k-ary query: is `tuple` in the result? Realized
 /// as in Section 6 by adding singleton unary relations and evaluating the
 /// Boolean query.
 Result<bool> XPropertyTupleCheck(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 TreeOrder order,
+                                 const Document& doc, TreeOrder order,
                                  const std::vector<NodeId>& tuple);
 
 }  // namespace cq

@@ -6,8 +6,7 @@ namespace treeq {
 namespace cq {
 
 Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
-                                 const Tree& tree, const TreeOrders& orders,
-                                 int root_var, const LabelIndex* index,
+                                 const Document& doc, int root_var,
                                  AxisImageMemo* memo,
                                  const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
@@ -21,7 +20,7 @@ Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
   if (root_var < 0 || root_var >= query.num_vars()) {
     return Status::InvalidArgument("root variable out of range");
   }
-  const int n = tree.num_nodes();
+  const int n = doc.num_nodes();
   const int k = query.num_vars();
 
   // Orient the query tree away from the root: BFS over the (simple) graph.
@@ -54,7 +53,7 @@ Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
   }
   TREEQ_CHECK(static_cast<int>(bfs_order.size()) == k);  // connected
 
-  reduced.candidates = LabelRestrictedCandidates(query, tree, index);
+  reduced.candidates = LabelRestrictedCandidates(query, doc);
 
   // Bottom-up pass (the Yannakakis semijoin sweep toward the root): each
   // parent keeps only values with a partner in every child's candidate set.
@@ -66,8 +65,8 @@ Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
   auto semijoin = [&](Axis axis, int from, int to) -> Status {
     TREEQ_RETURN_IF_ERROR(exec.Charge(
         1 + static_cast<uint64_t>(reduced.candidates[from].num_words())));
-    AxisImageMemoized(tree, orders, axis, reduced.candidates[from], &image,
-                      memo);
+    AxisImageMemoized(doc.tree(), doc.orders(), axis,
+                      reduced.candidates[from], &image, memo);
     reduced.candidates[to].IntersectWith(image);
     return Status::OK();
   };
@@ -93,22 +92,18 @@ Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
 }
 
 Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& query,
-                                    const Tree& tree,
-                                    const TreeOrders& orders,
+                                    const Document& doc,
                                     const ExecContext& exec,
-                                    const LabelIndex* index,
                                     AxisImageMemo* memo) {
   TREEQ_ASSIGN_OR_RETURN(
       ReducedQuery reduced,
-      FullReducer(query, tree, orders, /*root_var=*/-1, index, memo, exec));
+      FullReducer(query, doc, /*root_var=*/-1, memo, exec));
   return reduced.satisfiable;
 }
 
 Result<bool> EvaluateBooleanAcyclicForest(const ConjunctiveQuery& query,
-                                          const Tree& tree,
-                                          const TreeOrders& orders,
-                                          const ExecContext& exec,
-                                          const LabelIndex* index) {
+                                          const Document& doc,
+                                          const ExecContext& exec) {
   TREEQ_RETURN_IF_ERROR(query.Validate());
   // Split into connected components and run the reducer on each.
   const int k = query.num_vars();
@@ -149,27 +144,24 @@ Result<bool> EvaluateBooleanAcyclicForest(const ConjunctiveQuery& query,
     for (const LabelAtom& a : query.label_atoms()) {
       if (comp[a.var] == c) sub.AddLabelAtom(a.label, local[a.var]);
     }
-    TREEQ_ASSIGN_OR_RETURN(
-        bool satisfiable,
-        EvaluateBooleanAcyclic(sub, tree, orders, exec, index));
+    TREEQ_ASSIGN_OR_RETURN(bool satisfiable,
+                           EvaluateBooleanAcyclic(sub, doc, exec));
     if (!satisfiable) return false;
   }
   return true;
 }
 
 Result<NodeSet> EvaluateUnaryAcyclic(const ConjunctiveQuery& query,
-                                     const Tree& tree,
-                                     const TreeOrders& orders,
+                                     const Document& doc,
                                      const ExecContext& exec,
-                                     const LabelIndex* index,
                                      AxisImageMemo* memo) {
   if (query.head_vars().size() != 1) {
     return Status::InvalidArgument("query is not unary");
   }
-  TREEQ_ASSIGN_OR_RETURN(ReducedQuery reduced,
-                         FullReducer(query, tree, orders, query.head_vars()[0],
-                                     index, memo, exec));
-  if (!reduced.satisfiable) return NodeSet(tree.num_nodes());
+  TREEQ_ASSIGN_OR_RETURN(
+      ReducedQuery reduced,
+      FullReducer(query, doc, query.head_vars()[0], memo, exec));
+  if (!reduced.satisfiable) return NodeSet(doc.num_nodes());
   return reduced.candidates[query.head_vars()[0]];
 }
 

@@ -4,8 +4,6 @@
 #include "cq/arc_consistency.h"
 #include "cq/ast.h"
 #include "tree/axes.h"
-#include "tree/label_index.h"
-#include "tree/orders.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -43,45 +41,42 @@ struct ReducedQuery {
 /// rooting; pass -1 for variable 0, or a head variable so unary results can
 /// be read from the root's candidate set.
 ///
-/// Cross-query reuse hooks (both optional, both preserving bit-identical
-/// candidate sets): `index`, when set, seeds the label-restricted
-/// candidate sets from the document's cached per-label NodeSets
-/// (tree/label_index.h) — one word-wise intersection per label atom
-/// instead of an O(n) arena scan — and `memo` (tree/axes.h) memoizes the
-/// axis images of the bottom-up and top-down semijoin sweeps, so repeated
-/// twigs over one document reuse each other's reductions. `exec` is
-/// charged 1 + n/64 per semijoin image, memo hit or not.
+/// The label atoms seed the candidate sets from the document's cached
+/// per-label NodeSets (tree/label_index.h), one word-wise intersection per
+/// atom. `memo` (tree/axes.h), when set, memoizes the axis images of the
+/// bottom-up and top-down semijoin sweeps, so repeated twigs over one
+/// document reuse each other's reductions; the candidate sets stay
+/// bit-identical. `exec` is charged 1 + n/64 per semijoin image, memo hit
+/// or not.
 Result<ReducedQuery> FullReducer(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
-    int root_var = -1, const LabelIndex* index = nullptr,
+    const ConjunctiveQuery& query, const Document& doc, int root_var = -1,
     AxisImageMemo* memo = nullptr,
     const ExecContext& exec = ExecContext::Unbounded());
 
 /// Boolean acyclic evaluation in O(||A|| * |Q|) (Theorem 4.1's tree case):
-/// `reduced.satisfiable`, with nothing enumerated. `exec`, `index` and
-/// `memo` are passed to FullReducer.
+/// `reduced.satisfiable`, with nothing enumerated. `exec` and `memo` are
+/// passed to FullReducer.
 Result<bool> EvaluateBooleanAcyclic(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ConjunctiveQuery& query, const Document& doc,
     const ExecContext& exec = ExecContext::Unbounded(),
-    const LabelIndex* index = nullptr, AxisImageMemo* memo = nullptr);
+    AxisImageMemo* memo = nullptr);
 
 /// Unary acyclic evaluation in O(||A|| * |Q|) (Proposition 4.2): the head
 /// variable's fully-reduced candidate set, with the reducer rooted at the
 /// head variable and nothing enumerated. Same hooks as above.
 Result<NodeSet> EvaluateUnaryAcyclic(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
+    const ConjunctiveQuery& query, const Document& doc,
     const ExecContext& exec = ExecContext::Unbounded(),
-    const LabelIndex* index = nullptr, AxisImageMemo* memo = nullptr);
+    AxisImageMemo* memo = nullptr);
 
 /// Boolean evaluation of forest-shaped queries (each connected component
 /// tree-shaped; components may be disconnected): satisfiable iff every
 /// component is. This is what the Theorem 5.1 rewriting outputs feed into
-/// (Corollary 5.2's linear-time positive-FO pipeline). `exec` and `index`
-/// are passed to each component's EvaluateBooleanAcyclic.
+/// (Corollary 5.2's linear-time positive-FO pipeline). `exec` is passed to
+/// each component's EvaluateBooleanAcyclic.
 Result<bool> EvaluateBooleanAcyclicForest(
-    const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
-    const ExecContext& exec = ExecContext::Unbounded(),
-    const LabelIndex* index = nullptr);
+    const ConjunctiveQuery& query, const Document& doc,
+    const ExecContext& exec = ExecContext::Unbounded());
 
 }  // namespace cq
 }  // namespace treeq

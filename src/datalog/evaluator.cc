@@ -12,9 +12,10 @@
 namespace treeq {
 namespace datalog {
 
-Result<NodeSet> EvaluateDatalog(const Program& program, const Tree& tree,
+Result<NodeSet> EvaluateDatalog(const Program& program, const Document& doc,
                                 EvalStats* stats, const ExecContext& exec) {
   TREEQ_OBS_SPAN("datalog.eval");
+  const Tree& tree = doc.tree();
   TREEQ_ASSIGN_OR_RETURN(Program tmnf, ToTmnf(program));
   // Grounding materializes O(|P| * |Dom|) clauses; charge the estimate up
   // front so a doomed request never allocates the ground program at all.
@@ -41,7 +42,8 @@ Result<NodeSet> EvaluateDatalog(const Program& program, const Tree& tree,
 }
 
 Result<std::map<std::string, NodeSet>> EvaluateDatalogAllPredicates(
-    const Program& program, const Tree& tree) {
+    const Program& program, const Document& doc) {
+  const Tree& tree = doc.tree();
   TREEQ_ASSIGN_OR_RETURN(Program tmnf, ToTmnf(program));
   TREEQ_ASSIGN_OR_RETURN(GroundProgram ground, GroundTmnf(tmnf, tree));
   std::vector<char> truth = ground.horn.Solve();
@@ -135,9 +137,11 @@ class NaiveRuleMatcher {
 
 }  // namespace
 
-Result<NodeSet> EvaluateDatalogNaive(const Program& program, const Tree& tree,
-                                     const TreeOrders& orders,
+Result<NodeSet> EvaluateDatalogNaive(const Program& program,
+                                     const Document& doc,
                                      const ExecContext& exec) {
+  const Tree& tree = doc.tree();
+  const TreeOrders& orders = doc.orders();
   TREEQ_RETURN_IF_ERROR(program.Validate());
   std::map<std::string, NodeSet> relations;
   for (const std::string& pred : program.IntensionalPredicates()) {

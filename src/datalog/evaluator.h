@@ -7,8 +7,6 @@
 #include "datalog/ast.h"
 #include "tree/axes.h"
 #include "tree/document.h"
-#include "tree/orders.h"
-#include "tree/tree.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -33,11 +31,11 @@ struct EvalStats {
   int64_t ground_literals = 0;
 };
 
-/// Evaluates the program's query predicate over `tree` via TMNF + grounding
+/// Evaluates the program's query predicate over `doc` via TMNF + grounding
 /// + Minoux. Returns the set of nodes in the query result. The ExecContext
 /// is charged for the grounding (per ground literal, also against the
 /// memory budget) and per derivation step of the Horn fixpoint.
-Result<NodeSet> EvaluateDatalog(const Program& program, const Tree& tree,
+Result<NodeSet> EvaluateDatalog(const Program& program, const Document& doc,
                                 EvalStats* stats = nullptr,
                                 const ExecContext& exec =
                                     ExecContext::Unbounded());
@@ -46,26 +44,14 @@ Result<NodeSet> EvaluateDatalog(const Program& program, const Tree& tree,
 /// predicate (one grounding, one Minoux run). Used by the stratified
 /// evaluator, which must materialize all heads of a stratum.
 Result<std::map<std::string, NodeSet>> EvaluateDatalogAllPredicates(
-    const Program& program, const Tree& tree);
+    const Program& program, const Document& doc);
 
-/// Reference oracle (see file comment). `orders` must be computed from
-/// `tree`. Charged per assignment tried in the rule matcher.
-Result<NodeSet> EvaluateDatalogNaive(const Program& program, const Tree& tree,
-                                     const TreeOrders& orders,
+/// Reference oracle (see file comment). Charged per assignment tried in
+/// the rule matcher.
+Result<NodeSet> EvaluateDatalogNaive(const Program& program,
+                                     const Document& doc,
                                      const ExecContext& exec =
                                          ExecContext::Unbounded());
-
-/// Document-taking overloads (tree/document.h); thin forwarders.
-inline Result<NodeSet> EvaluateDatalog(
-    const Program& program, const Document& doc, EvalStats* stats = nullptr,
-    const ExecContext& exec = ExecContext::Unbounded()) {
-  return EvaluateDatalog(program, doc.tree(), stats, exec);
-}
-inline Result<NodeSet> EvaluateDatalogNaive(
-    const Program& program, const Document& doc,
-    const ExecContext& exec = ExecContext::Unbounded()) {
-  return EvaluateDatalogNaive(program, doc.tree(), doc.orders(), exec);
-}
 
 }  // namespace datalog
 }  // namespace treeq

@@ -1,5 +1,6 @@
 #include "datalog/stratified.h"
 
+#include <memory>
 #include <set>
 
 #include "datalog/evaluator.h"
@@ -62,7 +63,8 @@ Tree AugmentLabels(const Tree& tree,
   return std::move(rebuilt).value();
 }
 
-Result<NodeSet> EvaluateStratified(const Program& program, const Tree& tree,
+Result<NodeSet> EvaluateStratified(const Program& program,
+                                   const Document& doc,
                                    StratifiedStats* stats) {
   TREEQ_ASSIGN_OR_RETURN(auto strata, Stratify(program));
   int max_stratum = 0;
@@ -71,8 +73,10 @@ Result<NodeSet> EvaluateStratified(const Program& program, const Tree& tree,
 
   // Values of already-evaluated predicates.
   std::map<std::string, NodeSet> computed;
-  // The working tree, re-labeled after each stratum.
-  Tree current = AugmentLabels(tree, {});
+  // The working document: the input, then a re-labeled copy after each
+  // stratum.
+  const Document* current = &doc;
+  std::unique_ptr<Document> augmented;
 
   for (int level = 0; level <= max_stratum; ++level) {
     // Build the stratum program: rules whose head lives at this level, with
@@ -99,7 +103,7 @@ Result<NodeSet> EvaluateStratified(const Program& program, const Tree& tree,
     if (heads.empty()) continue;
     sub.set_query_predicate(*heads.begin());
     TREEQ_ASSIGN_OR_RETURN(auto values,
-                           EvaluateDatalogAllPredicates(sub, current));
+                           EvaluateDatalogAllPredicates(sub, *current));
     // Record and annotate for the next strata.
     std::map<std::string, NodeSet> annotations;
     for (const std::string& head : heads) {
@@ -110,7 +114,9 @@ Result<NodeSet> EvaluateStratified(const Program& program, const Tree& tree,
       annotations.emplace("__strat_not_" + head, std::move(complement));
       computed.emplace(head, std::move(set));
     }
-    current = AugmentLabels(current, annotations);
+    augmented = std::make_unique<Document>(
+        AugmentLabels(current->tree(), annotations));
+    current = augmented.get();
   }
 
   auto it = computed.find(program.query_predicate());

@@ -7,6 +7,7 @@
 
 #include "datalog/ast.h"
 #include "tree/axes.h"
+#include "tree/document.h"
 #include "tree/tree.h"
 #include "util/status.h"
 
@@ -42,7 +43,8 @@ struct StratifiedStats {
 };
 
 /// Evaluates the query predicate of a stratified monadic datalog program.
-Result<NodeSet> EvaluateStratified(const Program& program, const Tree& tree,
+Result<NodeSet> EvaluateStratified(const Program& program,
+                                   const Document& doc,
                                    StratifiedStats* stats = nullptr);
 
 /// Helper (exposed for tests): a structural copy of `tree` with the extra

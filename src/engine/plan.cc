@@ -338,10 +338,10 @@ Result<QueryResult> Plan::Execute(const Document& doc,
                                  " is not eligible for this plan");
     }
   }
-  const uint64_t budget = exec.limits().visit_budget;
-  if (budget != UINT64_MAX) {
+  const uint64_t visit_budget = exec.limits().visit_budget;
+  if (visit_budget != UINT64_MAX) {
     const uint64_t used = exec.visits_used();
-    facts.remaining_visits = budget > used ? budget - used : 0;
+    facts.remaining_visits = visit_budget > used ? visit_budget - used : 0;
   }
   facts.allow_degraded = options.allow_degraded;
   facts.native_bound =
@@ -376,8 +376,7 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
     case plan::EngineKind::kXPathNaive: {
       TREEQ_ASSIGN_OR_RETURN(
           NodeSet nodes,
-          xpath::NaiveEvalPath(doc.tree(), doc.orders(), *query_.xpath,
-                               doc.tree().root(), /*budget=*/UINT64_MAX,
+          xpath::NaiveEvalPath(doc, *query_.xpath, doc.tree().root(),
                                /*stats=*/nullptr, exec));
       out.value.emplace<NodeSet>(std::move(nodes));
       return out;
@@ -403,9 +402,8 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
             kind == plan::EngineKind::kTwigStack
                 ? cq::TwigStackJoin(twig_branches_[b], doc,
                                     /*stats=*/nullptr, exec)
-                : cq::TwigByStructuralJoins(twig_branches_[b], doc.tree(),
-                                            doc.orders(), /*stats=*/nullptr,
-                                            exec);
+                : cq::TwigByStructuralJoins(twig_branches_[b], doc,
+                                            /*stats=*/nullptr, exec);
         TREEQ_RETURN_IF_ERROR(matches.status());
         const std::vector<int>& cols = twig_out_cols_[b];
         for (const std::vector<NodeId>& match : matches.value()) {
@@ -440,22 +438,17 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       auto evaluate = [&](const cq::ConjunctiveQuery& query) -> Status {
         if (ir_.arity == 0) {
           TREEQ_ASSIGN_OR_RETURN(
-              answer, cq::EvaluateBooleanAcyclic(query, doc.tree(),
-                                                 doc.orders(), exec,
-                                                 &doc.label_index(),
+              answer, cq::EvaluateBooleanAcyclic(query, doc, exec,
                                                  options.axis_memo));
         } else if (ir_.arity == 1) {
           TREEQ_ASSIGN_OR_RETURN(
               NodeSet selected,
-              cq::EvaluateUnaryAcyclic(query, doc.tree(), doc.orders(), exec,
-                                       &doc.label_index(),
-                                       options.axis_memo));
+              cq::EvaluateUnaryAcyclic(query, doc, exec, options.axis_memo));
           nodes.UnionWith(selected);
         } else {
           TREEQ_ASSIGN_OR_RETURN(
               TupleSet matches,
-              cq::EvaluateAcyclic(query, doc, UINT64_MAX, exec,
-                                  options.axis_memo));
+              cq::EvaluateAcyclic(query, doc, exec, options.axis_memo));
           for (std::vector<NodeId>& t : matches) {
             tuples.push_back(std::move(t));
           }
@@ -541,7 +534,7 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       if (query_.language == Language::kFo) {
         TREEQ_ASSIGN_OR_RETURN(
             bool answer,
-            fo::EvaluateSentenceNaive(*query_.fo, doc, UINT64_MAX, exec));
+            fo::EvaluateSentenceNaive(*query_.fo, doc, exec));
         out.value.emplace<bool>(answer);
         return out;
       }
@@ -550,7 +543,7 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
         if (answer) break;
         TREEQ_ASSIGN_OR_RETURN(
             bool branch_answer,
-            fo::EvaluateSentenceNaive(*sentence, doc, UINT64_MAX, exec));
+            fo::EvaluateSentenceNaive(*sentence, doc, exec));
         answer = branch_answer;
       }
       out.value.emplace<bool>(answer);

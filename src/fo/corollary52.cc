@@ -166,11 +166,10 @@ Result<std::vector<cq::ConjunctiveQuery>> PositiveFoToCqUnion(
   return out;
 }
 
-Result<bool> EvaluateSentencePositive(const Formula& formula, const Tree& tree,
-                                      const TreeOrders& orders,
+Result<bool> EvaluateSentencePositive(const Formula& formula,
+                                      const Document& doc,
                                       Corollary52Stats* stats,
-                                      const ExecContext& exec,
-                                      const LabelIndex* index) {
+                                      const ExecContext& exec) {
   if (!FreeVariables(formula).empty()) {
     return Status::InvalidArgument("formula has free variables");
   }
@@ -187,9 +186,9 @@ Result<bool> EvaluateSentencePositive(const Formula& formula, const Tree& tree,
           static_cast<int>(rewritten.queries.size());
     }
     for (const cq::ConjunctiveQuery& acyclic : rewritten.queries) {
-      TREEQ_ASSIGN_OR_RETURN(bool satisfiable,
-                             cq::EvaluateBooleanAcyclicForest(
-                                 acyclic, tree, orders, exec, index));
+      TREEQ_ASSIGN_OR_RETURN(
+          bool satisfiable,
+          cq::EvaluateBooleanAcyclicForest(acyclic, doc, exec));
       if (satisfiable) return true;
     }
   }

@@ -6,7 +6,6 @@
 #include "cq/ast.h"
 #include "fo/ast.h"
 #include "tree/document.h"
-#include "tree/orders.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -39,25 +38,14 @@ struct Corollary52Stats {
 };
 
 /// Corollary 5.2: truth of a positive FO sentence via the pipeline above.
-/// Each Yannakakis pass charges the ExecContext 1 + n/64 per axis image
+/// Each Yannakakis pass seeds its label atoms from the document's
+/// LabelIndex and charges the ExecContext 1 + n/64 per axis image
 /// (cq::FullReducer), so budgets, deadlines and cancellation trip inside
-/// it. `index`, when set, seeds the label atoms' candidate sets from the
-/// document's LabelIndex.
+/// it.
 Result<bool> EvaluateSentencePositive(
-    const Formula& formula, const Tree& tree, const TreeOrders& orders,
-    Corollary52Stats* stats = nullptr,
-    const ExecContext& exec = ExecContext::Unbounded(),
-    const LabelIndex* index = nullptr);
-
-/// Document-taking overload (tree/document.h): uses the document's cached
-/// LabelIndex.
-inline Result<bool> EvaluateSentencePositive(
     const Formula& formula, const Document& doc,
     Corollary52Stats* stats = nullptr,
-    const ExecContext& exec = ExecContext::Unbounded()) {
-  return EvaluateSentencePositive(formula, doc.tree(), doc.orders(), stats,
-                                  exec, &doc.label_index());
-}
+    const ExecContext& exec = ExecContext::Unbounded());
 
 }  // namespace fo
 }  // namespace treeq

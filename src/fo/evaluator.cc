@@ -9,16 +9,11 @@ namespace {
 
 class NaiveChecker {
  public:
-  NaiveChecker(const Tree& tree, const TreeOrders& orders, uint64_t budget,
-               const ExecContext& exec)
-      : tree_(tree), orders_(orders), budget_(budget), exec_(exec) {}
+  NaiveChecker(const Document& doc, const ExecContext& exec)
+      : tree_(doc.tree()), orders_(doc.orders()), exec_(exec) {}
 
   Result<bool> Eval(const Formula& f, std::map<std::string, NodeId>* env) {
     TREEQ_RETURN_IF_ERROR(exec_.Charge(1));
-    if (budget_ == 0) {
-      return Status::ResourceExhausted("naive FO evaluation budget exceeded");
-    }
-    --budget_;
     switch (f.kind) {
       case Formula::Kind::kLabel:
         return tree_.HasLabel(Lookup(f.var0, env), f.label);
@@ -82,29 +77,27 @@ class NaiveChecker {
 
   const Tree& tree_;
   const TreeOrders& orders_;
-  uint64_t budget_;
   const ExecContext& exec_;
 };
 
 }  // namespace
 
-Result<bool> EvaluateSentenceNaive(const Formula& formula, const Tree& tree,
-                                   const TreeOrders& orders, uint64_t budget,
+Result<bool> EvaluateSentenceNaive(const Formula& formula,
+                                   const Document& doc,
                                    const ExecContext& exec) {
   if (!FreeVariables(formula).empty()) {
     return Status::InvalidArgument("formula has free variables");
   }
-  NaiveChecker checker(tree, orders, budget, exec);
+  NaiveChecker checker(doc, exec);
   std::map<std::string, NodeId> env;
   return checker.Eval(formula, &env);
 }
 
-Result<cq::TupleSet> EvaluateFoNaive(const Formula& formula, const Tree& tree,
-                                     const TreeOrders& orders,
-                                     uint64_t budget,
+Result<cq::TupleSet> EvaluateFoNaive(const Formula& formula,
+                                     const Document& doc,
                                      const ExecContext& exec) {
   std::vector<std::string> free_vars = FreeVariables(formula);
-  NaiveChecker checker(tree, orders, budget, exec);
+  NaiveChecker checker(doc, exec);
   cq::TupleSet result;
   std::vector<NodeId> tuple(free_vars.size(), 0);
   std::map<std::string, NodeId> env;
@@ -116,7 +109,7 @@ Result<cq::TupleSet> EvaluateFoNaive(const Formula& formula, const Tree& tree,
     TREEQ_ASSIGN_OR_RETURN(bool holds, checker.Eval(formula, &env));
     if (holds) result.push_back(tuple);
     size_t pos = 0;
-    while (pos < tuple.size() && ++tuple[pos] == tree.num_nodes()) {
+    while (pos < tuple.size() && ++tuple[pos] == doc.num_nodes()) {
       tuple[pos] = 0;
       ++pos;
     }

@@ -1,12 +1,9 @@
 #ifndef TREEQ_FO_EVALUATOR_H_
 #define TREEQ_FO_EVALUATOR_H_
 
-#include <cstdint>
-
 #include "cq/ast.h"
 #include "fo/ast.h"
 #include "tree/document.h"
-#include "tree/orders.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -22,35 +19,20 @@ namespace treeq {
 namespace fo {
 
 /// Truth of a closed (sentence) formula. InvalidArgument if free variables
-/// remain; ResourceExhausted if `budget` recursion steps are exceeded. The
-/// ExecContext is charged one unit per recursion step, so deadlines and
-/// cancellation abort the PSPACE-hard recursion cooperatively.
-Result<bool> EvaluateSentenceNaive(const Formula& formula, const Tree& tree,
-                                   const TreeOrders& orders,
-                                   uint64_t budget = UINT64_MAX,
+/// remain. The ExecContext is charged one unit per recursion step, so
+/// visit budgets bound the recursion and deadlines and cancellation abort
+/// the PSPACE-hard recursion cooperatively.
+Result<bool> EvaluateSentenceNaive(const Formula& formula,
+                                   const Document& doc,
                                    const ExecContext& exec =
                                        ExecContext::Unbounded());
 
 /// All satisfying assignments of the free variables (in FreeVariables
-/// order), deduplicated and sorted.
-Result<cq::TupleSet> EvaluateFoNaive(const Formula& formula, const Tree& tree,
-                                     const TreeOrders& orders,
-                                     uint64_t budget = UINT64_MAX,
+/// order), deduplicated and sorted. Charged as EvaluateSentenceNaive.
+Result<cq::TupleSet> EvaluateFoNaive(const Formula& formula,
+                                     const Document& doc,
                                      const ExecContext& exec =
                                          ExecContext::Unbounded());
-
-/// Document-taking overloads (tree/document.h); thin forwarders.
-inline Result<bool> EvaluateSentenceNaive(
-    const Formula& formula, const Document& doc, uint64_t budget = UINT64_MAX,
-    const ExecContext& exec = ExecContext::Unbounded()) {
-  return EvaluateSentenceNaive(formula, doc.tree(), doc.orders(), budget,
-                               exec);
-}
-inline Result<cq::TupleSet> EvaluateFoNaive(
-    const Formula& formula, const Document& doc, uint64_t budget = UINT64_MAX,
-    const ExecContext& exec = ExecContext::Unbounded()) {
-  return EvaluateFoNaive(formula, doc.tree(), doc.orders(), budget, exec);
-}
 
 }  // namespace fo
 }  // namespace treeq

@@ -82,18 +82,10 @@ std::optional<EngineKind> ParseEngineName(std::string_view name) {
   return std::nullopt;
 }
 
-DocStats DocStats::For(const Document& doc) {
-  DocStats stats;
-  stats.nodes = static_cast<uint64_t>(doc.num_nodes());
-  stats.doc = &doc;
-  return stats;
-}
-
 uint64_t DocStats::LabelFrequency(std::string_view label) const {
-  if (doc == nullptr) return nodes;
   // Items() returns an empty stream for kNullLabel / unknown labels.
-  const LabelId id = doc->tree().label_table().Lookup(label);
-  return doc->label_index().Items(id).size();
+  const LabelId id = doc.tree().label_table().Lookup(label);
+  return doc.label_index().Items(id).size();
 }
 
 uint64_t DocStats::VarCandidates(const IrVar& var) const {

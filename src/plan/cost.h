@@ -48,13 +48,13 @@ const char* EngineName(EngineKind kind);
 /// std::nullopt for anything else.
 std::optional<EngineKind> ParseEngineName(std::string_view name);
 
-/// Cheap per-document statistics for the cost formulas. Holds a borrowed
-/// Document pointer for label-frequency lookups; must not outlive it.
+/// Cheap per-document statistics for the cost formulas. Borrows the
+/// Document for label-frequency lookups; must not outlive it.
 struct DocStats {
-  uint64_t nodes = 0;
-  const Document* doc = nullptr;
+  uint64_t nodes;
+  const Document& doc;
 
-  static DocStats For(const Document& doc);
+  static DocStats For(const Document& doc) { return DocStats(doc); }
 
   /// Occurrences of `label` in the document (0 for unknown labels).
   uint64_t LabelFrequency(std::string_view label) const;
@@ -63,6 +63,10 @@ struct DocStats {
   /// unlabeled variable — the candidate-set size a label-driven engine
   /// scans for this variable.
   uint64_t VarCandidates(const IrVar& var) const;
+
+ private:
+  explicit DocStats(const Document& d)
+      : nodes(static_cast<uint64_t>(d.num_nodes())), doc(d) {}
 };
 
 /// Estimated cost of answering `plan` with `kind`, saturating at

@@ -591,11 +591,6 @@ std::vector<NodeId> StreamMatcher::SelectedNodes() const {
 const StreamStats& StreamMatcher::stats() const { return impl_->stats(); }
 
 Result<bool> StreamMatcher::MatchTree(const xpath::PathExpr& query,
-                                      const Tree& tree, StreamStats* stats) {
-  return MatchTree(query, tree, stats, ExecContext::Unbounded());
-}
-
-Result<bool> StreamMatcher::MatchTree(const xpath::PathExpr& query,
                                       const Tree& tree, StreamStats* stats,
                                       const ExecContext& exec) {
   TREEQ_OBS_SPAN("stream.match_tree");
@@ -605,11 +600,6 @@ Result<bool> StreamMatcher::MatchTree(const xpath::PathExpr& query,
       tree, [&matcher](const SaxEvent& e) { matcher->OnEvent(e); }, exec));
   if (stats != nullptr) *stats = matcher->stats();
   return matcher->Matches();
-}
-
-Result<std::vector<NodeId>> StreamMatcher::SelectFromTree(
-    const xpath::PathExpr& query, const Tree& tree, StreamStats* stats) {
-  return SelectFromTree(query, tree, stats, ExecContext::Unbounded());
 }
 
 Result<std::vector<NodeId>> StreamMatcher::SelectFromTree(

@@ -72,26 +72,23 @@ class StreamMatcher {
 
   const StreamStats& stats() const;
 
-  /// Convenience: stream a whole tree and report the Boolean result.
+  /// Convenience: stream a whole tree (its SAX events, stream/sax.h) and
+  /// report the Boolean result. `exec` is charged one unit per SAX event,
+  /// and the stream aborts mid-way when a limit trips. Because the
+  /// matcher's state is O(depth * |Q|), aborting leaves nothing big to
+  /// tear down — this is the engine's graceful-degradation fallback path.
   static Result<bool> MatchTree(const xpath::PathExpr& query,
                                 const Tree& tree,
-                                StreamStats* stats = nullptr);
+                                StreamStats* stats = nullptr,
+                                const ExecContext& exec =
+                                    ExecContext::Unbounded());
 
-  /// Convenience: stream a whole tree and report selected nodes.
+  /// Convenience: stream a whole tree and report selected nodes; charged
+  /// as MatchTree.
   static Result<std::vector<NodeId>> SelectFromTree(
       const xpath::PathExpr& query, const Tree& tree,
-      StreamStats* stats = nullptr);
-
-  /// Bounded variants (util/exec_context.h): charge `exec` one unit per SAX
-  /// event and abort mid-stream when a limit trips. Because the matcher's
-  /// state is O(depth * |Q|), aborting leaves nothing big to tear down —
-  /// this is the engine's graceful-degradation fallback path.
-  static Result<bool> MatchTree(const xpath::PathExpr& query,
-                                const Tree& tree, StreamStats* stats,
-                                const ExecContext& exec);
-  static Result<std::vector<NodeId>> SelectFromTree(
-      const xpath::PathExpr& query, const Tree& tree, StreamStats* stats,
-      const ExecContext& exec);
+      StreamStats* stats = nullptr,
+      const ExecContext& exec = ExecContext::Unbounded());
 
  private:
   class Impl;

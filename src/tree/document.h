@@ -11,18 +11,19 @@
 #include "tree/tree.h"
 
 /// \file document.h
-/// A `Document` bundles a Tree with its precomputed TreeOrders in one
-/// immutable value, so callers stop threading `(tree, orders)` pairs through
-/// every evaluator. Orders are computed lazily on first access (thread-safe,
-/// exactly once) or can be supplied up front. The per-label inverted index
-/// (tree/label_index.h) is cached the same way, so repeated queries against
-/// one document never rescan the arena for label streams.
+/// A `Document` bundles a Tree with its TreeOrders (<pre, <post, <bflr)
+/// and its per-label inverted index (tree/label_index.h) in one immutable
+/// value: the structure every query algorithm reads. It is the only way
+/// into the evaluators — each xpath, cq, datalog and fo entry point takes
+/// `(query, const Document&, ..., const ExecContext&)` — so label atoms
+/// always read the cached index and never rescan the arena. Orders and the
+/// index are computed lazily on first access (thread-safe, exactly once);
+/// orders can also be supplied up front.
 ///
 /// A Document is immutable after construction and safe to share read-only
 /// across threads; the engine's DocumentStore (engine/document_store.h)
 /// hands out `DocumentPtr` (shared_ptr<const Document>) handles on that
-/// basis. Every evaluator entry point (xpath/cq/datalog/fo) has a
-/// Document-taking overload.
+/// basis.
 
 namespace treeq {
 

@@ -14,8 +14,8 @@
 /// Per-document inverted label index: for every label, the nodes carrying
 /// it, in document (pre) order. Built in one arena pass, it replaces the
 /// per-query-node `Tree::NodesWithLabel` scans (plus their sorts) that the
-/// structural/twig joins used to issue — a k-node twig query does one index
-/// build (or zero, when the Document caches it) instead of k scans.
+/// structural/twig joins used to issue. The Document (tree/document.h)
+/// builds it once and every query over that document reads it.
 ///
 /// Two views are exposed:
 ///   - Items(label):  the sorted JoinItem stream the structural joins and

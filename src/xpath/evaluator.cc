@@ -8,24 +8,32 @@ namespace xpath {
 
 namespace {
 
-/// Evaluation context: the tree, its orders, and (optionally) the
-/// document's cached label index. With an index, the label-filter step is a
-/// word-wise copy of a prebuilt bitmap; without, it falls back to the
-/// arena scan.
-///
-/// When `exec` is set, every subexpression operation charges the
-/// ExecContext; the first failed charge lands in `*abort` and all further
-/// recursion short-circuits (returning empty sets that the entry point
-/// discards in favor of the abort status).
+/// Evaluation context: the document's tree, orders and label index, and
+/// the ExecContext every subexpression operation charges. The first failed
+/// charge lands in `abort` and all further recursion short-circuits
+/// (returning empty sets that the entry point discards in favor of the
+/// abort status).
 struct EvalCtx {
   const Tree& tree;
   const TreeOrders& orders;
-  const LabelIndex* labels = nullptr;
-  const ExecContext* exec = nullptr;
-  Status* abort = nullptr;
+  const LabelIndex& labels;
+  const ExecContext& exec;
+  Status& abort;
   // Cross-query axis-image memo (tree/axes.h), consulted per step.
   AxisImageMemo* memo = nullptr;
 };
+
+/// True once the evaluation has tripped a limit.
+bool Aborted(const EvalCtx& ctx) { return !ctx.abort.ok(); }
+
+/// Charges `units` against the context's budget; returns false (recording
+/// the abort status) when a limit trips.
+bool ChargeOp(const EvalCtx& ctx, uint64_t units) {
+  Status s = ctx.exec.Charge(units);
+  if (s.ok()) return true;
+  ctx.abort = std::move(s);
+  return false;
+}
 
 /// One axis-image step with the charge schedule 1 + |from| (a memo hit
 /// charges its lookup instead). Returns false after recording the abort
@@ -36,41 +44,12 @@ bool StepImage(const EvalCtx& ctx, Axis axis, const NodeSet& from,
     // A memo hit charges the lookup actually paid — one op plus the words
     // fingerprinted — not the O(|from|) kernel work it saved. Budgets
     // meter real cost, so a hit must not burn budget for skipped work.
-    if (ctx.exec != nullptr) {
-      Status s =
-          ctx.exec->Charge(1 + static_cast<uint64_t>(from.num_words()));
-      if (!s.ok()) {
-        *ctx.abort = std::move(s);
-        return false;
-      }
-    }
-    return true;
+    return ChargeOp(ctx, 1 + static_cast<uint64_t>(from.num_words()));
   }
-  if (ctx.exec != nullptr) {
-    Status s = ctx.exec->Charge(1 + static_cast<uint64_t>(from.size()));
-    if (!s.ok()) {
-      *ctx.abort = std::move(s);
-      return false;
-    }
-  }
+  if (!ChargeOp(ctx, 1 + static_cast<uint64_t>(from.size()))) return false;
   AxisImage(ctx.tree, ctx.orders, axis, from, to);
   if (ctx.memo != nullptr) ctx.memo->Store(axis, from, *to);
   return true;
-}
-
-/// True once a bounded evaluation has tripped a limit.
-bool Aborted(const EvalCtx& ctx) {
-  return ctx.abort != nullptr && !ctx.abort->ok();
-}
-
-/// Charges `units` against the context's budget; returns false (recording
-/// the abort status) when a limit trips.
-bool ChargeOp(const EvalCtx& ctx, uint64_t units) {
-  if (ctx.exec == nullptr) return true;
-  Status s = ctx.exec->Charge(units);
-  if (s.ok()) return true;
-  *ctx.abort = std::move(s);
-  return false;
 }
 
 NodeSet EvalPathCtx(const EvalCtx& ctx, const PathExpr& path,
@@ -129,14 +108,7 @@ NodeSet EvalQualifierCtx(const EvalCtx& ctx, const Qualifier& q) {
     case Qualifier::Kind::kLabel: {
       LabelId label = ctx.tree.label_table().Lookup(q.label);
       if (label == kNullLabel) return NodeSet(n);
-      if (ctx.labels != nullptr) {
-        return ctx.labels->Set(label);  // word-wise copy of the cached set
-      }
-      NodeSet out(n);
-      for (NodeId v = 0; v < n; ++v) {
-        if (ctx.tree.HasLabel(v, label)) out.Insert(v);
-      }
-      return out;
+      return ctx.labels.Set(label);  // word-wise copy of the cached set
     }
     case Qualifier::Kind::kAnd: {
       NodeSet out = EvalQualifierCtx(ctx, *q.left);
@@ -194,83 +166,32 @@ NodeSet EvalPathExistsCtx(const EvalCtx& ctx, const PathExpr& path,
   return NodeSet(n);
 }
 
-}  // namespace
-
-NodeSet EvalPath(const Tree& tree, const TreeOrders& orders,
-                 const PathExpr& path, const NodeSet& context) {
-  return EvalPathCtx(EvalCtx{tree, orders}, path, context);
-}
-
-NodeSet EvalQualifier(const Tree& tree, const TreeOrders& orders,
-                      const Qualifier& q) {
-  return EvalQualifierCtx(EvalCtx{tree, orders}, q);
-}
-
-NodeSet EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
-                          const PathExpr& path) {
-  TREEQ_OBS_SPAN("xpath.eval");
-  return EvalPath(tree, orders, path,
-                  NodeSet::Singleton(tree.num_nodes(), tree.root()));
-}
-
-NodeSet EvalPath(const Document& doc, const PathExpr& path,
-                 const NodeSet& context) {
-  return EvalPathCtx(EvalCtx{doc.tree(), doc.orders(), &doc.label_index()},
-                     path, context);
-}
-
-NodeSet EvalQualifier(const Document& doc, const Qualifier& q) {
-  return EvalQualifierCtx(EvalCtx{doc.tree(), doc.orders(),
-                                  &doc.label_index()},
-                          q);
-}
-
-NodeSet EvalQueryFromRoot(const Document& doc, const PathExpr& path) {
-  TREEQ_OBS_SPAN("xpath.eval");
-  return EvalPath(doc, path,
-                  NodeSet::Singleton(doc.num_nodes(), doc.tree().root()));
-}
-
-Result<NodeSet> EvalPath(const Document& doc, const PathExpr& path,
-                         const NodeSet& context, const ExecContext& exec) {
+/// [[path]](context) on `doc`, or the status of the first limit tripped.
+Result<NodeSet> Evaluate(const Document& doc, const PathExpr& path,
+                         const NodeSet& context, const ExecContext& exec,
+                         AxisImageMemo* memo) {
   Status abort;
-  EvalCtx ctx{doc.tree(), doc.orders(), &doc.label_index(), &exec, &abort};
+  EvalCtx ctx{doc.tree(), doc.orders(), doc.label_index(), exec, abort,
+              memo};
   NodeSet out = EvalPathCtx(ctx, path, context);
   if (!abort.ok()) return abort;
   return out;
 }
 
-Result<NodeSet> EvalQueryFromRoot(const Document& doc, const PathExpr& path,
-                                  const ExecContext& exec) {
-  TREEQ_OBS_SPAN("xpath.eval");
-  return EvalPath(doc, path,
-                  NodeSet::Singleton(doc.num_nodes(), doc.tree().root()),
-                  exec);
-}
+}  // namespace
 
-Result<NodeSet> EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
-                                  const PathExpr& path,
-                                  const ExecContext& exec) {
-  TREEQ_OBS_SPAN("xpath.eval");
-  Status abort;
-  EvalCtx ctx{tree, orders, nullptr, &exec, &abort};
-  NodeSet out = EvalPathCtx(
-      ctx, path, NodeSet::Singleton(tree.num_nodes(), tree.root()));
-  if (!abort.ok()) return abort;
-  return out;
+Result<NodeSet> EvalPath(const Document& doc, const PathExpr& path,
+                         const NodeSet& context, const ExecContext& exec) {
+  return Evaluate(doc, path, context, exec, /*memo=*/nullptr);
 }
 
 Result<NodeSet> EvalQueryFromRoot(const Document& doc, const PathExpr& path,
                                   const ExecContext& exec,
                                   AxisImageMemo* memo) {
   TREEQ_OBS_SPAN("xpath.eval");
-  Status abort;
-  EvalCtx ctx{doc.tree(), doc.orders(), &doc.label_index(), &exec, &abort,
-              memo};
-  NodeSet out = EvalPathCtx(
-      ctx, path, NodeSet::Singleton(doc.num_nodes(), doc.tree().root()));
-  if (!abort.ok()) return abort;
-  return out;
+  return Evaluate(doc, path,
+                  NodeSet::Singleton(doc.num_nodes(), doc.tree().root()),
+                  exec, memo);
 }
 
 }  // namespace xpath

@@ -3,8 +3,6 @@
 
 #include "tree/axes.h"
 #include "tree/document.h"
-#include "tree/orders.h"
-#include "tree/tree.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 #include "xpath/ast.h"
@@ -26,50 +24,33 @@ namespace xpath {
 
 /// All nodes reachable from `context` via `path`:
 /// union over n in context of [[path]]_NodeSet(n).
-NodeSet EvalPath(const Tree& tree, const TreeOrders& orders,
-                 const PathExpr& path, const NodeSet& context);
-
-/// The set B(q) of nodes satisfying the qualifier.
-NodeSet EvalQualifier(const Tree& tree, const TreeOrders& orders,
-                      const Qualifier& q);
-
-/// The unary Core XPath query [[path]](root) (Section 3).
-NodeSet EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
-                          const PathExpr& path);
-
-/// Document-taking overloads (tree/document.h). These route the label-filter
-/// step through the document's cached LabelIndex (tree/label_index.h), so a
-/// qualifier like [a] is a word-wise bitmap copy instead of an arena scan.
-NodeSet EvalPath(const Document& doc, const PathExpr& path,
-                 const NodeSet& context);
-NodeSet EvalQualifier(const Document& doc, const Qualifier& q);
-NodeSet EvalQueryFromRoot(const Document& doc, const PathExpr& path);
-
-/// Bounded variants (util/exec_context.h): identical semantics, but the
-/// evaluation charges `exec` one unit per subexpression operation plus one
-/// per context/restriction node touched, and aborts with the context's
-/// DeadlineExceeded / ResourceExhausted / Cancelled status as soon as a
-/// limit trips. The charge schedule is deterministic for a fixed
-/// (document, query) pair, so visit budgets are exactly reproducible.
+///
+/// The label-filter step reads the document's cached LabelIndex
+/// (tree/label_index.h), so a qualifier like [a] is a word-wise bitmap
+/// copy. The evaluation charges `exec` one unit per subexpression
+/// operation plus one per context/restriction node touched, and aborts
+/// with the context's DeadlineExceeded / ResourceExhausted / Cancelled
+/// status as soon as a limit trips. The charge schedule is deterministic
+/// for a fixed (document, query) pair, so visit budgets are exactly
+/// reproducible.
 Result<NodeSet> EvalPath(const Document& doc, const PathExpr& path,
-                         const NodeSet& context, const ExecContext& exec);
-Result<NodeSet> EvalQueryFromRoot(const Document& doc, const PathExpr& path,
-                                  const ExecContext& exec);
-Result<NodeSet> EvalQueryFromRoot(const Tree& tree, const TreeOrders& orders,
-                                  const PathExpr& path,
-                                  const ExecContext& exec);
+                         const NodeSet& context,
+                         const ExecContext& exec = ExecContext::Unbounded());
 
-/// Memoized variant: every axis-image step — forward steps and the inverse
-/// steps of qualifier paths alike — first consults `memo` (tree/axes.h; in
+/// The unary Core XPath query [[path]](root) (Section 3), charged as
+/// EvalPath.
+///
+/// With a `memo`, every axis-image step — forward steps and the inverse
+/// steps of qualifier paths alike — first consults it (tree/axes.h; in
 /// practice a cache::EvalCache::Memo bound to this document's epoch) and
 /// stores its freshly computed image back on a miss. The result is
 /// bit-identical to the unmemoized evaluation; only the charge schedule
 /// differs on hits, which charge the O(words) lookup (1 + |from| words)
-/// instead of the saved O(|from|) kernel work. A null memo degenerates to
-/// EvalQueryFromRoot(doc, path, exec) exactly.
-Result<NodeSet> EvalQueryFromRoot(const Document& doc, const PathExpr& path,
-                                  const ExecContext& exec,
-                                  AxisImageMemo* memo);
+/// instead of the saved O(|from|) kernel work.
+Result<NodeSet> EvalQueryFromRoot(
+    const Document& doc, const PathExpr& path,
+    const ExecContext& exec = ExecContext::Unbounded(),
+    AxisImageMemo* memo = nullptr);
 
 }  // namespace xpath
 }  // namespace treeq

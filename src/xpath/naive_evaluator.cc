@@ -9,9 +9,9 @@ namespace {
 
 class NaiveEvaluator {
  public:
-  NaiveEvaluator(const Tree& tree, const TreeOrders& orders, uint64_t budget,
-                 NaiveStats* stats, const ExecContext& exec)
-      : tree_(tree), orders_(orders), budget_(budget), stats_(stats),
+  NaiveEvaluator(const Document& doc, NaiveStats* stats,
+                 const ExecContext& exec)
+      : tree_(doc.tree()), orders_(doc.orders()), stats_(stats),
         exec_(exec) {}
 
   Result<NodeSet> EvalPath(const PathExpr& path, NodeId context) {
@@ -91,30 +91,21 @@ class NaiveEvaluator {
   Status Charge() {
     TREEQ_OBS_INC("xpath.naive.rule_applications");
     if (stats_ != nullptr) ++stats_->rule_applications;
-    TREEQ_RETURN_IF_ERROR(exec_.Charge(1));
-    if (budget_ == 0) {
-      TREEQ_OBS_INC("xpath.naive.budget_exhaustions");
-      return Status::ResourceExhausted(
-          "naive XPath evaluation budget exceeded");
-    }
-    --budget_;
-    return Status::OK();
+    return exec_.Charge(1);
   }
 
   const Tree& tree_;
   const TreeOrders& orders_;
-  uint64_t budget_;
   NaiveStats* stats_;
   const ExecContext& exec_;
 };
 
 }  // namespace
 
-Result<NodeSet> NaiveEvalPath(const Tree& tree, const TreeOrders& orders,
-                              const PathExpr& path, NodeId context,
-                              uint64_t budget, NaiveStats* stats,
+Result<NodeSet> NaiveEvalPath(const Document& doc, const PathExpr& path,
+                              NodeId context, NaiveStats* stats,
                               const ExecContext& exec) {
-  NaiveEvaluator eval(tree, orders, budget, stats, exec);
+  NaiveEvaluator eval(doc, stats, exec);
   return eval.EvalPath(path, context);
 }
 

@@ -4,8 +4,7 @@
 #include <cstdint>
 
 #include "tree/axes.h"
-#include "tree/orders.h"
-#include "tree/tree.h"
+#include "tree/document.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 #include "xpath/ast.h"
@@ -27,15 +26,12 @@ struct NaiveStats {
   uint64_t rule_applications = 0;
 };
 
-/// [[path]](context) as a node set, or ResourceExhausted if `budget` rule
-/// applications were exceeded (the evaluator is exponential; the budget
-/// keeps tests and benches bounded). The ExecContext (util/exec_context.h)
-/// is charged one unit per rule application, so deadlines and external
-/// budgets abort the recursion cooperatively.
-Result<NodeSet> NaiveEvalPath(const Tree& tree, const TreeOrders& orders,
-                              const PathExpr& path, NodeId context,
-                              uint64_t budget = UINT64_MAX,
-                              NaiveStats* stats = nullptr,
+/// [[path]](context) as a node set. The ExecContext (util/exec_context.h)
+/// is charged one unit per rule application, so visit budgets keep the
+/// exponential recursion bounded in tests and benches, and deadlines and
+/// cancellation abort it cooperatively.
+Result<NodeSet> NaiveEvalPath(const Document& doc, const PathExpr& path,
+                              NodeId context, NaiveStats* stats = nullptr,
                               const ExecContext& exec =
                                   ExecContext::Unbounded());
 

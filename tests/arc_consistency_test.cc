@@ -39,13 +39,12 @@ TEST_P(AcPropertyTest, OutputIsArcConsistentOrEmpty) {
   RandomTreeOptions opts;
   opts.num_nodes = 25;
   opts.attach_window = 1 + GetParam() % 6;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
-    AcResult ac = ComputeMaxArcConsistent(q, t, o);
+    AcResult ac = ComputeMaxArcConsistent(q, doc);
     if (ac.consistent) {
-      EXPECT_TRUE(IsArcConsistent(q, t, o, ac.theta)) << text;
+      EXPECT_TRUE(IsArcConsistent(q, doc, ac.theta)) << text;
     } else {
       bool some_empty = false;
       for (const NodeSet& s : ac.theta) some_empty |= s.empty();
@@ -58,14 +57,13 @@ TEST_P(AcPropertyTest, HornEncodingMatchesDirect) {
   Rng rng(50 + GetParam());
   RandomTreeOptions opts;
   opts.num_nodes = 20;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
     AcResult direct =
-        ComputeMaxArcConsistent(q, t, o, AcImplementation::kDirect);
+        ComputeMaxArcConsistent(q, doc, AcImplementation::kDirect);
     AcResult horn =
-        ComputeMaxArcConsistent(q, t, o, AcImplementation::kHornEncoding);
+        ComputeMaxArcConsistent(q, doc, AcImplementation::kHornEncoding);
     ASSERT_EQ(direct.consistent, horn.consistent) << text;
     ASSERT_EQ(direct.theta.size(), horn.theta.size());
     for (size_t x = 0; x < direct.theta.size(); ++x) {
@@ -81,8 +79,7 @@ TEST_P(AcPropertyTest, SubsumesAllSolutions) {
   Rng rng(100 + GetParam());
   RandomTreeOptions opts;
   opts.num_nodes = 15;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
     // Make every variable a head variable so solutions are full valuations.
@@ -90,8 +87,8 @@ TEST_P(AcPropertyTest, SubsumesAllSolutions) {
     while (static_cast<int>(full.head_vars().size()) < full.num_vars()) {
       full.AddHeadVar(static_cast<int>(full.head_vars().size()));
     }
-    AcResult ac = ComputeMaxArcConsistent(q, t, o);
-    Result<TupleSet> solutions = NaiveEvaluateCq(full, t, o);
+    AcResult ac = ComputeMaxArcConsistent(q, doc);
+    Result<TupleSet> solutions = NaiveEvaluateCq(full, doc);
     ASSERT_TRUE(solutions.ok());
     for (const std::vector<NodeId>& sol : solutions.value()) {
       for (int x = 0; x < q.num_vars(); ++x) {
@@ -172,12 +169,11 @@ TEST(AcGapTest, SatisfiableImpliesArcConsistentOnTrees) {
     RandomTreeOptions opts;
     opts.num_nodes = 12;
     opts.attach_window = 1 + seed % 6;
-    Tree t = RandomTree(&rng, opts);
-    TreeOrders o = ComputeOrders(t);
+    Document doc(RandomTree(&rng, opts));
     for (const char* text : kCyclicQueries) {
       ConjunctiveQuery q = MustParse(text);
-      AcResult ac = ComputeMaxArcConsistent(q, t, o);
-      Result<bool> sat = NaiveSatisfiableCq(q, t, o);
+      AcResult ac = ComputeMaxArcConsistent(q, doc);
+      Result<bool> sat = NaiveSatisfiableCq(q, doc);
       ASSERT_TRUE(sat.ok());
       if (sat.value()) EXPECT_TRUE(ac.consistent) << text;
     }
@@ -185,41 +181,40 @@ TEST(AcGapTest, SatisfiableImpliesArcConsistentOnTrees) {
 }
 
 TEST(AcTest, InitialRestrictionIsRespected) {
-  Tree t = Chain(5);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(5));
   ConjunctiveQuery q = MustParse("Q() :- Child+(x, y).");
   PreValuation initial(2, NodeSet::All(5));
   initial[0] = NodeSet::Singleton(5, 3);  // x pinned to node 3
-  AcResult ac = ComputeMaxArcConsistent(q, t, o, AcImplementation::kDirect,
+  AcResult ac = ComputeMaxArcConsistent(q, doc, AcImplementation::kDirect,
                                         &initial);
   ASSERT_TRUE(ac.consistent);
   EXPECT_EQ(ac.theta[0].ToVector(), std::vector<NodeId>{3});
   EXPECT_EQ(ac.theta[1].ToVector(), std::vector<NodeId>{4});
 
   initial[0] = NodeSet::Singleton(5, 4);  // x pinned to the leaf: no y
-  AcResult ac2 = ComputeMaxArcConsistent(q, t, o, AcImplementation::kDirect,
+  AcResult ac2 = ComputeMaxArcConsistent(q, doc, AcImplementation::kDirect,
                                          &initial);
   EXPECT_FALSE(ac2.consistent);
   AcResult ac2h = ComputeMaxArcConsistent(
-      q, t, o, AcImplementation::kHornEncoding, &initial);
+      q, doc, AcImplementation::kHornEncoding, &initial);
   EXPECT_FALSE(ac2h.consistent);
 }
 
 // kDirect against the Horn encoding (the paper's construction) and the
 // definition, for one query, with and without an `initial` restriction.
-void ExpectDirectMatchesHorn(const ConjunctiveQuery& q, const Tree& t,
-                             const TreeOrders& o, const PreValuation* initial) {
+void ExpectDirectMatchesHorn(const ConjunctiveQuery& q, const Document& doc,
+                             const PreValuation* initial) {
   AcResult direct =
-      ComputeMaxArcConsistent(q, t, o, AcImplementation::kDirect, initial);
+      ComputeMaxArcConsistent(q, doc, AcImplementation::kDirect, initial);
   AcResult horn = ComputeMaxArcConsistent(
-      q, t, o, AcImplementation::kHornEncoding, initial);
+      q, doc, AcImplementation::kHornEncoding, initial);
   ASSERT_EQ(direct.consistent, horn.consistent) << q.ToString();
   ASSERT_EQ(direct.theta.size(), horn.theta.size());
   for (size_t x = 0; x < direct.theta.size(); ++x) {
     EXPECT_EQ(direct.theta[x], horn.theta[x]) << q.ToString() << " var " << x;
   }
   if (direct.consistent) {
-    EXPECT_TRUE(IsArcConsistent(q, t, o, direct.theta)) << q.ToString();
+    EXPECT_TRUE(IsArcConsistent(q, doc, direct.theta)) << q.ToString();
   }
 }
 
@@ -236,8 +231,8 @@ TEST_P(AcEveryAxisTest, DirectMatchesHornAndDefinition) {
   opts.num_nodes = sizes[GetParam() % 3];
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
   const int n = t.num_nodes();
   for (int a = 0; a < kNumAxes; ++a) {
     const Axis axis = static_cast<Axis>(a);
@@ -260,14 +255,14 @@ TEST_P(AcEveryAxisTest, DirectMatchesHornAndDefinition) {
     queries[3].AddAxisAtom(Axis::kFollowing, 0, 2);
     queries[3].AddLabelAtom("a", 2);
     for (const ConjunctiveQuery& q : queries) {
-      ExpectDirectMatchesHorn(q, t, o, nullptr);
+      ExpectDirectMatchesHorn(q, doc, nullptr);
       PreValuation initial(q.num_vars(), NodeSet(n));
       for (NodeSet& set : initial) {
         for (NodeId v = 0; v < n; ++v) {
           if (rng.Bernoulli(0.6)) set.Insert(v);
         }
       }
-      ExpectDirectMatchesHorn(q, t, o, &initial);
+      ExpectDirectMatchesHorn(q, doc, &initial);
     }
   }
 }
@@ -291,25 +286,24 @@ TEST_P(AcEveryAxisTest, CyclicTauBodiesMatchHorn) {
   opts.num_nodes = 40 + 80 * (GetParam() % 3);
   opts.attach_window = 2 + GetParam() % 4;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
   for (const char* text : kBodies) {
     ConjunctiveQuery q = MustParse(text);
-    ExpectDirectMatchesHorn(q, t, o, nullptr);
+    ExpectDirectMatchesHorn(q, doc, nullptr);
     PreValuation initial(q.num_vars(), NodeSet::All(t.num_nodes()));
     initial[0] = NodeSet(t.num_nodes());
     for (NodeId v = 0; v < t.num_nodes(); v += 3) initial[0].Insert(v);
-    ExpectDirectMatchesHorn(q, t, o, &initial);
+    ExpectDirectMatchesHorn(q, doc, &initial);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AcEveryAxisTest, ::testing::Range(0, 6));
 
 TEST(AcTest, UnsatisfiableLabelYieldsInconsistent) {
-  Tree t = Chain(4, "a");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(4, "a"));
   ConjunctiveQuery q = MustParse("Q() :- Lab_missing(x).");
-  EXPECT_FALSE(ComputeMaxArcConsistent(q, t, o).consistent);
+  EXPECT_FALSE(ComputeMaxArcConsistent(q, doc).consistent);
 }
 
 }  // namespace

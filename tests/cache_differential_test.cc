@@ -9,7 +9,7 @@
 //   - 100-seed corpus: random documents and random tree-shaped k-ary CQs
 //     (the par_differential recipe) evaluated via Plan::Execute with an
 //     axis memo, cold and warm, against the memo-free execution; same for
-//     a pool of XPath queries through EvalQueryFromRoot's memo overload.
+//     a pool of XPath queries through EvalQueryFromRoot's memo argument.
 //   - Engine level: the same corpus served twice through an Executor with
 //     eval + result caches and singleflight on — the second pass is all
 //     cache hits — against Plan::Execute.

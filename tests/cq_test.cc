@@ -3,8 +3,8 @@
 #include "cq/ast.h"
 #include "cq/naive.h"
 #include "cq/parser.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace treeq {
@@ -86,50 +86,47 @@ TEST(CqAstTest, AxesUsedDeduplicates) {
 }
 
 TEST(NaiveCqTest, UnaryQueryOnChain) {
-  Tree t = Chain(4, "a", "b");  // a b a b
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(4, "a", "b"));  // a b a b
   ConjunctiveQuery q = MustParse("Q(x) :- Child(x, y), Lab_b(y).");
-  Result<TupleSet> r = NaiveEvaluateCq(q, t, o);
+  Result<TupleSet> r = NaiveEvaluateCq(q, doc);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), (TupleSet{{0}, {2}}));
 }
 
 TEST(NaiveCqTest, BooleanSemantics) {
-  Tree t = Chain(3);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(3));
   ConjunctiveQuery sat = MustParse("Q() :- Child(x, y), Child(y, z).");
   ConjunctiveQuery unsat =
       MustParse("Q() :- Child(x, y), NextSibling(x, y).");
-  EXPECT_TRUE(NaiveSatisfiableCq(sat, t, o).value());
-  EXPECT_FALSE(NaiveSatisfiableCq(unsat, t, o).value());
-  EXPECT_EQ(NaiveEvaluateCq(sat, t, o).value(), (TupleSet{{}}));
-  EXPECT_TRUE(NaiveEvaluateCq(unsat, t, o).value().empty());
+  EXPECT_TRUE(NaiveSatisfiableCq(sat, doc).value());
+  EXPECT_FALSE(NaiveSatisfiableCq(unsat, doc).value());
+  EXPECT_EQ(NaiveEvaluateCq(sat, doc).value(), (TupleSet{{}}));
+  EXPECT_TRUE(NaiveEvaluateCq(unsat, doc).value().empty());
 }
 
 TEST(NaiveCqTest, BinaryProjection) {
-  Tree t = Star(4);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Star(4));
   ConjunctiveQuery q = MustParse("Q(x, y) :- NextSibling(x, y).");
-  Result<TupleSet> r = NaiveEvaluateCq(q, t, o);
+  Result<TupleSet> r = NaiveEvaluateCq(q, doc);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), (TupleSet{{1, 2}, {2, 3}}));
 }
 
 TEST(NaiveCqTest, BudgetAborts) {
-  Tree t = Chain(50);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(50));
   ConjunctiveQuery q = MustParse(
       "Q() :- Child+(a, b), Child+(b, c), Child+(c, d), Child+(d, e).");
-  Result<TupleSet> r = NaiveEvaluateCq(q, t, o, /*budget=*/10);
-  EXPECT_FALSE(r.ok());
+  const ExecContext budget = ExecContext::WithVisitBudget(10);
+  Result<TupleSet> r = NaiveEvaluateCq(q, doc, /*stats=*/nullptr, budget);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(NaiveCqTest, SatisfiableStopsEarly) {
-  Tree t = Chain(60);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(60));
   ConjunctiveQuery q = MustParse("Q() :- Child+(x, y).");
   NaiveCqStats stats;
-  ASSERT_TRUE(NaiveSatisfiableCq(q, t, o, UINT64_MAX, &stats).value());
+  ASSERT_TRUE(NaiveSatisfiableCq(q, doc, &stats).value());
   // Finds (0, 1) nearly immediately rather than enumerating all pairs.
   EXPECT_LT(stats.assignments_tried, 20u);
 }

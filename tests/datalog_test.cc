@@ -7,8 +7,8 @@
 #include "datalog/grounder.h"
 #include "datalog/parser.h"
 #include "datalog/tmnf.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace treeq {
@@ -133,10 +133,10 @@ Tree AncestorLTree() {
 }
 
 TEST(DatalogEvalTest, Example31SelectsNodesWithLDescendant) {
-  Tree tree = AncestorLTree();
+  Document doc(AncestorLTree());
   Result<Program> p = ParseProgram(kExample31);
   ASSERT_TRUE(p.ok());
-  Result<NodeSet> result = EvaluateDatalog(p.value(), tree);
+  Result<NodeSet> result = EvaluateDatalog(p.value(), doc);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Following the program text (and its grounding in Example 3.3, which
   // derives P at the root above the L node), P marks the nodes with a
@@ -147,22 +147,22 @@ TEST(DatalogEvalTest, Example31SelectsNodesWithLDescendant) {
 }
 
 TEST(DatalogEvalTest, DerivedAxisProgram) {
-  Tree tree = AncestorLTree();
+  Document doc(AncestorLTree());
   // Same query written directly with Child+.
   Result<Program> p = ParseProgram(
       "Q(x) :- Child+(y, x), Label(\"L\", y). ?- Q.");
   ASSERT_TRUE(p.ok());
-  Result<NodeSet> result = EvaluateDatalog(p.value(), tree);
+  Result<NodeSet> result = EvaluateDatalog(p.value(), doc);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().ToVector(), (std::vector<NodeId>{2, 3}));
 }
 
 TEST(DatalogEvalTest, StatsReportSizes) {
-  Tree tree = AncestorLTree();
+  Document doc(AncestorLTree());
   Result<Program> p = ParseProgram(kExample31);
   ASSERT_TRUE(p.ok());
   EvalStats stats;
-  Result<NodeSet> result = EvaluateDatalog(p.value(), tree, &stats);
+  Result<NodeSet> result = EvaluateDatalog(p.value(), doc, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(stats.tmnf_rules, 0);
   EXPECT_GT(stats.ground_clauses, 0);
@@ -180,8 +180,7 @@ TEST_P(DatalogAgreementTest, PipelineMatchesNaiveOracle) {
   opts.num_nodes = 30;
   opts.attach_window = 1 + GetParam() % 6;
   opts.alphabet = {"a", "b", "L"};
-  Tree tree = RandomTree(&rng, opts);
-  TreeOrders orders = ComputeOrders(tree);
+  Document doc(RandomTree(&rng, opts));
 
   const char* kPrograms[] = {
       kExample31,
@@ -214,9 +213,9 @@ TEST_P(DatalogAgreementTest, PipelineMatchesNaiveOracle) {
   for (const char* text : kPrograms) {
     Result<Program> p = ParseProgram(text);
     ASSERT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-    Result<NodeSet> fast = EvaluateDatalog(p.value(), tree);
+    Result<NodeSet> fast = EvaluateDatalog(p.value(), doc);
     ASSERT_TRUE(fast.ok()) << fast.status().ToString() << "\n" << text;
-    Result<NodeSet> slow = EvaluateDatalogNaive(p.value(), tree, orders);
+    Result<NodeSet> slow = EvaluateDatalogNaive(p.value(), doc);
     ASSERT_TRUE(slow.ok()) << slow.status().ToString();
     EXPECT_EQ(fast.value().ToVector(), slow.value().ToVector())
         << "program:\n"

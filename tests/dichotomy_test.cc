@@ -65,8 +65,7 @@ TEST_P(DichotomyAgreementTest, DispatcherMatchesNaive) {
   RandomTreeOptions opts;
   opts.num_nodes = 18;
   opts.attach_window = 1 + GetParam() % 5;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   struct Case {
     const char* text;
     bool tractable;
@@ -84,10 +83,10 @@ TEST_P(DichotomyAgreementTest, DispatcherMatchesNaive) {
   for (const Case& c : kCases) {
     ConjunctiveQuery q = MustParse(c.text);
     bool used_tractable = false;
-    Result<bool> fast = EvaluateBooleanDichotomy(q, t, o, &used_tractable);
+    Result<bool> fast = EvaluateBooleanDichotomy(q, doc, &used_tractable);
     ASSERT_TRUE(fast.ok()) << c.text << ": " << fast.status().ToString();
     EXPECT_EQ(used_tractable, c.tractable) << c.text;
-    Result<bool> slow = NaiveSatisfiableCq(q, t, o);
+    Result<bool> slow = NaiveSatisfiableCq(q, doc);
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(fast.value(), slow.value()) << c.text;
   }

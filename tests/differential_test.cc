@@ -8,7 +8,7 @@
 
 #include "cq/twig_join.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
+#include "tree/document.h"
 #include "tree/tree.h"
 #include "tree/xml.h"
 #include "util/random.h"
@@ -142,12 +142,15 @@ struct XPathComparison {
   NodeSet naive;
 };
 
-XPathComparison CompareXPath(const Tree& tree, const TreeOrders& orders,
-                             const xpath::PathExpr& path) {
+// Both run on a Document over a copy of `tree`, so the minimizer can keep
+// shrinking the tree itself.
+XPathComparison CompareXPath(const Tree& tree, const xpath::PathExpr& path) {
+  const Document doc(tree);
+  const ExecContext budget = ExecContext::WithVisitBudget(50'000'000);
   XPathComparison cmp;
-  cmp.set_at_a_time = xpath::EvalQueryFromRoot(tree, orders, path);
-  Result<NodeSet> naive = xpath::NaiveEvalPath(tree, orders, path, tree.root(),
-                                               /*budget=*/50'000'000);
+  cmp.set_at_a_time = xpath::EvalQueryFromRoot(doc, path).value();
+  Result<NodeSet> naive =
+      xpath::NaiveEvalPath(doc, path, tree.root(), /*stats=*/nullptr, budget);
   if (!naive.ok()) return cmp;
   cmp.ok = true;
   cmp.naive = std::move(naive).value();
@@ -156,8 +159,7 @@ XPathComparison CompareXPath(const Tree& tree, const TreeOrders& orders,
 }
 
 bool Mismatches(const Tree& tree, const xpath::PathExpr& path) {
-  TreeOrders orders = ComputeOrders(tree);
-  XPathComparison cmp = CompareXPath(tree, orders, path);
+  XPathComparison cmp = CompareXPath(tree, path);
   return cmp.ok && !cmp.agree;
 }
 
@@ -268,8 +270,7 @@ void ReportMinimizedXPath(Tree tree, std::unique_ptr<xpath::PathExpr> path,
     if (smaller.num_nodes() < tree.num_nodes()) progressed = true;
     tree = std::move(smaller);
   }
-  TreeOrders orders = ComputeOrders(tree);
-  XPathComparison cmp = CompareXPath(tree, orders, *path);
+  XPathComparison cmp = CompareXPath(tree, *path);
   std::string naive_nodes, set_nodes;
   cmp.naive.ForEachMember(
       [&](NodeId n) { naive_nodes += std::to_string(n) + " "; });
@@ -288,10 +289,9 @@ TEST(DifferentialTest, NaiveVsSetAtATime) {
   for (uint64_t seed = 0; seed < kTrials; ++seed) {
     Rng rng(seed);
     Tree tree = RandomDocument(&rng, /*max_nodes=*/65);
-    TreeOrders orders = ComputeOrders(tree);
     std::unique_ptr<xpath::PathExpr> path =
         RandomPath(&rng, /*max_steps=*/3, /*qualifier_depth=*/2);
-    XPathComparison cmp = CompareXPath(tree, orders, *path);
+    XPathComparison cmp = CompareXPath(tree, *path);
     ASSERT_TRUE(cmp.ok) << "seed " << seed
                         << ": naive interpreter blew its safety budget on "
                         << xpath::ToString(*path);
@@ -378,13 +378,12 @@ TEST(DifferentialTest, TwigJoinsVsEachOtherAndXPath) {
   for (uint64_t seed = 0; seed < kTrials; ++seed) {
     Rng rng(1000 + seed);
     Tree tree = RandomDocument(&rng, /*max_nodes=*/129);
-    TreeOrders orders = ComputeOrders(tree);
+    const Document doc(tree);
     cq::TwigPattern pattern = RandomTwig(&rng, /*max_nodes=*/4);
     ASSERT_TRUE(pattern.Validate().ok()) << pattern.ToString();
 
-    Result<cq::TupleSet> stack = cq::TwigStackJoin(pattern, tree, orders);
-    Result<cq::TupleSet> joins =
-        cq::TwigByStructuralJoins(pattern, tree, orders);
+    Result<cq::TupleSet> stack = cq::TwigStackJoin(pattern, doc);
+    Result<cq::TupleSet> joins = cq::TwigByStructuralJoins(pattern, doc);
     ASSERT_TRUE(stack.ok()) << stack.status().ToString();
     ASSERT_TRUE(joins.ok()) << joins.status().ToString();
     cq::TupleSet stack_tuples = Sorted(std::move(stack).value());
@@ -399,19 +398,20 @@ TEST(DifferentialTest, TwigJoinsVsEachOtherAndXPath) {
       }
       std::unique_ptr<xpath::PathExpr> column_query =
           TwigColumnXPath(pattern, col);
-      NodeSet via_xpath = xpath::EvalQueryFromRoot(tree, orders, *column_query);
+      NodeSet via_xpath =
+          xpath::EvalQueryFromRoot(doc, *column_query).value();
       if (projected == via_xpath) continue;
       // Minimize the document before reporting (query stays fixed — the
       // twig is already tiny).
       Tree shrunk = ShrinkTree(std::move(tree), [&](const Tree& t) {
-        TreeOrders o = ComputeOrders(t);
-        Result<cq::TupleSet> ts = cq::TwigStackJoin(pattern, t, o);
+        const Document d(t);
+        Result<cq::TupleSet> ts = cq::TwigStackJoin(pattern, d);
         if (!ts.ok()) return false;
         NodeSet p(t.num_nodes());
         for (const std::vector<NodeId>& tuple : ts.value()) {
           p.Insert(tuple[static_cast<size_t>(col)]);
         }
-        return !(p == xpath::EvalQueryFromRoot(t, o, *column_query));
+        return !(p == xpath::EvalQueryFromRoot(d, *column_query).value());
       });
       ADD_FAILURE() << "seed " << 1000 + seed << ": twig column " << col
                     << " disagrees with XPath on minimized case\n"

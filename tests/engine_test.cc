@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -50,7 +51,7 @@ TEST(PlanTest, XPathPlanMatchesDirectEvaluator) {
   EXPECT_FALSE(got->is_boolean());
 
   auto ast = xpath::ParseXPath(query).value();
-  NodeSet expected = xpath::EvalQueryFromRoot(*doc, *ast);
+  NodeSet expected = xpath::EvalQueryFromRoot(*doc, *ast).value();
   EXPECT_EQ(got->nodes(), expected);
   EXPECT_EQ(got->cardinality(), static_cast<size_t>(expected.size()));
 }
@@ -308,7 +309,7 @@ TEST(ExecutorTest, SingleRequest) {
   Result<QueryResult> r = f.get();
   ASSERT_TRUE(r.ok());
   auto ast = xpath::ParseXPath("//review/rating5").value();
-  EXPECT_EQ(r->nodes(), xpath::EvalQueryFromRoot(*doc, *ast));
+  EXPECT_EQ(r->nodes(), xpath::EvalQueryFromRoot(*doc, *ast).value());
 }
 
 TEST(ExecutorTest, NullPlanOrDocumentFailsCleanly) {
@@ -964,6 +965,37 @@ TEST(ExecutorTest, BoundedRequestsAggregateVisitCounter) {
   ASSERT_TRUE(s.future.get().ok());
   EXPECT_EQ(reg.CounterValue("exec.visits"), s.context->visits_used());
   EXPECT_GT(reg.CounterValue("exec.visits"), 0u);
+}
+
+// Both twig engines read the document's cached LabelIndex: once it is
+// built, forced runs of either engine build no other index, on any branch
+// of a union plan.
+TEST(PlanTest, TwigEnginesReuseTheDocumentLabelIndex) {
+  obs::StatsRegistry& reg = obs::StatsRegistry::Global();
+  DocumentPtr doc = Catalog(41, 30);
+  (void)doc->label_index();
+  PlanPtr plan = Plan::Compile(Language::kDatalog,
+                               "Q(x) :- Child+(y, x), Lab_product(y), "
+                               "Lab_rating5(x).\n"
+                               "Q(x) :- Child(y, x), Lab_review(y), "
+                               "Lab_comment(x).\n"
+                               "?- Q.")
+                     .value();
+  const std::vector<plan::EngineKind>& eligible = plan->EligibleEngines();
+  ASSERT_NE(std::find(eligible.begin(), eligible.end(),
+                      plan::EngineKind::kStructuralJoins),
+            eligible.end());
+  const uint64_t builds = reg.CounterValue("labelindex.builds");
+  for (const char* route : {"cq.structural_joins", "cq.twigstack"}) {
+    ExecuteOptions options;
+    options.force_route = route;
+    Result<QueryResult> r =
+        plan->Execute(*doc, ExecContext::Unbounded(), options);
+    ASSERT_TRUE(r.ok()) << route << ": " << r.status().ToString();
+    EXPECT_STREQ(r->engine, route);
+    EXPECT_GT(r->cardinality(), 0u) << route;
+    EXPECT_EQ(reg.CounterValue("labelindex.builds"), builds) << route;
+  }
 }
 
 #endif  // TREEQ_OBS_DISABLED

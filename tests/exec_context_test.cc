@@ -8,8 +8,8 @@
 
 #include "fault/fault.h"
 #include "obs/stats.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
 
@@ -165,8 +165,7 @@ TEST(ExecContextTest, EvaluatorBudgetIsReproducible) {
   Rng rng(7);
   RandomTreeOptions opt;
   opt.num_nodes = 200;
-  Tree tree = RandomTree(&rng, opt);
-  TreeOrders orders = ComputeOrders(tree);
+  Document doc(RandomTree(&rng, opt));
   auto path = xpath::ParseXPath("//a[b]//c").value();
 
   // Find the exact cost of the query under an unlimited (but metered)
@@ -175,19 +174,19 @@ TEST(ExecContextTest, EvaluatorBudgetIsReproducible) {
   ExecContext::Limits metered;
   metered.visit_budget = UINT64_MAX - 1;
   ExecContext meter(metered);
-  ASSERT_TRUE(xpath::EvalQueryFromRoot(tree, orders, *path, meter).ok());
+  ASSERT_TRUE(xpath::EvalQueryFromRoot(doc, *path, meter).ok());
   const uint64_t cost = meter.visits_used();
   ASSERT_GT(cost, 0u);
 
   for (int run = 0; run < 3; ++run) {
     ExecContext enough = ExecContext::WithVisitBudget(cost);
-    Result<NodeSet> ok = xpath::EvalQueryFromRoot(tree, orders, *path, enough);
+    Result<NodeSet> ok = xpath::EvalQueryFromRoot(doc, *path, enough);
     EXPECT_TRUE(ok.ok()) << run;
     EXPECT_EQ(enough.visits_used(), cost);
 
     ExecContext starved = ExecContext::WithVisitBudget(cost - 1);
     Result<NodeSet> fail =
-        xpath::EvalQueryFromRoot(tree, orders, *path, starved);
+        xpath::EvalQueryFromRoot(doc, *path, starved);
     ASSERT_FALSE(fail.ok()) << run;
     EXPECT_EQ(fail.status().code(), StatusCode::kResourceExhausted);
     // Partial progress: the failed run spent its whole budget.

@@ -7,8 +7,8 @@
 #include "fo/corollary52.h"
 #include "fo/evaluator.h"
 #include "fo/parser.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 
 namespace treeq {
@@ -66,45 +66,43 @@ TEST(FoParserTest, ToStringRoundTrips) {
 }
 
 TEST(FoNaiveTest, SentencesOnAChain) {
-  Tree t = Chain(5, "a", "b");  // a b a b a
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(5, "a", "b"));  // a b a b a
   EXPECT_TRUE(EvaluateSentenceNaive(
                   *MustParse("exists x . exists y . Child(x, y) and "
                              "Lab_a(x) and Lab_b(y)"),
-                  t, o)
+                  doc)
                   .value());
   EXPECT_FALSE(EvaluateSentenceNaive(
-                   *MustParse("exists x . exists y . NextSibling(x, y)"), t,
-                   o)
+                   *MustParse("exists x . exists y . NextSibling(x, y)"), doc)
                    .value());
   // Universals and negation: every node has at most one child (a chain).
   EXPECT_TRUE(
       EvaluateSentenceNaive(
           *MustParse("forall x . forall y . forall z . (not Child(x, y) or "
                      "not Child(x, z) or y = z)"),
-          t, o)
+          doc)
           .value());
-  EXPECT_FALSE(EvaluateSentenceNaive(
-                   *MustParse("forall x . Lab_a(x)"), t, o)
-                   .value());
+  EXPECT_FALSE(
+      EvaluateSentenceNaive(*MustParse("forall x . Lab_a(x)"), doc).value());
 }
 
 TEST(FoNaiveTest, FreeVariablesYieldTuples) {
-  Tree t = Chain(4, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(4, "a", "b"));
   auto f = MustParse("Child(x, y) and Lab_b(y)");
-  Result<cq::TupleSet> r = EvaluateFoNaive(*f, t, o);
+  Result<cq::TupleSet> r = EvaluateFoNaive(*f, doc);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), (cq::TupleSet{{0, 1}, {2, 3}}));
 }
 
 TEST(FoNaiveTest, BudgetAborts) {
-  Tree t = Chain(40);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(40));
   auto f = MustParse(
       "exists a . exists b . exists c . exists d . (Child+(a, b) and "
       "Child+(b, c) and Child+(c, d))");
-  EXPECT_FALSE(EvaluateSentenceNaive(*f, t, o, /*budget=*/100).ok());
+  const ExecContext budget = ExecContext::WithVisitBudget(100);
+  Result<bool> r = EvaluateSentenceNaive(*f, doc, budget);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(DnfTest, CountsDisjunctsMultiplicatively) {
@@ -139,8 +137,7 @@ TEST_P(Cor52AgreementTest, PipelineMatchesNaive) {
   opts.num_nodes = 16;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
 
   const char* kSentences[] = {
       "exists x . Lab_a(x)",
@@ -157,9 +154,9 @@ TEST_P(Cor52AgreementTest, PipelineMatchesNaive) {
   for (const char* text : kSentences) {
     auto f = MustParse(text);
     ASSERT_TRUE(IsPositive(*f)) << text;
-    Result<bool> fast = EvaluateSentencePositive(*f, t, o);
+    Result<bool> fast = EvaluateSentencePositive(*f, doc);
     ASSERT_TRUE(fast.ok()) << text << ": " << fast.status().ToString();
-    Result<bool> slow = EvaluateSentenceNaive(*f, t, o);
+    Result<bool> slow = EvaluateSentenceNaive(*f, doc);
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(fast.value(), slow.value()) << text;
   }
@@ -170,10 +167,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Cor52AgreementTest, ::testing::Range(0, 8));
 TEST(Cor52Test, StatsReportPipelineShape) {
   auto f = MustParse(
       "exists x . exists y . ((Lab_a(x) or Lab_b(x)) and Child+(x, y))");
-  Tree t = Chain(6, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(6, "a", "b"));
   Corollary52Stats stats;
-  Result<bool> r = EvaluateSentencePositive(*f, t, o, &stats);
+  Result<bool> r = EvaluateSentencePositive(*f, doc, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
   EXPECT_EQ(stats.cq_disjuncts, 2);
@@ -183,9 +179,8 @@ TEST(Cor52Test, StatsReportPipelineShape) {
 
 TEST(Cor52Test, RejectsNonSentences) {
   auto f = MustParse("Lab_a(x)");
-  Tree t = Chain(2);
-  TreeOrders o = ComputeOrders(t);
-  EXPECT_FALSE(EvaluateSentencePositive(*f, t, o).ok());
+  Document doc(Chain(2));
+  EXPECT_FALSE(EvaluateSentencePositive(*f, doc).ok());
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include "datalog/evaluator.h"
 #include "stream/stream_eval.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
+#include "tree/document.h"
 #include "tree/xml.h"
 #include "util/random.h"
 #include "xpath/evaluator.h"
@@ -39,12 +39,10 @@ class IntegrationTest : public ::testing::Test {
     std::string xml = WriteXml(generated);
     Result<Tree> reparsed = ParseXml(xml);
     ASSERT_TRUE(reparsed.ok());
-    tree_ = std::make_unique<Tree>(std::move(reparsed).value());
-    orders_ = std::make_unique<TreeOrders>(ComputeOrders(*tree_));
+    doc_ = std::make_unique<Document>(std::move(reparsed).value());
   }
 
-  std::unique_ptr<Tree> tree_;
-  std::unique_ptr<TreeOrders> orders_;
+  std::unique_ptr<Document> doc_;
 };
 
 TEST_F(IntegrationTest, AllEnginesAgreeOnConjunctiveQueries) {
@@ -60,25 +58,25 @@ TEST_F(IntegrationTest, AllEnginesAgreeOnConjunctiveQueries) {
     auto p = std::move(xpath::ParseXPath(text)).value();
 
     // Engine 1: linear set-at-a-time.
-    NodeSet direct = xpath::EvalQueryFromRoot(*tree_, *orders_, *p);
+    NodeSet direct = xpath::EvalQueryFromRoot(*doc_, *p).value();
     // Engine 2: naive recursive semantics.
     Result<NodeSet> naive =
-        xpath::NaiveEvalPath(*tree_, *orders_, *p, tree_->root());
+        xpath::NaiveEvalPath(*doc_, *p, doc_->tree().root());
     ASSERT_TRUE(naive.ok()) << text;
     EXPECT_EQ(direct.ToVector(), naive.value().ToVector()) << text;
     // Engine 3: datalog pipeline.
     auto program = std::move(xpath::XPathToDatalog(*p)).value();
     auto via_datalog =
-        std::move(datalog::EvaluateDatalog(program, *tree_)).value();
+        std::move(datalog::EvaluateDatalog(program, *doc_)).value();
     EXPECT_EQ(direct.ToVector(), via_datalog.ToVector()) << text;
     // Engine 4: forward rewrite + linear evaluation.
     auto fwd = std::move(xpath::ToForwardXPath(*p)).value();
-    NodeSet via_forward = xpath::EvalQueryFromRoot(*tree_, *orders_, *fwd);
+    NodeSet via_forward = xpath::EvalQueryFromRoot(*doc_, *fwd).value();
     EXPECT_EQ(direct.ToVector(), via_forward.ToVector()) << text;
     // Engine 5: streaming over SAX events (selection mode if supported,
     // Boolean otherwise).
     auto matcher = std::move(stream::StreamMatcher::Compile(*fwd)).value();
-    stream::StreamTree(*tree_, [&matcher](const stream::SaxEvent& e) {
+    stream::StreamTree(doc_->tree(), [&matcher](const stream::SaxEvent& e) {
       matcher->OnEvent(e);
     });
     EXPECT_EQ(matcher->Matches(), !direct.empty()) << text;
@@ -94,14 +92,14 @@ TEST_F(IntegrationTest, TwigAndXPathAgree) {
   twig.nodes.push_back({"product", Axis::kDescendant, -1});
   twig.nodes.push_back({"rating5", Axis::kDescendant, 0});
   twig.nodes.push_back({"comment", Axis::kDescendant, 0});
-  auto matches = std::move(cq::TwigStackJoin(twig, *tree_, *orders_)).value();
-  NodeSet roots(tree_->num_nodes());
+  auto matches = std::move(cq::TwigStackJoin(twig, *doc_)).value();
+  NodeSet roots(doc_->num_nodes());
   for (const auto& m : matches) roots.Insert(m[0]);
 
   auto p = std::move(xpath::ParseXPath(
                          "//product[descendant::rating5][descendant::comment]"))
                .value();
-  NodeSet via_xpath = xpath::EvalQueryFromRoot(*tree_, *orders_, *p);
+  NodeSet via_xpath = xpath::EvalQueryFromRoot(*doc_, *p).value();
   EXPECT_EQ(roots.ToVector(), via_xpath.ToVector());
 }
 
@@ -120,20 +118,16 @@ TEST_F(IntegrationTest, CqEnginesAgreeOnTreeAndCyclicQueries) {
   };
   for (const Case& c : kCases) {
     auto q = std::move(cq::ParseCq(c.text)).value();
-    bool expected = std::move(cq::NaiveSatisfiableCq(q, *tree_, *orders_))
-                        .value();
-    EXPECT_EQ(std::move(cq::EvaluateBooleanTreewidth(q, *tree_, *orders_))
-                  .value(),
+    bool expected = std::move(cq::NaiveSatisfiableCq(q, *doc_)).value();
+    EXPECT_EQ(std::move(cq::EvaluateBooleanTreewidth(q, *doc_)).value(),
               expected)
         << c.text;
-    EXPECT_EQ(
-        std::move(cq::EvaluateBooleanDichotomy(q, *tree_, *orders_)).value(),
-        expected)
+    EXPECT_EQ(std::move(cq::EvaluateBooleanDichotomy(q, *doc_)).value(),
+              expected)
         << c.text;
     if (c.tree_shaped) {
-      EXPECT_EQ(
-          std::move(cq::EvaluateBooleanAcyclic(q, *tree_, *orders_)).value(),
-          expected)
+      EXPECT_EQ(std::move(cq::EvaluateBooleanAcyclic(q, *doc_)).value(),
+                expected)
           << c.text;
     }
   }
@@ -141,11 +135,11 @@ TEST_F(IntegrationTest, CqEnginesAgreeOnTreeAndCyclicQueries) {
 
 TEST(DeepTreeTest, EnginesSurviveDeepDocuments) {
   const int kDepth = 4000;
-  Tree deep = Chain(kDepth, "a", "b");
-  TreeOrders orders = ComputeOrders(deep);
+  Document doc(Chain(kDepth, "a", "b"));
+  const Tree& deep = doc.tree();
 
   auto p = std::move(xpath::ParseXPath("//b[not(a)]")).value();
-  NodeSet direct = xpath::EvalQueryFromRoot(deep, orders, *p);
+  NodeSet direct = xpath::EvalQueryFromRoot(doc, *p).value();
   EXPECT_EQ(direct.size(), 1);  // only the deepest b has no a below
 
   auto fwd_ok = stream::StreamMatcher::MatchTree(*p, deep);
@@ -155,7 +149,7 @@ TEST(DeepTreeTest, EnginesSurviveDeepDocuments) {
   auto program = std::move(xpath::XPathToDatalog(
                                *std::move(xpath::ParseXPath("//b[a]")).value()))
                      .value();
-  auto via_datalog = datalog::EvaluateDatalog(program, deep);
+  auto via_datalog = datalog::EvaluateDatalog(program, doc);
   ASSERT_TRUE(via_datalog.ok());
   EXPECT_EQ(via_datalog.value().size(), kDepth / 2 - 1);
 
@@ -167,26 +161,26 @@ TEST(DeepTreeTest, EnginesSurviveDeepDocuments) {
 }
 
 TEST(SingleNodeTest, AllEnginesHandleTheSmallestTree) {
-  Tree t = Chain(1, "only");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(1, "only"));
+  const Tree& t = doc.tree();
 
   auto p = std::move(xpath::ParseXPath("/only")).value();
-  EXPECT_EQ(xpath::EvalQueryFromRoot(t, o, *p).size(), 1);
+  EXPECT_EQ(xpath::EvalQueryFromRoot(doc, *p).value().size(), 1);
   // "//x" abbreviates descendant-or-self::*/child::x, so it cannot select
   // the context root itself; descendant-or-self::x can.
   auto dslash = std::move(xpath::ParseXPath("//only")).value();
-  EXPECT_EQ(xpath::EvalQueryFromRoot(t, o, *dslash).size(), 0);
+  EXPECT_EQ(xpath::EvalQueryFromRoot(doc, *dslash).value().size(), 0);
   auto any = std::move(xpath::ParseXPath("descendant-or-self::only")).value();
-  EXPECT_EQ(xpath::EvalQueryFromRoot(t, o, *any).size(), 1);
+  EXPECT_EQ(xpath::EvalQueryFromRoot(doc, *any).value().size(), 1);
   auto child = std::move(xpath::ParseXPath("only")).value();
-  EXPECT_EQ(xpath::EvalQueryFromRoot(t, o, *child).size(), 0);
+  EXPECT_EQ(xpath::EvalQueryFromRoot(doc, *child).value().size(), 0);
 
   auto q = std::move(cq::ParseCq("Q(x) :- Lab_only(x).")).value();
-  EXPECT_EQ(std::move(cq::EvaluateAcyclic(q, t, o)).value(),
+  EXPECT_EQ(std::move(cq::EvaluateAcyclic(q, doc)).value(),
             (cq::TupleSet{{0}}));
 
   auto unsat = std::move(cq::ParseCq("Q() :- Child(x, y).")).value();
-  EXPECT_FALSE(std::move(cq::EvaluateBooleanTreewidth(unsat, t, o)).value());
+  EXPECT_FALSE(std::move(cq::EvaluateBooleanTreewidth(unsat, doc)).value());
 
   stream::StreamStats stats;
   auto matched = stream::StreamMatcher::MatchTree(*any, t, &stats);

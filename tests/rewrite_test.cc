@@ -104,10 +104,10 @@ bool IsAcyclicOutput(const ConjunctiveQuery& q) {
 }
 
 Result<TupleSet> EvalUnion(const std::vector<ConjunctiveQuery>& queries,
-                           const Tree& t, const TreeOrders& o) {
+                           const Document& doc) {
   TupleSet all;
   for (const ConjunctiveQuery& q : queries) {
-    TREEQ_ASSIGN_OR_RETURN(TupleSet part, NaiveEvaluateCq(q, t, o));
+    TREEQ_ASSIGN_OR_RETURN(TupleSet part, NaiveEvaluateCq(q, doc));
     for (auto& tuple : part) all.push_back(std::move(tuple));
   }
   CanonicalizeTuples(&all);
@@ -140,8 +140,7 @@ TEST_P(RewritePropertyTest, UnionIsEquivalentAndAcyclic) {
   opts.num_nodes = 13;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kRewriteInputs) {
     ConjunctiveQuery input = MustParse(text);
     Result<RewriteOutput> rewritten = RewriteToAcyclicUnion(input);
@@ -150,10 +149,9 @@ TEST_P(RewritePropertyTest, UnionIsEquivalentAndAcyclic) {
     for (const ConjunctiveQuery& q : rewritten.value().queries) {
       EXPECT_TRUE(IsAcyclicOutput(q)) << text << " -> " << q.ToString();
     }
-    Result<TupleSet> original = NaiveEvaluateCq(input, t, o);
+    Result<TupleSet> original = NaiveEvaluateCq(input, doc);
     ASSERT_TRUE(original.ok());
-    Result<TupleSet> union_result =
-        EvalUnion(rewritten.value().queries, t, o);
+    Result<TupleSet> union_result = EvalUnion(rewritten.value().queries, doc);
     ASSERT_TRUE(union_result.ok());
     EXPECT_EQ(union_result.value(), original.value()) << text;
   }
@@ -165,8 +163,7 @@ TEST_P(RewritePropertyTest, LazyVariantIsEquivalentToo) {
   opts.num_nodes = 13;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kRewriteInputs) {
     ConjunctiveQuery input = MustParse(text);
     Result<RewriteOutput> rewritten = RewriteToAcyclicUnionLazy(input);
@@ -175,10 +172,9 @@ TEST_P(RewritePropertyTest, LazyVariantIsEquivalentToo) {
     for (const ConjunctiveQuery& q : rewritten.value().queries) {
       EXPECT_TRUE(IsAcyclicOutput(q)) << text << " -> " << q.ToString();
     }
-    Result<TupleSet> original = NaiveEvaluateCq(input, t, o);
+    Result<TupleSet> original = NaiveEvaluateCq(input, doc);
     ASSERT_TRUE(original.ok());
-    Result<TupleSet> union_result =
-        EvalUnion(rewritten.value().queries, t, o);
+    Result<TupleSet> union_result = EvalUnion(rewritten.value().queries, doc);
     ASSERT_TRUE(union_result.ok());
     EXPECT_EQ(union_result.value(), original.value()) << text;
   }
@@ -245,8 +241,7 @@ TEST_P(RewriteCnsTest, ChildNextSiblingSpecialCaseIsEquivalent) {
   RandomTreeOptions opts;
   opts.num_nodes = 15;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   const char* kInputs[] = {
       "Q() :- Child(x, z), Child(y, z), Lab_a(x).",   // forces x = y
       "Q() :- Child(x, z), NextSibling(y, z).",
@@ -262,7 +257,7 @@ TEST_P(RewriteCnsTest, ChildNextSiblingSpecialCaseIsEquivalent) {
         RewriteChildNextSibling(input);
     ASSERT_TRUE(rewritten.ok()) << text << ": "
                                 << rewritten.status().ToString();
-    Result<TupleSet> original = NaiveEvaluateCq(input, t, o);
+    Result<TupleSet> original = NaiveEvaluateCq(input, doc);
     ASSERT_TRUE(original.ok());
     if (!rewritten.value().has_value()) {
       EXPECT_TRUE(original.value().empty()) << text;
@@ -270,7 +265,7 @@ TEST_P(RewriteCnsTest, ChildNextSiblingSpecialCaseIsEquivalent) {
     }
     EXPECT_TRUE(IsAcyclicOutput(*rewritten.value()))
         << text << " -> " << rewritten.value()->ToString();
-    Result<TupleSet> after = NaiveEvaluateCq(*rewritten.value(), t, o);
+    Result<TupleSet> after = NaiveEvaluateCq(*rewritten.value(), doc);
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after.value(), original.value()) << text;
   }

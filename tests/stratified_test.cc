@@ -4,8 +4,8 @@
 
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -80,14 +80,14 @@ TEST(AugmentLabelsTest, PreservesStructureAndAddsLabels) {
 
 TEST(EvaluateStratifiedTest, NodesWithoutBDescendants) {
   // Chain a b a b a: NoB holds at nodes whose subtree below has no b.
-  Tree t = Chain(5, "a", "b");
+  Document doc(Chain(5, "a", "b"));
   Program p = MustParse(R"(
     HasB(x) :- Child+(x, y), Lab_b(y).
     NoB(x)  :- Dom(x), not HasB(x).
     ?- NoB.
   )");
   StratifiedStats stats;
-  Result<NodeSet> r = EvaluateStratified(p, t, &stats);
+  Result<NodeSet> r = EvaluateStratified(p, doc, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Node 3 (b) has only node 4 (a) below; node 4 is a leaf.
   EXPECT_EQ(r.value().ToVector(), (std::vector<NodeId>{3, 4}));
@@ -95,30 +95,30 @@ TEST(EvaluateStratifiedTest, NodesWithoutBDescendants) {
 }
 
 TEST(EvaluateStratifiedTest, PlainProgramsStillWork) {
-  Tree t = Chain(4, "a", "b");
+  Document doc(Chain(4, "a", "b"));
   Program p = MustParse("Q(x) :- Lab_b(x). ?- Q.");
-  Result<NodeSet> stratified = EvaluateStratified(p, t);
-  Result<NodeSet> plain = EvaluateDatalog(p, t);
+  Result<NodeSet> stratified = EvaluateStratified(p, doc);
+  Result<NodeSet> plain = EvaluateDatalog(p, doc);
   ASSERT_TRUE(stratified.ok());
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(stratified.value().ToVector(), plain.value().ToVector());
 }
 
 TEST(EvaluateStratifiedTest, DoubleNegation) {
-  Tree t = Chain(6, "a", "b");
+  Document doc(Chain(6, "a", "b"));
   Program p = MustParse(R"(
     HasB(x)  :- Child+(x, y), Lab_b(y).
     NoB(x)   :- Dom(x), not HasB(x).
     HasB2(x) :- Dom(x), not NoB(x).
     ?- HasB2.
   )");
-  Result<NodeSet> direct = EvaluateStratified(p, t);
+  Result<NodeSet> direct = EvaluateStratified(p, doc);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   Program positive = MustParse(R"(
     HasB(x) :- Child+(x, y), Lab_b(y).
     ?- HasB.
   )");
-  Result<NodeSet> expected = EvaluateDatalog(positive, t);
+  Result<NodeSet> expected = EvaluateDatalog(positive, doc);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(direct.value().ToVector(), expected.value().ToVector());
 }
@@ -133,8 +133,7 @@ TEST_P(StratifiedXPathTest, NegatedXPathMatchesEvaluator) {
   opts.num_nodes = 22;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
 
   const char* kQueries[] = {
       "//a[not(b)]",
@@ -150,10 +149,10 @@ TEST_P(StratifiedXPathTest, NegatedXPathMatchesEvaluator) {
     Result<Program> program = xpath::XPathToStratifiedDatalog(*p);
     ASSERT_TRUE(program.ok()) << text << ": "
                               << program.status().ToString();
-    Result<NodeSet> via_datalog = EvaluateStratified(program.value(), t);
+    Result<NodeSet> via_datalog = EvaluateStratified(program.value(), doc);
     ASSERT_TRUE(via_datalog.ok()) << text << ": "
                                   << via_datalog.status().ToString();
-    NodeSet direct = xpath::EvalQueryFromRoot(t, o, *p);
+    NodeSet direct = xpath::EvalQueryFromRoot(doc, *p).value();
     EXPECT_EQ(via_datalog.value().ToVector(), direct.ToVector()) << text;
   }
 }
@@ -170,8 +169,8 @@ TEST(StratifiedXPathTest, PositiveQueriesProduceSameProgram) {
 TEST(StratifiedXPathTest, PlainEvaluatorRejectsNegatedPrograms) {
   auto p = std::move(xpath::ParseXPath("//a[not(b)]")).value();
   auto program = std::move(xpath::XPathToStratifiedDatalog(*p)).value();
-  Tree t = Chain(3, "a", "b");
-  EXPECT_FALSE(EvaluateDatalog(program, t).ok());
+  Document doc(Chain(3, "a", "b"));
+  EXPECT_FALSE(EvaluateDatalog(program, doc).ok());
 }
 
 }  // namespace

@@ -97,8 +97,8 @@ TEST_P(StreamAgreementTest, BooleanMatchesInMemoryEvaluator) {
   opts.num_nodes = 30;
   opts.attach_window = 1 + GetParam() % 6;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
 
   const char* kQueries[] = {
       "a",
@@ -120,7 +120,7 @@ TEST_P(StreamAgreementTest, BooleanMatchesInMemoryEvaluator) {
     Result<bool> streamed = StreamMatcher::MatchTree(*p, t);
     ASSERT_TRUE(streamed.ok()) << text << ": "
                                << streamed.status().ToString();
-    bool expected = !xpath::EvalQueryFromRoot(t, o, *p).empty();
+    bool expected = !xpath::EvalQueryFromRoot(doc, *p).value().empty();
     EXPECT_EQ(streamed.value(), expected) << text;
   }
 }
@@ -130,8 +130,8 @@ TEST_P(StreamAgreementTest, SelectionMatchesInMemoryEvaluator) {
   RandomTreeOptions opts;
   opts.num_nodes = 35;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
 
   // Selection-supported queries: non-final steps carry label tests only.
   const char* kQueries[] = {
@@ -151,7 +151,7 @@ TEST_P(StreamAgreementTest, SelectionMatchesInMemoryEvaluator) {
         StreamMatcher::SelectFromTree(*p, t);
     ASSERT_TRUE(streamed.ok()) << text << ": "
                                << streamed.status().ToString();
-    NodeSet expected = xpath::EvalQueryFromRoot(t, o, *p);
+    NodeSet expected = xpath::EvalQueryFromRoot(doc, *p).value();
     EXPECT_EQ(streamed.value(), expected.ToVector()) << text;
   }
 }
@@ -164,8 +164,8 @@ TEST_P(StreamAgreementTest, RandomQueriesMatchInMemoryEvaluator) {
   opts.num_nodes = 28;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
 
   static const Axis kDownward[] = {Axis::kSelf, Axis::kChild,
                                    Axis::kDescendant,
@@ -209,7 +209,7 @@ TEST_P(StreamAgreementTest, RandomQueriesMatchInMemoryEvaluator) {
     std::unique_ptr<xpath::PathExpr> p = gen_path(3);
     Result<bool> streamed = StreamMatcher::MatchTree(*p, t);
     ASSERT_TRUE(streamed.ok()) << xpath::ToString(*p);
-    bool expected = !xpath::EvalQueryFromRoot(t, o, *p).empty();
+    bool expected = !xpath::EvalQueryFromRoot(doc, *p).value().empty();
     EXPECT_EQ(streamed.value(), expected) << xpath::ToString(*p);
   }
 }
@@ -236,8 +236,8 @@ TEST(StreamMatcherTest, PipelineWithForwardRewriting) {
   Rng rng(77);
   CatalogOptions copts;
   copts.num_products = 20;
-  Tree t = CatalogDocument(&rng, copts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(CatalogDocument(&rng, copts));
+  const Tree& t = doc.tree();
   std::unique_ptr<xpath::PathExpr> backward =
       MustParse("//rating5/ancestor::product");
   Result<std::unique_ptr<xpath::PathExpr>> forward =
@@ -246,7 +246,7 @@ TEST(StreamMatcherTest, PipelineWithForwardRewriting) {
   Result<bool> streamed = StreamMatcher::MatchTree(*forward.value(), t);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(streamed.value(),
-            !xpath::EvalQueryFromRoot(t, o, *backward).empty());
+            !xpath::EvalQueryFromRoot(doc, *backward).value().empty());
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 
 #include <functional>
 
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -47,8 +47,7 @@ TEST_P(ToForwardPropertyTest, ForwardQueryIsEquivalentFromRoot) {
   opts.num_nodes = 25;
   opts.attach_window = 1 + GetParam() % 6;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
 
   const char* kQueries[] = {
       // Pure forward queries should stay equivalent.
@@ -70,8 +69,8 @@ TEST_P(ToForwardPropertyTest, ForwardQueryIsEquivalentFromRoot) {
     Result<std::unique_ptr<PathExpr>> fwd = ToForwardXPath(*p);
     ASSERT_TRUE(fwd.ok()) << text << ": " << fwd.status().ToString();
     EXPECT_TRUE(IsForward(*fwd.value())) << text;
-    NodeSet original = EvalQueryFromRoot(t, o, *p);
-    NodeSet rewritten = EvalQueryFromRoot(t, o, *fwd.value());
+    NodeSet original = EvalQueryFromRoot(doc, *p).value();
+    NodeSet rewritten = EvalQueryFromRoot(doc, *fwd.value()).value();
     EXPECT_EQ(rewritten.ToVector(), original.ToVector())
         << text << "\n -> " << ToString(*fwd.value());
   }
@@ -86,8 +85,7 @@ TEST_P(ToForwardPropertyTest, RandomConjunctiveQueriesRewriteEquivalently) {
   opts.num_nodes = 18;
   opts.attach_window = 1 + GetParam() % 4;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
 
   static const Axis kAxes[] = {
       Axis::kChild,        Axis::kParent,
@@ -121,8 +119,8 @@ TEST_P(ToForwardPropertyTest, RandomConjunctiveQueriesRewriteEquivalently) {
     ASSERT_TRUE(fwd.ok()) << ToString(*p) << ": "
                           << fwd.status().ToString();
     EXPECT_TRUE(IsForward(*fwd.value())) << ToString(*p);
-    NodeSet original = EvalQueryFromRoot(t, o, *p);
-    NodeSet rewritten = EvalQueryFromRoot(t, o, *fwd.value());
+    NodeSet original = EvalQueryFromRoot(doc, *p).value();
+    NodeSet rewritten = EvalQueryFromRoot(doc, *fwd.value()).value();
     EXPECT_EQ(rewritten.ToVector(), original.ToVector())
         << ToString(*p) << "\n -> " << ToString(*fwd.value());
   }
@@ -135,9 +133,8 @@ TEST(ToForwardTest, UnsatisfiableAtRootYieldsNeverMatching) {
   auto p = MustParse("parent::a");
   Result<std::unique_ptr<PathExpr>> fwd = ToForwardXPath(*p);
   ASSERT_TRUE(fwd.ok()) << fwd.status().ToString();
-  Tree t = Chain(4, "a");
-  TreeOrders o = ComputeOrders(t);
-  EXPECT_TRUE(EvalQueryFromRoot(t, o, *fwd.value()).empty());
+  Document doc(Chain(4, "a"));
+  EXPECT_TRUE(EvalQueryFromRoot(doc, *fwd.value()).value().empty());
 }
 
 TEST(ToForwardTest, RejectsNonConjunctive) {

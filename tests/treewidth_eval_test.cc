@@ -41,13 +41,12 @@ TEST_P(TreewidthEvalTest, BooleanMatchesNaive) {
   opts.num_nodes = 12;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
-    Result<bool> fast = EvaluateBooleanTreewidth(q, t, o);
+    Result<bool> fast = EvaluateBooleanTreewidth(q, doc);
     ASSERT_TRUE(fast.ok()) << text << ": " << fast.status().ToString();
-    Result<bool> slow = NaiveSatisfiableCq(q, t, o);
+    Result<bool> slow = NaiveSatisfiableCq(q, doc);
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(fast.value(), slow.value()) << text;
   }
@@ -58,13 +57,12 @@ TEST_P(TreewidthEvalTest, TuplesMatchNaive) {
   RandomTreeOptions opts;
   opts.num_nodes = 10;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
-    Result<TupleSet> fast = EvaluateTreewidth(q, t, o);
+    Result<TupleSet> fast = EvaluateTreewidth(q, doc);
     ASSERT_TRUE(fast.ok()) << text << ": " << fast.status().ToString();
-    Result<TupleSet> slow = NaiveEvaluateCq(q, t, o);
+    Result<TupleSet> slow = NaiveEvaluateCq(q, doc);
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(fast.value(), slow.value()) << text;
   }
@@ -73,13 +71,12 @@ TEST_P(TreewidthEvalTest, TuplesMatchNaive) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TreewidthEvalTest, ::testing::Range(0, 6));
 
 TEST(TreewidthEvalTest, ReportsWidthAndWork) {
-  Tree t = Chain(8, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(8, "a", "b"));
   // Triangle: width 2 (clique of 3).
   ConjunctiveQuery triangle =
       MustParse("Q() :- Child(x, y), Child(y, z), Child+(x, z).");
   TreewidthEvalStats stats;
-  Result<bool> r = EvaluateBooleanTreewidth(triangle, t, o, &stats);
+  Result<bool> r = EvaluateBooleanTreewidth(triangle, doc, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
   EXPECT_EQ(stats.width, 2);
@@ -89,18 +86,17 @@ TEST(TreewidthEvalTest, ReportsWidthAndWork) {
   // A path query: width 1 — bags stay quadratic, not cubic.
   ConjunctiveQuery path = MustParse("Q() :- Child(x, y), Child(y, z).");
   TreewidthEvalStats path_stats;
-  ASSERT_TRUE(EvaluateBooleanTreewidth(path, t, o, &path_stats).ok());
+  ASSERT_TRUE(EvaluateBooleanTreewidth(path, doc, &path_stats).ok());
   EXPECT_EQ(path_stats.width, 1);
   EXPECT_LT(path_stats.candidate_checks, stats.candidate_checks);
 }
 
 TEST(TreewidthEvalTest, LabelRestrictionPrunesDomains) {
-  Tree t = Chain(30, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(30, "a", "b"));
   ConjunctiveQuery q =
       MustParse("Q() :- Child(x, y), Child(y, z), Child+(x, z), Lab_zzz(z).");
   TreewidthEvalStats stats;
-  Result<bool> r = EvaluateBooleanTreewidth(q, t, o, &stats);
+  Result<bool> r = EvaluateBooleanTreewidth(q, doc, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value());
   // z's domain is empty, so its bags enumerate nothing.
@@ -110,12 +106,11 @@ TEST(TreewidthEvalTest, LabelRestrictionPrunesDomains) {
 TEST(TreewidthEvalTest, BinaryProjectionOnCycle) {
   // All (x, z) pairs two Child steps apart that are also Child+-related
   // (always true) — exercises head projection through a cyclic query.
-  Tree t = BalancedTree(3, 2, {"n"});
-  TreeOrders o = ComputeOrders(t);
+  Document doc(BalancedTree(3, 2, {"n"}));
   ConjunctiveQuery q =
       MustParse("Q(x, z) :- Child(x, y), Child(y, z), Child+(x, z).");
-  Result<TupleSet> fast = EvaluateTreewidth(q, t, o);
-  Result<TupleSet> slow = NaiveEvaluateCq(q, t, o);
+  Result<TupleSet> fast = EvaluateTreewidth(q, doc);
+  Result<TupleSet> slow = NaiveEvaluateCq(q, doc);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(slow.ok());
   EXPECT_EQ(fast.value(), slow.value());

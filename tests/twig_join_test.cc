@@ -46,30 +46,27 @@ TEST(TwigPatternTest, ToConjunctiveQuery) {
   EXPECT_TRUE(q.IsTreeShaped());
 }
 
-TupleSet BruteForce(const TwigPattern& p, const Tree& t,
-                    const TreeOrders& o) {
-  Result<TupleSet> r = NaiveEvaluateCq(p.ToConjunctiveQuery(), t, o);
+TupleSet BruteForce(const TwigPattern& p, const Document& doc) {
+  Result<TupleSet> r = NaiveEvaluateCq(p.ToConjunctiveQuery(), doc);
   EXPECT_TRUE(r.ok());
   return std::move(r).value();
 }
 
 TEST(TwigStackTest, PathOnChain) {
-  Tree t = Chain(6, "a", "b");  // a b a b a b
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(6, "a", "b"));  // a b a b a b
   TwigPattern p = PathPattern({"a", "b"}, Axis::kDescendant);
-  Result<TupleSet> r = TwigStackJoin(p, t, o);
+  Result<TupleSet> r = TwigStackJoin(p, doc);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), BruteForce(p, t, o));
+  EXPECT_EQ(r.value(), BruteForce(p, doc));
   EXPECT_EQ(r.value().size(), 3u + 2u + 1u);  // a at 0,2,4 with b below
 }
 
 TEST(TwigStackTest, ChildEdgesFiltered) {
-  Tree t = Chain(6, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(6, "a", "b"));
   TwigPattern p = PathPattern({"a", "b"}, Axis::kChild);
-  Result<TupleSet> r = TwigStackJoin(p, t, o);
+  Result<TupleSet> r = TwigStackJoin(p, doc);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), BruteForce(p, t, o));
+  EXPECT_EQ(r.value(), BruteForce(p, doc));
   EXPECT_EQ(r.value().size(), 3u);  // only immediate pairs
 }
 
@@ -77,8 +74,7 @@ TEST(TwigStackTest, BranchingTwigOnCatalog) {
   Rng rng(9);
   CatalogOptions copts;
   copts.num_products = 30;
-  Tree t = CatalogDocument(&rng, copts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(CatalogDocument(&rng, copts));
   // product[.//rating5][.//comment]
   TwigPattern p;
   p.nodes.push_back({"product", Axis::kDescendant, -1});
@@ -86,9 +82,9 @@ TEST(TwigStackTest, BranchingTwigOnCatalog) {
   p.nodes.push_back({"comment", Axis::kDescendant, 0});
   ASSERT_TRUE(p.Validate().ok());
   TwigStats stats;
-  Result<TupleSet> r = TwigStackJoin(p, t, o, &stats);
+  Result<TupleSet> r = TwigStackJoin(p, doc, &stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), BruteForce(p, t, o));
+  EXPECT_EQ(r.value(), BruteForce(p, doc));
   EXPECT_GT(stats.intermediate_results, 0u);
 }
 
@@ -100,8 +96,7 @@ TEST_P(TwigAgreementTest, AllThreeAlgorithmsAgreeOnRandomInputs) {
   opts.num_nodes = 40;
   opts.attach_window = 1 + GetParam() % 8;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   const std::string labels[] = {"a", "b", "c"};
 
   for (int trial = 0; trial < 12; ++trial) {
@@ -116,11 +111,11 @@ TEST_P(TwigAgreementTest, AllThreeAlgorithmsAgreeOnRandomInputs) {
       p.nodes.push_back(node);
     }
     ASSERT_TRUE(p.Validate().ok());
-    TupleSet expected = BruteForce(p, t, o);
-    Result<TupleSet> twig = TwigStackJoin(p, t, o);
+    TupleSet expected = BruteForce(p, doc);
+    Result<TupleSet> twig = TwigStackJoin(p, doc);
     ASSERT_TRUE(twig.ok()) << p.ToString();
     EXPECT_EQ(twig.value(), expected) << p.ToString();
-    Result<TupleSet> binary = TwigByStructuralJoins(p, t, o);
+    Result<TupleSet> binary = TwigByStructuralJoins(p, doc);
     ASSERT_TRUE(binary.ok()) << p.ToString();
     EXPECT_EQ(binary.value(), expected) << p.ToString();
   }
@@ -129,19 +124,17 @@ TEST_P(TwigAgreementTest, AllThreeAlgorithmsAgreeOnRandomInputs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TwigAgreementTest, ::testing::Range(0, 10));
 
 TEST(TwigStackTest, NoMatchesForMissingLabel) {
-  Tree t = Chain(4, "a");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(4, "a"));
   TwigPattern p = PathPattern({"a", "zzz"}, Axis::kDescendant);
-  Result<TupleSet> r = TwigStackJoin(p, t, o);
+  Result<TupleSet> r = TwigStackJoin(p, doc);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().empty());
 }
 
 TEST(TwigStackTest, SingleNodePattern) {
-  Tree t = Chain(5, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(5, "a", "b"));
   TwigPattern p = PathPattern({"b"}, Axis::kDescendant);
-  Result<TupleSet> r = TwigStackJoin(p, t, o);
+  Result<TupleSet> r = TwigStackJoin(p, doc);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), (TupleSet{{1}, {3}}));
 }
@@ -155,11 +148,10 @@ TEST(TwigStackTest, SkipsUselessElements) {
   for (int i = 0; i < 50; ++i) b.AddChild(root, "b");
   NodeId hit = b.AddChild(root, "b");
   b.AddChild(hit, "a");
-  Tree t = std::move(b.Finish()).value();
-  TreeOrders o = ComputeOrders(t);
+  Document doc(std::move(b.Finish()).value());
   TwigPattern p = PathPattern({"b", "a"}, Axis::kDescendant);
   TwigStats stats;
-  Result<TupleSet> r = TwigStackJoin(p, t, o, &stats);
+  Result<TupleSet> r = TwigStackJoin(p, doc, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().size(), 1u);
   EXPECT_LT(stats.intermediate_results, 10u);

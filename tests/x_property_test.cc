@@ -125,8 +125,7 @@ TEST_P(Thm65AgreementTest, MatchesNaiveOracle) {
   RandomTreeOptions opts;
   opts.num_nodes = 22;
   opts.attach_window = 1 + GetParam() % 6;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
 
   struct Case {
     const char* text;
@@ -158,9 +157,9 @@ TEST_P(Thm65AgreementTest, MatchesNaiveOracle) {
   };
   for (const Case& c : kCases) {
     ConjunctiveQuery q = MustParse(c.text);
-    Result<XEvalResult> fast = EvaluateXProperty(q, t, o, c.order);
+    Result<XEvalResult> fast = EvaluateXProperty(q, doc, c.order);
     ASSERT_TRUE(fast.ok()) << c.text << ": " << fast.status().ToString();
-    Result<bool> slow = NaiveSatisfiableCq(q, t, o);
+    Result<bool> slow = NaiveSatisfiableCq(q, doc);
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(fast.value().satisfiable, slow.value()) << c.text;
   }
@@ -170,14 +169,13 @@ TEST_P(Thm65AgreementTest, HornEncodingAblationAgrees) {
   Rng rng(700 + GetParam());
   RandomTreeOptions opts;
   opts.num_nodes = 18;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   ConjunctiveQuery q = MustParse(
       "Q() :- Child+(x, y), Child+(y, z), Child+(x, z), Lab_b(y).");
   Result<XEvalResult> direct =
-      EvaluateXProperty(q, t, o, TreeOrder::kPre, AcImplementation::kDirect);
+      EvaluateXProperty(q, doc, TreeOrder::kPre, AcImplementation::kDirect);
   Result<XEvalResult> horn = EvaluateXProperty(
-      q, t, o, TreeOrder::kPre, AcImplementation::kHornEncoding);
+      q, doc, TreeOrder::kPre, AcImplementation::kHornEncoding);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(horn.ok());
   EXPECT_EQ(direct.value().satisfiable, horn.value().satisfiable);
@@ -186,10 +184,9 @@ TEST_P(Thm65AgreementTest, HornEncodingAblationAgrees) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Thm65AgreementTest, ::testing::Range(0, 8));
 
 TEST(Thm65Test, RejectsNonXSignature) {
-  Tree t = Chain(3);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(3));
   ConjunctiveQuery q = MustParse("Q() :- Child(x, y), Child+(y, z).");
-  Result<XEvalResult> r = EvaluateXProperty(q, t, o, TreeOrder::kPre);
+  Result<XEvalResult> r = EvaluateXProperty(q, doc, TreeOrder::kPre);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -199,11 +196,11 @@ TEST(TupleCheckTest, MembershipMatchesNaive) {
   RandomTreeOptions opts;
   opts.num_nodes = 15;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
   ConjunctiveQuery q =
       MustParse("Q(x, y) :- Child+(x, y), Lab_a(x), Lab_b(y).");
-  Result<TupleSet> all = NaiveEvaluateCq(q, t, o);
+  Result<TupleSet> all = NaiveEvaluateCq(q, doc);
   ASSERT_TRUE(all.ok());
   for (NodeId x = 0; x < t.num_nodes(); ++x) {
     for (NodeId y = 0; y < t.num_nodes(); ++y) {
@@ -212,7 +209,7 @@ TEST(TupleCheckTest, MembershipMatchesNaive) {
         expected |= tuple == std::vector<NodeId>{x, y};
       }
       Result<bool> got =
-          XPropertyTupleCheck(q, t, o, TreeOrder::kPre, {x, y});
+          XPropertyTupleCheck(q, doc, TreeOrder::kPre, {x, y});
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got.value(), expected) << x << "," << y;
     }
@@ -222,10 +219,9 @@ TEST(TupleCheckTest, MembershipMatchesNaive) {
 TEST(Thm65Test, WitnessIsMinimumValuation) {
   // Chain a-a-a: Q() :- Child+(x, y): minimum witness under <pre is the
   // root and its first strict descendant.
-  Tree t = Chain(4);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(4));
   ConjunctiveQuery q = MustParse("Q() :- Child+(x, y).");
-  Result<XEvalResult> r = EvaluateXProperty(q, t, o, TreeOrder::kPre);
+  Result<XEvalResult> r = EvaluateXProperty(q, doc, TreeOrder::kPre);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().satisfiable);
   EXPECT_EQ(r.value().witness, (std::vector<NodeId>{0, 1}));

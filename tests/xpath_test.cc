@@ -4,8 +4,8 @@
 #include <string>
 
 #include "datalog/evaluator.h"
+#include "tree/document.h"
 #include "tree/generator.h"
-#include "tree/orders.h"
 #include "util/random.h"
 #include "xpath/ast.h"
 #include "xpath/evaluator.h"
@@ -126,16 +126,17 @@ TEST(XPathEvalTest, CatalogQueries) {
   Rng rng(5);
   CatalogOptions copts;
   copts.num_products = 25;
-  Tree t = CatalogDocument(&rng, copts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(CatalogDocument(&rng, copts));
+  const Tree& t = doc.tree();
 
-  NodeSet products = EvalQueryFromRoot(t, o, *MustParse("/catalog/product"));
+  NodeSet products =
+      EvalQueryFromRoot(doc, *MustParse("/catalog/product")).value();
   EXPECT_EQ(products.size(),
             (int)t.NodesWithLabel(t.label_table().Lookup("product")).size());
 
   // Products with a 5-star review.
   NodeSet top = EvalQueryFromRoot(
-      t, o, *MustParse("/catalog/product[reviews/review/rating5]"));
+      doc, *MustParse("/catalog/product[reviews/review/rating5]")).value();
   for (NodeId p : top.ToVector()) {
     EXPECT_TRUE(t.HasLabel(p, "product"));
   }
@@ -152,20 +153,20 @@ TEST(XPathEvalTest, CatalogQueries) {
 
   // Negation: products without any reviews.
   NodeSet no_reviews = EvalQueryFromRoot(
-      t, o, *MustParse("/catalog/product[not(reviews)]"));
+      doc, *MustParse("/catalog/product[not(reviews)]")).value();
   NodeSet with_reviews = EvalQueryFromRoot(
-      t, o, *MustParse("/catalog/product[reviews]"));
+      doc, *MustParse("/catalog/product[reviews]")).value();
   EXPECT_EQ(no_reviews.size() + with_reviews.size(), products.size());
 }
 
 TEST(XPathEvalTest, InverseAxes) {
-  Tree t = Chain(5, "a", "b");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(5, "a", "b"));
   // Parents of b nodes.
   NodeSet parents =
-      EvalQueryFromRoot(t, o, *MustParse("//b/parent::*"));
+      EvalQueryFromRoot(doc, *MustParse("//b/parent::*")).value();
   EXPECT_EQ(parents.ToVector(), (std::vector<NodeId>{0, 2}));
-  NodeSet ancestors = EvalQueryFromRoot(t, o, *MustParse("//b/ancestor::a"));
+  NodeSet ancestors =
+      EvalQueryFromRoot(doc, *MustParse("//b/ancestor::a")).value();
   EXPECT_EQ(ancestors.ToVector(), (std::vector<NodeId>{0, 2}));
 }
 
@@ -240,24 +241,26 @@ TEST_P(XPathAgreementTest, SetAtATimeMatchesNaiveSemantics) {
   RandomTreeOptions opts;
   opts.num_nodes = 25;
   opts.attach_window = 1 + GetParam() % 5;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
   QueryGen gen(&rng);
 
   for (int trial = 0; trial < 30; ++trial) {
     std::unique_ptr<PathExpr> p = gen.GenPath(3);
     // From the root.
-    NodeSet fast = EvalQueryFromRoot(t, o, *p);
+    NodeSet fast = EvalQueryFromRoot(doc, *p).value();
+    const ExecContext root_budget = ExecContext::WithVisitBudget(50'000'000);
     Result<NodeSet> slow =
-        NaiveEvalPath(t, o, *p, t.root(), /*budget=*/50'000'000);
+        NaiveEvalPath(doc, *p, t.root(), /*stats=*/nullptr, root_budget);
     ASSERT_TRUE(slow.ok()) << ToString(*p);
     EXPECT_EQ(fast.ToVector(), slow.value().ToVector()) << ToString(*p);
     // From an arbitrary context node.
     NodeId ctx = static_cast<NodeId>(rng.Uniform(0, t.num_nodes() - 1));
     NodeSet fast_ctx =
-        EvalPath(t, o, *p, NodeSet::Singleton(t.num_nodes(), ctx));
+        EvalPath(doc, *p, NodeSet::Singleton(t.num_nodes(), ctx)).value();
+    const ExecContext ctx_budget = ExecContext::WithVisitBudget(50'000'000);
     Result<NodeSet> slow_ctx =
-        NaiveEvalPath(t, o, *p, ctx, /*budget=*/50'000'000);
+        NaiveEvalPath(doc, *p, ctx, /*stats=*/nullptr, ctx_budget);
     ASSERT_TRUE(slow_ctx.ok());
     EXPECT_EQ(fast_ctx.ToVector(), slow_ctx.value().ToVector())
         << ToString(*p) << " ctx=" << ctx;
@@ -268,8 +271,7 @@ TEST_P(XPathAgreementTest, DatalogTranslationMatchesEvaluator) {
   Rng rng(100 + GetParam());
   RandomTreeOptions opts;
   opts.num_nodes = 20;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   QueryGen gen(&rng);
 
   int translated = 0;
@@ -280,9 +282,10 @@ TEST_P(XPathAgreementTest, DatalogTranslationMatchesEvaluator) {
     Result<datalog::Program> program = XPathToDatalog(*p);
     ASSERT_TRUE(program.ok()) << ToString(*p) << ": "
                               << program.status().ToString();
-    Result<NodeSet> via_datalog = datalog::EvaluateDatalog(program.value(), t);
+    Result<NodeSet> via_datalog =
+        datalog::EvaluateDatalog(program.value(), doc);
     ASSERT_TRUE(via_datalog.ok()) << via_datalog.status().ToString();
-    NodeSet direct = EvalQueryFromRoot(t, o, *p);
+    NodeSet direct = EvalQueryFromRoot(doc, *p).value();
     EXPECT_EQ(via_datalog.value().ToVector(), direct.ToVector())
         << ToString(*p);
   }
@@ -307,11 +310,13 @@ TEST(ToDatalogTest, OutputSizeLinearInQuery) {
 }
 
 TEST(NaiveEvalTest, BudgetAborts) {
-  Tree t = Chain(30);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(30));
+  const Tree& t = doc.tree();
   auto p = MustParse(
       "descendant::*/descendant::*/descendant::*/descendant::*");
-  Result<NodeSet> r = NaiveEvalPath(t, o, *p, t.root(), /*budget=*/20);
+  const ExecContext budget = ExecContext::WithVisitBudget(20);
+  Result<NodeSet> r = NaiveEvalPath(doc, *p, t.root(), /*stats=*/nullptr,
+                                    budget);
   EXPECT_FALSE(r.ok());
 }
 

@@ -49,22 +49,20 @@ ConjunctiveQuery RandomTreeQuery(Rng* rng, int num_vars,
 }
 
 TEST(FullReducerTest, RejectsNonTreeShaped) {
-  Tree t = Chain(3);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(3));
   ConjunctiveQuery cyclic =
       MustParse("Q() :- Child(x, y), Child(y, z), Child+(x, z).");
-  EXPECT_FALSE(FullReducer(cyclic, t, o).ok());
+  EXPECT_FALSE(FullReducer(cyclic, doc).ok());
   ConjunctiveQuery disconnected =
       MustParse("Q() :- Lab_a(x), Child(y, z).");
-  EXPECT_FALSE(FullReducer(disconnected, t, o).ok());
+  EXPECT_FALSE(FullReducer(disconnected, doc).ok());
 }
 
 TEST(FullReducerTest, CandidateSetsOnChain) {
-  Tree t = Chain(5, "a", "b");  // a b a b a
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(5, "a", "b"));  // a b a b a
   ConjunctiveQuery q =
       MustParse("Q(x) :- Child(x, y), Child(y, z), Lab_a(z).");
-  Result<ReducedQuery> r = FullReducer(q, t, o, 0);
+  Result<ReducedQuery> r = FullReducer(q, doc, 0);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().satisfiable);
   // x at nodes 0, 2 (z = x+2 must be labeled a: nodes 2 and 4).
@@ -82,8 +80,8 @@ TEST_P(FullReducerPropertyTest, EveryCandidateExtendsToASolution) {
   opts.num_nodes = 18;
   opts.attach_window = 1 + GetParam() % 5;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
+  const Tree& t = doc.tree();
   std::vector<Axis> pool = {Axis::kChild, Axis::kDescendant,
                             Axis::kNextSibling, Axis::kFollowingSibling,
                             Axis::kFollowing, Axis::kDescendantOrSelf};
@@ -93,9 +91,9 @@ TEST_P(FullReducerPropertyTest, EveryCandidateExtendsToASolution) {
     // All-variable head for the oracle.
     ConjunctiveQuery full = q;
     for (int v = 0; v < q.num_vars(); ++v) full.AddHeadVar(v);
-    Result<ReducedQuery> reduced = FullReducer(q, t, o);
+    Result<ReducedQuery> reduced = FullReducer(q, doc);
     ASSERT_TRUE(reduced.ok()) << q.ToString();
-    Result<TupleSet> solutions = NaiveEvaluateCq(full, t, o);
+    Result<TupleSet> solutions = NaiveEvaluateCq(full, doc);
     ASSERT_TRUE(solutions.ok());
     EXPECT_EQ(reduced.value().satisfiable, !solutions.value().empty())
         << q.ToString();
@@ -115,17 +113,16 @@ TEST_P(FullReducerPropertyTest, UnaryEvaluationMatchesNaive) {
   RandomTreeOptions opts;
   opts.num_nodes = 20;
   opts.alphabet = {"a", "b", "c"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   std::vector<Axis> pool = {Axis::kChild, Axis::kDescendant,
                             Axis::kFollowingSibling, Axis::kNextSibling};
   for (int trial = 0; trial < 10; ++trial) {
     ConjunctiveQuery q = RandomTreeQuery(
         &rng, 2 + static_cast<int>(rng.Uniform(0, 3)), pool,
         {"a", "b", "c"}, 1);
-    Result<NodeSet> fast = EvaluateUnaryAcyclic(q, t, o);
+    Result<NodeSet> fast = EvaluateUnaryAcyclic(q, doc);
     ASSERT_TRUE(fast.ok()) << q.ToString();
-    Result<TupleSet> slow = NaiveEvaluateCq(q, t, o);
+    Result<TupleSet> slow = NaiveEvaluateCq(q, doc);
     ASSERT_TRUE(slow.ok());
     std::vector<NodeId> expected;
     for (const auto& tuple : slow.value()) expected.push_back(tuple[0]);
@@ -144,17 +141,16 @@ TEST_P(EnumeratePropertyTest, MatchesNaiveOnTreeQueries) {
   RandomTreeOptions opts;
   opts.num_nodes = 14;
   opts.alphabet = {"a", "b"};
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(RandomTree(&rng, opts));
   std::vector<Axis> pool = {Axis::kChild, Axis::kDescendant,
                             Axis::kNextSibling, Axis::kFollowing};
   for (int trial = 0; trial < 8; ++trial) {
     int vars = 2 + static_cast<int>(rng.Uniform(0, 2));
     ConjunctiveQuery q =
         RandomTreeQuery(&rng, vars, pool, {"a", "b"}, /*arity=*/2);
-    Result<TupleSet> fast = EvaluateAcyclic(q, t, o);
+    Result<TupleSet> fast = EvaluateAcyclic(q, doc);
     ASSERT_TRUE(fast.ok()) << q.ToString();
-    Result<TupleSet> slow = NaiveEvaluateCq(q, t, o);
+    Result<TupleSet> slow = NaiveEvaluateCq(q, doc);
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(fast.value(), slow.value()) << q.ToString();
   }
@@ -165,13 +161,12 @@ TEST_P(EnumeratePropertyTest, BacktrackFree) {
   // solutions — indirectly validated by requesting a limit and receiving
   // exactly `limit` solutions when more exist.
   Rng rng(900 + GetParam());
-  Tree t = Star(30);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Star(30));
   ConjunctiveQuery q = MustParse("Q(x, y) :- NextSibling+(x, y).");
-  Result<ReducedQuery> reduced = FullReducer(q, t, o);
+  Result<ReducedQuery> reduced = FullReducer(q, doc);
   ASSERT_TRUE(reduced.ok());
   Result<std::vector<std::vector<NodeId>>> some =
-      EnumerateSolutions(q, t, o, reduced.value(), /*limit=*/7);
+      EnumerateSolutions(q, doc, reduced.value(), /*limit=*/7);
   ASSERT_TRUE(some.ok());
   EXPECT_EQ(some.value().size(), 7u);
 }
@@ -190,11 +185,11 @@ TEST_P(EnumeratePropertyTest, SolutionsMatchNaiveOnEveryAxis) {
   opts.alphabet = {"a", "b"};
   CatalogOptions copts;
   copts.num_products = 2;
-  std::vector<Tree> trees;
-  trees.push_back(RandomTree(&rng, opts));
-  trees.push_back(CatalogDocument(&rng, copts));
-  for (const Tree& t : trees) {
-    TreeOrders o = ComputeOrders(t);
+  const std::unique_ptr<Document> docs[] = {
+      std::make_unique<Document>(RandomTree(&rng, opts)),
+      std::make_unique<Document>(CatalogDocument(&rng, copts))};
+  for (const std::unique_ptr<Document>& d : docs) {
+    const Document& doc = *d;
     for (int trial = 0; trial < 12; ++trial) {
       const int vars = 2 + static_cast<int>(rng.Uniform(0, 1));
       ConjunctiveQuery q = RandomTreeQuery(&rng, vars, pool, {"a", "b"},
@@ -208,15 +203,15 @@ TEST_P(EnumeratePropertyTest, SolutionsMatchNaiveOnEveryAxis) {
       }
       ConjunctiveQuery full = q;
       for (int v = 0; v < full.num_vars(); ++v) full.AddHeadVar(v);
-      Result<ReducedQuery> reduced = FullReducer(q, t, o);
+      Result<ReducedQuery> reduced = FullReducer(q, doc);
       ASSERT_TRUE(reduced.ok()) << q.ToString();
       Result<std::vector<std::vector<NodeId>>> listed =
-          EnumerateSolutions(q, t, o, reduced.value());
+          EnumerateSolutions(q, doc, reduced.value());
       ASSERT_TRUE(listed.ok()) << q.ToString();
       TupleSet got = listed.value();
       CanonicalizeTuples(&got);
       EXPECT_EQ(got.size(), listed.value().size()) << q.ToString();
-      Result<TupleSet> want = NaiveEvaluateCq(full, t, o);
+      Result<TupleSet> want = NaiveEvaluateCq(full, doc);
       ASSERT_TRUE(want.ok());
       EXPECT_EQ(got, want.value()) << q.ToString();
     }
@@ -226,10 +221,9 @@ TEST_P(EnumeratePropertyTest, SolutionsMatchNaiveOnEveryAxis) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EnumeratePropertyTest, ::testing::Range(0, 6));
 
 TEST(EnumerateTest, UnsatisfiableYieldsEmpty) {
-  Tree t = Chain(3, "a");
-  TreeOrders o = ComputeOrders(t);
+  Document doc(Chain(3, "a"));
   ConjunctiveQuery q = MustParse("Q(x) :- Child(x, y), Lab_zzz(y).");
-  Result<TupleSet> r = EvaluateAcyclic(q, t, o);
+  Result<TupleSet> r = EvaluateAcyclic(q, doc);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().empty());
 }
@@ -238,19 +232,20 @@ TEST(EnumerateTest, SolutionsSatisfyAllAtoms) {
   Rng rng(5);
   CatalogOptions copts;
   copts.num_products = 15;
-  Tree t = CatalogDocument(&rng, copts);
-  TreeOrders o = ComputeOrders(t);
+  Document doc(CatalogDocument(&rng, copts));
+  const Tree& t = doc.tree();
   ConjunctiveQuery q = MustParse(
       "Q(p, r) :- Child+(p, r), Lab_product(p), Lab_review(r), "
       "Child(r, c), Lab_comment(c).");
-  Result<ReducedQuery> reduced = FullReducer(q, t, o);
+  Result<ReducedQuery> reduced = FullReducer(q, doc);
   ASSERT_TRUE(reduced.ok());
   Result<std::vector<std::vector<NodeId>>> all =
-      EnumerateSolutions(q, t, o, reduced.value());
+      EnumerateSolutions(q, doc, reduced.value());
   ASSERT_TRUE(all.ok());
   for (const auto& sol : all.value()) {
     for (const AxisAtom& a : q.axis_atoms()) {
-      EXPECT_TRUE(AxisHolds(t, o, a.axis, sol[a.var0], sol[a.var1]));
+      EXPECT_TRUE(
+          AxisHolds(t, doc.orders(), a.axis, sol[a.var0], sol[a.var1]));
     }
     for (const LabelAtom& a : q.label_atoms()) {
       EXPECT_TRUE(t.HasLabel(sol[a.var], a.label));
