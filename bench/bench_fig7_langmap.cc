@@ -66,11 +66,12 @@ void PrintLanguageMap() {
 
   // 3. Conjunctive XPath -> CQ -> Theorem 5.1 -> forward XPath -> stream.
   auto fwd = std::move(treeq::xpath::ToForwardXPath(*xp)).value();
-  auto selected =
-      std::move(
-          treeq::stream::StreamMatcher::SelectFromTree(*fwd, doc.tree()))
-          .value();
-  std::printf("%-44s -> %zu nodes\n",
+  auto stream_program =
+      std::move(treeq::stream::StreamProgram::Compile(*fwd)).value();
+  auto selected = std::move(treeq::stream::StreamMatcher::SelectFromTree(
+                                stream_program, doc.tree()))
+                      .value();
+  std::printf("%-44s -> %d nodes\n",
               "XPath -> CQ -> acyclic -> forward -> stream", selected.size());
 
   // 4. CQ via the full reducer (Prop 4.2 / Yannakakis).
@@ -96,8 +97,7 @@ void PrintLanguageMap() {
   std::printf("%-44s -> %d nodes (context unanchored)\n",
               "CQ via full reducer (Prop 4.2)", via_reducer.size());
 
-  bool agree = direct.ToVector() == via_datalog.ToVector() &&
-               direct.ToVector() == selected;
+  bool agree = direct == via_datalog && direct == selected;
   std::printf("\nroot-anchored engines agree: %s\n\n",
               agree ? "yes" : "NO — BUG");
 }
@@ -129,8 +129,10 @@ void BM_ViaStreamingForward(benchmark::State& state) {
   treeq::Tree doc = MakeDoc(static_cast<int>(state.range(0)));
   auto xp = treeq::xpath::ParseXPath(kQuery).value();
   auto fwd = std::move(treeq::xpath::ToForwardXPath(*xp)).value();
+  auto program =
+      std::move(treeq::stream::StreamProgram::Compile(*fwd)).value();
   for (auto _ : state) {
-    auto r = treeq::stream::StreamMatcher::MatchTree(*fwd, doc);
+    auto r = treeq::stream::StreamMatcher::MatchTree(program, doc);
     benchmark::DoNotOptimize(r.ok());
   }
 }

@@ -2,6 +2,8 @@
 #define TREEQ_BENCH_BENCH_JSON_H_
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,7 +97,8 @@ class Record {
     for (const auto& [k, v] : numbers_) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << obs::JsonEscape(k) << "\": " << v;
+      os << "\"" << obs::JsonEscape(k) << "\": ";
+      WriteNumber(os, v);
     }
     os << "}, \"rows\": [";
     for (size_t i = 0; i < rows_.size(); ++i) {
@@ -103,8 +106,8 @@ class Record {
       os << "{";
       for (size_t j = 0; j < rows_[i].size(); ++j) {
         if (j > 0) os << ", ";
-        os << "\"" << obs::JsonEscape(rows_[i][j].first)
-           << "\": " << rows_[i][j].second;
+        os << "\"" << obs::JsonEscape(rows_[i][j].first) << "\": ";
+        WriteNumber(os, rows_[i][j].second);
       }
       os << "}";
     }
@@ -114,6 +117,16 @@ class Record {
   }
 
  private:
+  /// Integral values print exactly (counts above 1e6 would otherwise lose
+  /// digits to the stream's 6-significant-digit default).
+  static void WriteNumber(std::ostream& os, double v) {
+    if (std::isfinite(v) && v == std::trunc(v) && std::fabs(v) < 9e15) {
+      os << static_cast<int64_t>(v);
+    } else {
+      os << v;
+    }
+  }
+
   std::vector<std::pair<std::string, double>> numbers_;
   std::vector<std::pair<std::string, std::string>> strings_;
   std::vector<std::vector<std::pair<std::string, double>>> rows_;

@@ -55,24 +55,25 @@ int main() {
   std::printf("forward form:   %s\n\n",
               treeq::xpath::ToString(*forward.value()).c_str());
 
+  treeq::Result<treeq::stream::StreamProgram> program =
+      treeq::stream::StreamProgram::Compile(*forward.value());
+  if (!program.ok()) {
+    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
+    return 1;
+  }
   for (const char* doc : kDocuments) {
-    treeq::Result<std::unique_ptr<treeq::stream::StreamMatcher>> matcher =
-        treeq::stream::StreamMatcher::Compile(*forward.value());
-    if (!matcher.ok()) {
-      std::fprintf(stderr, "%s\n", matcher.status().ToString().c_str());
-      return 1;
-    }
+    treeq::stream::StreamMatcher matcher(program.value());
     treeq::Status streamed = treeq::stream::StreamXmlText(
         doc, [&matcher](const treeq::stream::SaxEvent& e) {
-          matcher.value()->OnEvent(e);
+          matcher.OnEvent(e);
         });
     if (!streamed.ok()) {
       std::fprintf(stderr, "%s\n", streamed.ToString().c_str());
       return 1;
     }
-    const treeq::stream::StreamStats& stats = matcher.value()->stats();
+    const treeq::stream::StreamStats& stats = matcher.stats();
     std::printf("document %.30s...  %s  (peak state: %zu frames x %zu B)\n",
-                doc, matcher.value()->Matches() ? "MATCH   " : "no match",
+                doc, matcher.Matches() ? "MATCH   " : "no match",
                 stats.peak_frames, stats.frame_bytes);
   }
   return 0;

@@ -88,16 +88,16 @@ Result<PlanPtr> Plan::Compile(Language language, std::string_view text,
 
   switch (language) {
     case Language::kXPath: {
-      // Pre-compute the streaming fallback while we are still on the
-      // compile path: forward rewrite (Section 5) + matcher compilation +
+      // Compile the streaming fallback once, while we are still on the
+      // compile path: forward rewrite (Section 5) + stream program with
       // selection support. Failures just mean "not stream-capable".
       Result<std::unique_ptr<xpath::PathExpr>> forward =
           xpath::ToForwardXPath(*plan->query_.xpath);
       if (forward.ok()) {
-        Result<std::unique_ptr<stream::StreamMatcher>> matcher =
-            stream::StreamMatcher::Compile(*forward.value());
-        if (matcher.ok() && matcher.value()->selection_supported()) {
-          plan->stream_query_ = std::move(forward).value();
+        Result<stream::StreamProgram> program =
+            stream::StreamProgram::Compile(*forward.value());
+        if (program.ok() && program.value().selection_supported()) {
+          plan->stream_program_ = std::move(program).value();
         }
       }
       break;
@@ -137,7 +137,7 @@ Result<PlanPtr> Plan::Compile(Language language, std::string_view text,
   switch (language) {
     case Language::kXPath:
       plan->explain_ = "xpath: set-at-a-time evaluator";
-      plan->explain_ += plan->stream_query_ != nullptr
+      plan->explain_ += plan->stream_program_.has_value()
                             ? "; stream fallback available (forward rewrite)"
                             : "; no stream fallback";
       break;
@@ -208,7 +208,7 @@ void Plan::BuildLogicalPlan() {
   // Language-native alternates: engines that evaluate the original AST.
   if (query_.language == Language::kXPath) {
     add(plan::EngineKind::kXPathNaive);
-    if (stream_query_ != nullptr) add(plan::EngineKind::kXPathStream);
+    if (stream_program_.has_value()) add(plan::EngineKind::kXPathStream);
     Result<datalog::Program> translated =
         xpath::XPathToDatalog(*query_.xpath);
     if (translated.ok()) {
@@ -310,7 +310,8 @@ std::string Plan::ExplainRouting(const Document& doc) const {
        plan::ScoreCandidates(ir_, eligible_, NativeEngine(), stats)) {
     out += " ";
     out += plan::EngineName(c.kind);
-    out += "=" + std::to_string(c.cost);
+    out += '=';
+    out += std::to_string(c.cost);
     if (c.native) out += "*";
   }
   return out;
@@ -385,11 +386,9 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       // Exact either way; Execute flags a budget degradation, which keeps
       // the result out of the result cache.
       TREEQ_ASSIGN_OR_RETURN(
-          std::vector<NodeId> selected,
-          stream::StreamMatcher::SelectFromTree(*stream_query_, doc.tree(),
+          NodeSet nodes,
+          stream::StreamMatcher::SelectFromTree(*stream_program_, doc.tree(),
                                                 /*stats=*/nullptr, exec));
-      NodeSet nodes(doc.num_nodes());
-      for (NodeId v : selected) nodes.Insert(v);
       out.value.emplace<NodeSet>(std::move(nodes));
       return out;
     }

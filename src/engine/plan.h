@@ -2,6 +2,7 @@
 #define TREEQ_ENGINE_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -11,6 +12,7 @@
 #include "plan/cost.h"
 #include "plan/ir.h"
 #include "query/parse.h"
+#include "stream/stream_eval.h"
 #include "tree/axes.h"
 #include "tree/document.h"
 #include "util/exec_context.h"
@@ -127,7 +129,7 @@ class Plan {
   bool fo_positive() const { return fo_positive_; }
   /// XPath only: whether the streaming fallback is available (the query is
   /// conjunctive, rewrites to a forward query, and supports selection).
-  bool stream_capable() const { return stream_query_ != nullptr; }
+  bool stream_capable() const { return stream_program_.has_value(); }
 
   /// The canonical logical plan (plan/ir.h) this query lowered to, and its
   /// stable 128-bit identity. Dialect-insensitive: semantically identical
@@ -174,9 +176,9 @@ class Plan {
   cq::SignatureClass cq_class_ = cq::SignatureClass::kTau1;
   bool cq_boolean_ = false;
   bool fo_positive_ = false;
-  /// Forward rewrite of an XPath query usable by the streaming fallback;
-  /// null when the query is outside the streamable fragment.
-  std::unique_ptr<xpath::PathExpr> stream_query_;
+  /// The streaming fallback compiled from the XPath query's forward
+  /// rewrite; empty when the query is outside the streamable fragment.
+  std::optional<stream::StreamProgram> stream_program_;
 
   /// Canonical logical IR + identity (see ir()).
   plan::LogicalPlan ir_;

@@ -6,43 +6,25 @@ namespace treeq {
 namespace stream {
 
 void StreamTree(const Tree& tree, const SaxHandler& handler) {
-  Status s = StreamTree(tree, handler, ExecContext::Unbounded());
+  SaxEvent event;  // reused, so label storage is allocated once per walk
+  Status s = WalkTree(
+      tree, ExecContext::Unbounded(),
+      [&](NodeId v) {
+        event.kind = SaxEvent::Kind::kStartElement;
+        event.node = v;
+        event.labels.clear();
+        for (LabelId l : tree.labels(v)) {
+          event.labels.push_back(tree.label_table().Name(l));
+        }
+        handler(event);
+      },
+      [&](NodeId v) {
+        event.kind = SaxEvent::Kind::kEndElement;
+        event.node = v;
+        event.labels.clear();
+        handler(event);
+      });
   TREEQ_CHECK(s.ok());  // unbounded contexts never trip
-}
-
-Status StreamTree(const Tree& tree, const SaxHandler& handler,
-                  const ExecContext& exec) {
-  // Iterative DFS emitting start on entry and end on exit.
-  std::vector<NodeId> stack = {tree.root()};
-  while (!stack.empty()) {
-    TREEQ_RETURN_IF_ERROR(exec.Charge(1));
-    NodeId top = stack.back();
-    stack.pop_back();
-    if (top < 0) {
-      SaxEvent end;
-      end.kind = SaxEvent::Kind::kEndElement;
-      end.node = ~top;
-      handler(end);
-      continue;
-    }
-    SaxEvent start;
-    start.kind = SaxEvent::Kind::kStartElement;
-    start.node = top;
-    for (LabelId l : tree.labels(top)) {
-      start.labels.push_back(tree.label_table().Name(l));
-    }
-    handler(start);
-    stack.push_back(~top);
-    std::vector<NodeId> kids;
-    for (NodeId c = tree.first_child(top); c != kNullNode;
-         c = tree.next_sibling(c)) {
-      kids.push_back(c);
-    }
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  return Status::OK();
 }
 
 std::vector<SaxEvent> ToSaxEvents(const Tree& tree) {

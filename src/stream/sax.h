@@ -15,13 +15,17 @@
 /// left-to-right sequence of start/end element events — "the order in which
 /// the opening resp. closing tag of each node is seen when reading the
 /// corresponding XML document". Streaming consumers never see the tree.
+///
+/// Two producers: WalkTree visits a materialized tree through its
+/// first-child / next-sibling / parent links with no per-node allocation
+/// (the streaming engine's path), and StreamXmlText scans XML text with
+/// only the open-tag stack. StreamTree turns a walk into SaxEvents.
 
 namespace treeq {
 namespace stream {
 
 /// One event. `labels` carries the node's labels on kStartElement (empty on
-/// kEndElement); `node` identifies the element for result reporting when the
-/// stream comes from a materialized tree (kNullNode for text streams).
+/// kEndElement); `node` identifies the element for result reporting.
 struct SaxEvent {
   enum class Kind { kStartElement, kEndElement };
   Kind kind = Kind::kStartElement;
@@ -32,13 +36,37 @@ struct SaxEvent {
 /// Callback-based consumption; events are produced in document order.
 using SaxHandler = std::function<void(const SaxEvent&)>;
 
-/// Streams a materialized tree (iteratively; safe for deep documents).
-void StreamTree(const Tree& tree, const SaxHandler& handler);
+/// Walks `tree` in document order: on_start(v) on entering v, on_end(v) on
+/// leaving it. Charges `exec` one unit before each event and stops —
+/// mid-document — at the first charge that trips, returning its status.
+/// Iterative and allocation-free, so safe for deep documents.
+template <typename OnStart, typename OnEnd>
+Status WalkTree(const Tree& tree, const ExecContext& exec, OnStart&& on_start,
+                OnEnd&& on_end) {
+  const NodeId root = tree.root();
+  NodeId v = root;
+  for (;;) {
+    TREEQ_RETURN_IF_ERROR(exec.Charge(1));
+    on_start(v);
+    if (tree.first_child(v) != kNullNode) {
+      v = tree.first_child(v);
+      continue;
+    }
+    for (;;) {
+      TREEQ_RETURN_IF_ERROR(exec.Charge(1));
+      on_end(v);
+      if (v == root) return Status::OK();
+      if (tree.next_sibling(v) != kNullNode) {
+        v = tree.next_sibling(v);
+        break;
+      }
+      v = tree.parent(v);
+    }
+  }
+}
 
-/// Bounded variant: charges `exec` one unit per event and stops streaming —
-/// mid-document — as soon as a limit trips, returning the abort status.
-Status StreamTree(const Tree& tree, const SaxHandler& handler,
-                  const ExecContext& exec);
+/// Streams a materialized tree as SaxEvents (label names copied per start).
+void StreamTree(const Tree& tree, const SaxHandler& handler);
 
 /// Materialized event list (for tests).
 std::vector<SaxEvent> ToSaxEvents(const Tree& tree);

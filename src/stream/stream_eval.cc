@@ -1,7 +1,8 @@
 #include "stream/stream_eval.h"
 
 #include <algorithm>
-#include <set>
+#include <cstring>
+#include <string>
 
 #include "obs/obs.h"
 
@@ -13,35 +14,13 @@ namespace {
 using xpath::PathExpr;
 using xpath::Qualifier;
 
-/// A compiled linear path: a sequence of steps, each with one global
-/// position id and an optional qualifier expression.
-struct CompiledStep {
-  Axis axis = Axis::kSelf;
-  int qual = -1;  // index into CompiledQuery::quals, -1 = none
-  int pos = -1;   // global step position
-};
-
-struct CompiledPath {
-  std::vector<CompiledStep> steps;
-};
-
-/// Qualifier boolean expression nodes.
-struct CompiledQual {
-  enum class Kind { kLabel, kAnd, kOr, kNot, kPathSet };
-  Kind kind = Kind::kLabel;
-  std::string label;
-  int left = -1;
-  int right = -1;
-  std::vector<int> path_ids;  // kPathSet: OR over these paths
-};
-
-struct CompiledQuery {
-  std::vector<CompiledPath> paths;  // sub-paths have larger ids
-  std::vector<CompiledQual> quals;
-  int num_main = 0;  // paths[0..num_main-1] are the main alternatives
-  int num_positions = 0;
-  bool selection_supported = false;
-};
+/// Per-position flags of a frame row.
+constexpr uint8_t kActiveChild = 1;   // children are candidates for the step
+constexpr uint8_t kActiveDesc = 2;    // all descendants are candidates
+constexpr uint8_t kChildSat = 4;      // a closed child matches the suffix
+constexpr uint8_t kDescSat = 8;       // a closed strict descendant does
+constexpr uint8_t kMatch = 16;        // this node matches it (at close)
+constexpr uint8_t kPendingFinal = 32;  // final step waits for its qualifier
 
 bool IsDownwardAxis(Axis axis) {
   return axis == Axis::kSelf || axis == Axis::kChild ||
@@ -75,36 +54,149 @@ Status Linearize(const PathExpr& p,
   return Status::Internal("unreachable");
 }
 
-class Compiler {
- public:
-  explicit Compiler(CompiledQuery* out) : out_(out) {}
+/// A step of a linear path; each step owns one global position.
+struct Step {
+  Axis axis = Axis::kSelf;
+  int qual = -1;  // index into quals, -1 = none
+  int pos = -1;   // global step position
+  /// The qualifier is decided by label tests alone (at open time).
+  bool label_only = true;
+};
+
+/// Qualifier expression node.
+struct Qual {
+  enum class Kind { kLabel, kAnd, kOr, kNot, kPathSet };
+  Kind kind = Kind::kLabel;
+  int label = -1;  // kLabel: index into labels
+  int left = -1;
+  int right = -1;
+  std::vector<int> path_ids;  // kPathSet: OR over these paths
+};
+
+/// Whether a node whose closed subtree left `flags` reaches a match of
+/// the step suffix starting at `step` along the step's axis.
+bool Reaches(const uint8_t* flags, const Step& step) {
+  const uint8_t f = flags[step.pos];
+  switch (step.axis) {
+    case Axis::kSelf:
+      return f & kMatch;
+    case Axis::kChild:
+      return f & kChildSat;
+    case Axis::kDescendant:
+      return f & kDescSat;
+    case Axis::kDescendantOrSelf:
+      return f & (kMatch | kDescSat);
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+/// The compiled query: linear paths (unions distributed) whose steps each
+/// own one global position, and qualifier expression nodes.
+struct StreamProgram::Impl {
+  /// paths[0..num_main-1] are the main alternatives; qualifier sub-paths
+  /// get larger ids than the path whose step they qualify, so the close
+  /// pass evaluates paths in decreasing id order.
+  std::vector<std::vector<Step>> paths;
+  std::vector<Qual> quals;
+  /// Distinct label names the qualifiers test.
+  std::vector<std::string> labels;
+  int num_main = 0;
+  int num_positions = 0;
+  bool selection_supported = false;
+  /// Some main final step has a qualifier beyond label tests, so a
+  /// selecting run decides it at close time.
+  bool defers_selection = false;
+
+  size_t RowBytes() const {
+    return sizeof(NodeId) + labels.size() +
+           static_cast<size_t>(num_positions);
+  }
+
+  /// Whether the `qual` is label tests joined by `and`.
+  bool LabelOnly(int qual) const {
+    if (qual == -1) return true;
+    const Qual& q = quals[qual];
+    switch (q.kind) {
+      case Qual::Kind::kLabel:
+        return true;
+      case Qual::Kind::kAnd:
+        return LabelOnly(q.left) && LabelOnly(q.right);
+      default:
+        return false;
+    }
+  }
+
+  /// The label-test part of `qual`, decidable when the node opens; other
+  /// parts count as true until close.
+  bool LabelsOk(const uint8_t* node_labels, int qual) const {
+    if (qual == -1) return true;
+    const Qual& q = quals[qual];
+    switch (q.kind) {
+      case Qual::Kind::kLabel:
+        return node_labels[q.label] != 0;
+      case Qual::Kind::kAnd:
+        return LabelsOk(node_labels, q.left) &&
+               LabelsOk(node_labels, q.right);
+      default:
+        return true;
+    }
+  }
+
+  /// The whole of `qual` at close time, when `flags` holds the node's
+  /// closed-subtree matches.
+  bool QualTrue(const uint8_t* node_labels, const uint8_t* flags,
+                int qual) const {
+    if (qual == -1) return true;
+    const Qual& q = quals[qual];
+    switch (q.kind) {
+      case Qual::Kind::kLabel:
+        return node_labels[q.label] != 0;
+      case Qual::Kind::kAnd:
+        return QualTrue(node_labels, flags, q.left) &&
+               QualTrue(node_labels, flags, q.right);
+      case Qual::Kind::kOr:
+        return QualTrue(node_labels, flags, q.left) ||
+               QualTrue(node_labels, flags, q.right);
+      case Qual::Kind::kNot:
+        return !QualTrue(node_labels, flags, q.left);
+      case Qual::Kind::kPathSet:
+        for (int pid : q.path_ids) {
+          if (Reaches(flags, paths[pid][0])) return true;
+        }
+        return false;
+    }
+    return false;
+  }
 
   Status CompileMain(const PathExpr& query) {
     std::vector<std::vector<const PathExpr*>> alternatives;
     TREEQ_RETURN_IF_ERROR(Linearize(query, &alternatives));
-    out_->num_main = static_cast<int>(alternatives.size());
+    num_main = static_cast<int>(alternatives.size());
     // Reserve ALL main path slots up front so that qualifier sub-paths of
     // early alternatives cannot steal the ids of later alternatives.
-    out_->paths.resize(alternatives.size());
+    paths.resize(alternatives.size());
     for (size_t i = 0; i < alternatives.size(); ++i) {
       TREEQ_RETURN_IF_ERROR(
           CompilePathInto(static_cast<int>(i), alternatives[i]));
     }
+    selection_supported = true;
+    for (int p = 0; p < num_main; ++p) {
+      const std::vector<Step>& steps = paths[p];
+      for (size_t j = 0; j + 1 < steps.size(); ++j) {
+        if (!steps[j].label_only) selection_supported = false;
+      }
+      if (!steps.back().label_only) defers_selection = true;
+    }
     return Status::OK();
   }
 
- private:
-  Result<int> CompilePath(const std::vector<const PathExpr*>& steps) {
-    int id = static_cast<int>(out_->paths.size());
-    out_->paths.emplace_back();
-    TREEQ_RETURN_IF_ERROR(CompilePathInto(id, steps));
-    return id;
-  }
-
+  /// Compiles `steps` into paths[id]; the slot is reserved first so nested
+  /// sub-paths get larger ids.
   Status CompilePathInto(int id, const std::vector<const PathExpr*>& steps) {
-    // Note: compile steps after reserving the slot so nested sub-paths get
-    // larger ids (the close pass evaluates paths in decreasing id order).
-    std::vector<CompiledStep> compiled;
+    std::vector<Step> compiled;
     for (const PathExpr* step : steps) {
       TREEQ_CHECK(step->kind == PathExpr::Kind::kStep);
       if (!IsDownwardAxis(step->axis)) {
@@ -114,508 +206,279 @@ class Compiler {
             AxisName(step->axis) +
             " (use ToForwardXPath to eliminate backward axes)");
       }
-      CompiledStep cs;
+      Step cs;
       cs.axis = step->axis;
-      cs.pos = out_->num_positions++;
-      int qual = -1;
+      cs.pos = num_positions++;
       for (const auto& q : step->qualifiers) {
         TREEQ_ASSIGN_OR_RETURN(int qid, CompileQual(*q));
-        if (qual == -1) {
-          qual = qid;
+        if (cs.qual == -1) {
+          cs.qual = qid;
         } else {
-          CompiledQual conj;
-          conj.kind = CompiledQual::Kind::kAnd;
-          conj.left = qual;
+          Qual conj;
+          conj.kind = Qual::Kind::kAnd;
+          conj.left = cs.qual;
           conj.right = qid;
-          out_->quals.push_back(conj);
-          qual = static_cast<int>(out_->quals.size()) - 1;
+          quals.push_back(conj);
+          cs.qual = static_cast<int>(quals.size()) - 1;
         }
       }
-      cs.qual = qual;
+      cs.label_only = LabelOnly(cs.qual);
       compiled.push_back(cs);
     }
-    out_->paths[id].steps = std::move(compiled);
+    paths[id] = std::move(compiled);
     return Status::OK();
   }
 
   Result<int> CompileQual(const Qualifier& q) {
-    CompiledQual out;
+    Qual out;
     switch (q.kind) {
-      case Qualifier::Kind::kLabel:
-        out.kind = CompiledQual::Kind::kLabel;
-        out.label = q.label;
+      case Qualifier::Kind::kLabel: {
+        out.kind = Qual::Kind::kLabel;
+        auto it = std::find(labels.begin(), labels.end(), q.label);
+        out.label = static_cast<int>(it - labels.begin());
+        if (it == labels.end()) labels.push_back(q.label);
         break;
+      }
       case Qualifier::Kind::kAnd:
       case Qualifier::Kind::kOr: {
-        out.kind = q.kind == Qualifier::Kind::kAnd ? CompiledQual::Kind::kAnd
-                                                   : CompiledQual::Kind::kOr;
+        out.kind = q.kind == Qualifier::Kind::kAnd ? Qual::Kind::kAnd
+                                                   : Qual::Kind::kOr;
         TREEQ_ASSIGN_OR_RETURN(out.left, CompileQual(*q.left));
         TREEQ_ASSIGN_OR_RETURN(out.right, CompileQual(*q.right));
         break;
       }
       case Qualifier::Kind::kNot: {
-        out.kind = CompiledQual::Kind::kNot;
+        out.kind = Qual::Kind::kNot;
         TREEQ_ASSIGN_OR_RETURN(out.left, CompileQual(*q.left));
         break;
       }
       case Qualifier::Kind::kPath: {
-        out.kind = CompiledQual::Kind::kPathSet;
+        out.kind = Qual::Kind::kPathSet;
         std::vector<std::vector<const PathExpr*>> linear;
         TREEQ_RETURN_IF_ERROR(Linearize(*q.path, &linear));
         for (const auto& seq : linear) {
-          TREEQ_ASSIGN_OR_RETURN(int id, CompilePath(seq));
+          const int id = static_cast<int>(paths.size());
+          paths.emplace_back();
+          TREEQ_RETURN_IF_ERROR(CompilePathInto(id, seq));
           out.path_ids.push_back(id);
         }
         break;
       }
     }
-    out_->quals.push_back(std::move(out));
-    return static_cast<int>(out_->quals.size()) - 1;
+    quals.push_back(std::move(out));
+    return static_cast<int>(quals.size()) - 1;
   }
-
-  CompiledQuery* out_;
 };
 
-/// Label-only qualifier check (for the selection-supported fragment).
-bool QualIsLabelOnly(const CompiledQuery& cq, int qual) {
-  if (qual == -1) return true;
-  const CompiledQual& q = cq.quals[qual];
-  switch (q.kind) {
-    case CompiledQual::Kind::kLabel:
-      return true;
-    case CompiledQual::Kind::kAnd:
-      return QualIsLabelOnly(cq, q.left) && QualIsLabelOnly(cq, q.right);
-    default:
-      return false;
-  }
+Result<StreamProgram> StreamProgram::Compile(const xpath::PathExpr& query) {
+  auto impl = std::make_shared<Impl>();
+  TREEQ_RETURN_IF_ERROR(impl->CompileMain(query));
+  return StreamProgram(std::move(impl));
 }
 
-bool SelectionSupported(const CompiledQuery& cq) {
-  for (int p = 0; p < cq.num_main; ++p) {
-    const CompiledPath& path = cq.paths[p];
-    for (size_t j = 0; j + 1 < path.steps.size(); ++j) {
-      if (!QualIsLabelOnly(cq, path.steps[j].qual)) return false;
-    }
-  }
-  return true;
+bool StreamProgram::selection_supported() const {
+  return impl_->selection_supported;
 }
 
-}  // namespace
+size_t StreamProgram::frame_bytes() const { return impl_->RowBytes(); }
 
-class StreamMatcher::Impl {
- public:
-  explicit Impl(CompiledQuery cq) : cq_(std::move(cq)) {
-    stats_.frame_bytes =
-        3 * static_cast<size_t>(cq_.num_positions) + sizeof(NodeId) + 16;
-  }
+StreamMatcher::StreamMatcher(const StreamProgram& program, int universe)
+    : program_(program.impl_),
+      collect_(universe > 0 && program_->selection_supported),
+      close_pass_(!collect_ || program_->defers_selection),
+      selected_(collect_ ? universe : 0) {
+  stats_.frame_bytes = program_->RowBytes();
+}
 
-  void OnEvent(const SaxEvent& event) {
-    ++stats_.events;
-    TREEQ_OBS_INC("stream.events");
-    if (event.kind == SaxEvent::Kind::kStartElement) {
-      OnStart(event);
-    } else {
-      OnEnd();
-    }
-  }
+StreamMatcher::~StreamMatcher() {
+  if (stats_.events == 0) return;
+  TREEQ_OBS_COUNT("stream.events", stats_.events);
+  TREEQ_OBS_GAUGE_MAX("stream.peak_stack_depth", stats_.peak_frames);
+}
 
-  bool Matches() const { return matches_; }
+template <typename HasLabel>
+void StreamMatcher::Start(NodeId node, HasLabel&& has_label) {
+  // Locals throughout: stores through the byte rows may alias any member,
+  // so the compiler would reload members after each one.
+  const StreamProgram::Impl& p = *program_;
+  const size_t width = stats_.frame_bytes;
+  const size_t num_labels = p.labels.size();
+  ++stats_.events;
+  const size_t depth = ++depth_;
+  if (stack_.size() < depth * width) stack_.resize(depth * width);
+  stats_.peak_frames = std::max(stats_.peak_frames, depth);
+  uint8_t* row = Row(depth - 1);
+  std::memcpy(row, &node, sizeof(NodeId));
+  uint8_t* node_labels = row + sizeof(NodeId);
+  for (size_t i = 0; i < num_labels; ++i) node_labels[i] = has_label(i);
+  uint8_t* flags = node_labels + num_labels;
+  std::fill_n(flags, p.num_positions, 0);
+  if (!collect_) return;
 
-  std::vector<NodeId> SelectedNodes() const {
-    std::vector<NodeId> out(selected_.begin(), selected_.end());
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  const CompiledQuery& compiled() const { return cq_; }
-  const StreamStats& stats() const { return stats_; }
-
- private:
-  struct Frame {
-    NodeId node = kNullNode;
-    std::vector<std::string> labels;
-    // Boolean machinery: per position, whether some closed child (resp.
-    // strict-descendant) subtree contains a node matching the step suffix
-    // starting there.
-    std::vector<char> child_sat;
-    std::vector<char> desc_sat;
-    // Selection machinery: per position of a *main* path, whether this
-    // node is a candidate (axis admits it) / matched the prefix up to and
-    // including the step (labels checked).
-    std::vector<char> match_prefix;
-    std::vector<char> active_child;
-    std::vector<char> active_desc;
-    // Main positions whose final decision waits for this node's close.
-    std::vector<int> pending_final;
-  };
-
-  bool HasLabel(const Frame& f, const std::string& label) const {
-    return std::find(f.labels.begin(), f.labels.end(), label) !=
-           f.labels.end();
-  }
-
-  /// Label test + label-only qualifier parts of a step at open time.
-  bool LabelQualsOk(const Frame& f, int qual) const {
-    if (qual == -1) return true;
-    const CompiledQual& q = cq_.quals[qual];
-    switch (q.kind) {
-      case CompiledQual::Kind::kLabel:
-        return HasLabel(f, q.label);
-      case CompiledQual::Kind::kAnd:
-        return LabelQualsOk(f, q.left) && LabelQualsOk(f, q.right);
-      default:
-        return true;  // deferred to close time
-    }
-  }
-
-  void OnStart(const SaxEvent& event) {
-    stack_.emplace_back();
-    Frame& f = stack_.back();
-    f.node = event.node;
-    f.labels = event.labels;
-    f.child_sat.assign(cq_.num_positions, 0);
-    f.desc_sat.assign(cq_.num_positions, 0);
-    f.match_prefix.assign(cq_.num_positions, 0);
-    f.active_child.assign(cq_.num_positions, 0);
-    f.active_desc.assign(cq_.num_positions, 0);
-    stats_.peak_frames = std::max(stats_.peak_frames, stack_.size());
-    TREEQ_OBS_GAUGE_MAX("stream.peak_stack_depth", stack_.size());
-
-    // Selection prefix propagation (main paths only).
-    const bool is_root = stack_.size() == 1;
-    const Frame* parent = is_root ? nullptr : &stack_[stack_.size() - 2];
-    for (int p = 0; p < cq_.num_main; ++p) {
-      const CompiledPath& path = cq_.paths[p];
-      for (size_t j = 0; j < path.steps.size(); ++j) {
-        const CompiledStep& step = path.steps[j];
-        // Does the axis admit this node for step j?
-        bool candidate = false;
-        bool keep_desc = false;
-        if (j == 0) {
-          if (is_root) {
-            candidate = step.axis == Axis::kSelf ||
-                        step.axis == Axis::kDescendantOrSelf;
-          } else {
-            // non-root nodes reach step 0 via the root's activity flags
-            candidate = parent->active_child[step.pos] ||
-                        parent->active_desc[step.pos];
-            keep_desc = parent->active_desc[step.pos];
-          }
-          if (is_root && (step.axis == Axis::kDescendant ||
-                          step.axis == Axis::kDescendantOrSelf)) {
-            f.active_desc[step.pos] = 1;
-          }
-          if (is_root && step.axis == Axis::kChild) {
-            f.active_child[step.pos] = 1;
-          }
+  // Selection: which main-path steps this node is a candidate for (its
+  // parent's active flags, or a self / descendant-or-self step after a
+  // step it matched), and what it activates for its own subtree.
+  const uint8_t* parent = depth == 1 ? nullptr : flags - width;
+  for (int m = 0; m < p.num_main; ++m) {
+    const Step* steps = p.paths[m].data();
+    const size_t num_steps = p.paths[m].size();
+    bool prev_matched = false;
+    for (size_t j = 0; j < num_steps; ++j) {
+      const Step& step = steps[j];
+      bool candidate = prev_matched && (step.axis == Axis::kSelf ||
+                                        step.axis == Axis::kDescendantOrSelf);
+      if (parent != nullptr) {
+        const uint8_t in = parent[step.pos];
+        candidate = candidate || (in & (kActiveChild | kActiveDesc)) != 0;
+        flags[step.pos] |= in & kActiveDesc;
+      } else if (j == 0) {
+        // The root is the context node: step 0 starts here.
+        candidate = candidate || step.axis == Axis::kSelf ||
+                    step.axis == Axis::kDescendantOrSelf;
+        if (step.axis == Axis::kChild) flags[step.pos] |= kActiveChild;
+        if (step.axis == Axis::kDescendant ||
+            step.axis == Axis::kDescendantOrSelf) {
+          flags[step.pos] |= kActiveDesc;
+        }
+      }
+      prev_matched = candidate && p.LabelsOk(node_labels, step.qual);
+      if (!prev_matched) continue;
+      if (j + 1 == num_steps) {
+        // A final step's other qualifiers resolve when the node closes.
+        if (step.label_only) {
+          Select(row);
         } else {
-          if (parent != nullptr) {
-            candidate = parent->active_child[step.pos] ||
-                        parent->active_desc[step.pos];
-            keep_desc = parent->active_desc[step.pos];
-          }
+          flags[step.pos] |= kPendingFinal;
         }
-        if (keep_desc) f.active_desc[step.pos] = 1;
-        if (!candidate) continue;
-        if (!LabelQualsOk(f, step.qual)) continue;
-        // Self-axis chains within the same node resolve in step order.
-        f.match_prefix[step.pos] = 1;
-        if (j + 1 == path.steps.size()) {
-          // Final step matched (labels). Non-label qualifiers (allowed on
-          // the final step) resolve at close.
-          if (step.qual == -1 || QualIsLabelOnly(cq_, step.qual)) {
-            if (f.node != kNullNode) selected_.insert(f.node);
-            prefix_matched_ = true;
-          } else {
-            f.pending_final.push_back(step.pos);
-          }
-        } else {
-          const CompiledStep& next = path.steps[j + 1];
-          switch (next.axis) {
-            case Axis::kSelf:
-              // handled by in-order iteration: mark candidacy by treating
-              // the next step immediately.
-              // Fall through to candidacy via a direct recursion:
-              // emulate by setting a transient candidate; the loop below
-              // (same j order) covers it because next.pos > step.pos is
-              // processed later in this same loop iteration order only if
-              // j+1 loop index — we are iterating j in order, so the next
-              // iteration handles it via `self_candidates_`.
-              self_candidate_.push_back(next.pos);
-              break;
-            case Axis::kChild:
-              f.active_child[next.pos] = 1;
-              break;
-            case Axis::kDescendant:
-              f.active_desc[next.pos] = 1;
-              break;
-            case Axis::kDescendantOrSelf:
-              f.active_desc[next.pos] = 1;
-              self_candidate_.push_back(next.pos);
-              break;
-            default:
-              break;
-          }
-        }
-        // Apply self-candidacy produced for this very position.
-        if (!self_candidate_.empty()) {
-          // The candidate flags for later steps of this path at this node.
-          // They are consumed when the loop reaches step j+1 below.
-        }
+        continue;
       }
-      // Second pass within the path for self-chains: repeat until no new
-      // matches (at most |path| iterations).
-      bool changed = !self_candidate_.empty();
-      while (changed) {
-        changed = false;
-        std::vector<int> pending = std::move(self_candidate_);
-        self_candidate_.clear();
-        for (int pos : pending) {
-          // Find the step with this position in the current path.
-          for (size_t j = 0; j < path.steps.size(); ++j) {
-            const CompiledStep& step = path.steps[j];
-            if (step.pos != pos || f.match_prefix[pos]) continue;
-            if (!LabelQualsOk(f, step.qual)) continue;
-            f.match_prefix[pos] = 1;
-            changed = true;
-            if (j + 1 == path.steps.size()) {
-              if (step.qual == -1 || QualIsLabelOnly(cq_, step.qual)) {
-                if (f.node != kNullNode) selected_.insert(f.node);
-                prefix_matched_ = true;
-              } else {
-                f.pending_final.push_back(step.pos);
-              }
-            } else {
-              const CompiledStep& next = path.steps[j + 1];
-              switch (next.axis) {
-                case Axis::kSelf:
-                  self_candidate_.push_back(next.pos);
-                  break;
-                case Axis::kChild:
-                  f.active_child[next.pos] = 1;
-                  break;
-                case Axis::kDescendant:
-                  f.active_desc[next.pos] = 1;
-                  break;
-                case Axis::kDescendantOrSelf:
-                  f.active_desc[next.pos] = 1;
-                  self_candidate_.push_back(next.pos);
-                  break;
-                default:
-                  break;
-              }
-            }
-          }
-        }
-        changed = changed || !self_candidate_.empty();
-        if (self_candidate_.empty()) break;
+      const Step& next = steps[j + 1];
+      if (next.axis == Axis::kChild) flags[next.pos] |= kActiveChild;
+      if (next.axis == Axis::kDescendant ||
+          next.axis == Axis::kDescendantOrSelf) {
+        flags[next.pos] |= kActiveDesc;
       }
-      self_candidate_.clear();
     }
   }
-
-  void OnEnd() {
-    TREEQ_CHECK(!stack_.empty());
-    Frame& f = stack_.back();
-    // Compute, for every path (sub-paths first) and every step position,
-    // whether this node matches the step suffix starting there.
-    std::vector<char> match(cq_.num_positions, 0);
-    for (int p = static_cast<int>(cq_.paths.size()) - 1; p >= 0; --p) {
-      const CompiledPath& path = cq_.paths[p];
-      for (int j = static_cast<int>(path.steps.size()) - 1; j >= 0; --j) {
-        const CompiledStep& step = path.steps[j];
-        if (!StepLabelAndQualTrue(f, step, match)) continue;
-        bool cont = true;
-        if (j + 1 < static_cast<int>(path.steps.size())) {
-          const CompiledStep& next = path.steps[j + 1];
-          switch (next.axis) {
-            case Axis::kSelf:
-              cont = match[next.pos];
-              break;
-            case Axis::kChild:
-              cont = f.child_sat[next.pos];
-              break;
-            case Axis::kDescendant:
-              cont = f.desc_sat[next.pos];
-              break;
-            case Axis::kDescendantOrSelf:
-              cont = match[next.pos] || f.desc_sat[next.pos];
-              break;
-            default:
-              cont = false;
-          }
-        }
-        if (cont) match[step.pos] = 1;
-      }
-    }
-
-    // Pending final-step selections: the step's full qualifier is now
-    // decidable.
-    for (int pos : f.pending_final) {
-      // Locate the main step with this position.
-      for (int p = 0; p < cq_.num_main; ++p) {
-        const CompiledPath& path = cq_.paths[p];
-        if (path.steps.empty() || path.steps.back().pos != pos) continue;
-        if (QualTrue(f, path.steps.back().qual, match)) {
-          if (f.node != kNullNode) selected_.insert(f.node);
-          prefix_matched_ = true;
-        }
-      }
-    }
-
-    // Boolean result at the root's close: does some main alternative have a
-    // match reachable from the root context?
-    if (stack_.size() == 1) {
-      for (int p = 0; p < cq_.num_main; ++p) {
-        const CompiledPath& path = cq_.paths[p];
-        TREEQ_CHECK(!path.steps.empty());
-        const CompiledStep& first = path.steps[0];
-        bool reach = false;
-        switch (first.axis) {
-          case Axis::kSelf:
-            reach = match[first.pos];
-            break;
-          case Axis::kChild:
-            reach = f.child_sat[first.pos];
-            break;
-          case Axis::kDescendant:
-            reach = f.desc_sat[first.pos];
-            break;
-          case Axis::kDescendantOrSelf:
-            reach = match[first.pos] || f.desc_sat[first.pos];
-            break;
-          default:
-            break;
-        }
-        matches_ = matches_ || reach;
-      }
-      stack_.pop_back();
-      return;
-    }
-
-    // Fold this subtree's matches into the parent.
-    Frame& parent = stack_[stack_.size() - 2];
-    for (int pos = 0; pos < cq_.num_positions; ++pos) {
-      parent.child_sat[pos] |= match[pos];
-      parent.desc_sat[pos] |= match[pos] | f.desc_sat[pos];
-    }
-    stack_.pop_back();
-  }
-
-  /// Label test + full qualifier (using the close-time `match` vector).
-  bool StepLabelAndQualTrue(const Frame& f, const CompiledStep& step,
-                            const std::vector<char>& match) const {
-    return QualTrue(f, step.qual, match);
-  }
-
-  bool QualTrue(const Frame& f, int qual,
-                const std::vector<char>& match) const {
-    if (qual == -1) return true;
-    const CompiledQual& q = cq_.quals[qual];
-    switch (q.kind) {
-      case CompiledQual::Kind::kLabel:
-        return HasLabel(f, q.label);
-      case CompiledQual::Kind::kAnd:
-        return QualTrue(f, q.left, match) && QualTrue(f, q.right, match);
-      case CompiledQual::Kind::kOr:
-        return QualTrue(f, q.left, match) || QualTrue(f, q.right, match);
-      case CompiledQual::Kind::kNot:
-        return !QualTrue(f, q.left, match);
-      case CompiledQual::Kind::kPathSet: {
-        for (int pid : q.path_ids) {
-          const CompiledPath& path = cq_.paths[pid];
-          TREEQ_CHECK(!path.steps.empty());
-          const CompiledStep& first = path.steps[0];
-          bool reach = false;
-          switch (first.axis) {
-            case Axis::kSelf:
-              reach = match[first.pos];
-              break;
-            case Axis::kChild:
-              reach = f.child_sat[first.pos];
-              break;
-            case Axis::kDescendant:
-              reach = f.desc_sat[first.pos];
-              break;
-            case Axis::kDescendantOrSelf:
-              reach = match[first.pos] || f.desc_sat[first.pos];
-              break;
-            default:
-              break;
-          }
-          if (reach) return true;
-        }
-        return false;
-      }
-    }
-    return false;
-  }
-
-  CompiledQuery cq_;
-  std::vector<Frame> stack_;
-  std::set<NodeId> selected_;
-  std::vector<int> self_candidate_;
-  bool matches_ = false;
-  bool prefix_matched_ = false;
-  StreamStats stats_;
-};
-
-StreamMatcher::StreamMatcher(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-
-StreamMatcher::~StreamMatcher() = default;
-
-Result<std::unique_ptr<StreamMatcher>> StreamMatcher::Compile(
-    const xpath::PathExpr& query) {
-  CompiledQuery cq;
-  Compiler compiler(&cq);
-  TREEQ_RETURN_IF_ERROR(compiler.CompileMain(query));
-  cq.selection_supported = SelectionSupported(cq);
-  return std::unique_ptr<StreamMatcher>(
-      new StreamMatcher(std::make_unique<Impl>(std::move(cq))));
 }
 
-void StreamMatcher::OnEvent(const SaxEvent& event) { impl_->OnEvent(event); }
+void StreamMatcher::End() {
+  TREEQ_CHECK(depth_ > 0);
+  ++stats_.events;
+  --depth_;
+  if (!close_pass_) return;
+  const StreamProgram::Impl& p = *program_;
+  uint8_t* row = Row(depth_);
+  const uint8_t* node_labels = row + sizeof(NodeId);
+  uint8_t* flags = row + sizeof(NodeId) + p.labels.size();
 
-bool StreamMatcher::Matches() const { return impl_->Matches(); }
+  // For every path (sub-paths first) and step: does this node match the
+  // step suffix starting there?
+  for (int path = static_cast<int>(p.paths.size()) - 1; path >= 0; --path) {
+    const std::vector<Step>& steps = p.paths[path];
+    for (size_t j = steps.size(); j-- > 0;) {
+      const Step& step = steps[j];
+      if (!p.QualTrue(node_labels, flags, step.qual)) continue;
+      if (j + 1 == steps.size() || Reaches(flags, steps[j + 1])) {
+        flags[step.pos] |= kMatch;
+      }
+    }
+  }
 
-bool StreamMatcher::selection_supported() const {
-  return impl_->compiled().selection_supported;
+  if (collect_) {
+    // Pending final-step selections: the full qualifier is now decidable.
+    for (int m = 0; m < p.num_main; ++m) {
+      const Step& last = p.paths[m].back();
+      if ((flags[last.pos] & kPendingFinal) &&
+          p.QualTrue(node_labels, flags, last.qual)) {
+        Select(row);
+      }
+    }
+  }
+
+  if (depth_ == 0) {
+    // The root closed: does some main alternative reach a match from it?
+    for (int m = 0; m < p.num_main; ++m) {
+      matches_ = matches_ || Reaches(flags, p.paths[m][0]);
+    }
+    return;
+  }
+  // Fold this subtree's matches into the parent.
+  uint8_t* parent = flags - stats_.frame_bytes;
+  for (int pos = 0; pos < p.num_positions; ++pos) {
+    if (flags[pos] & kMatch) parent[pos] |= kChildSat | kDescSat;
+    parent[pos] |= flags[pos] & kDescSat;
+  }
 }
 
-std::vector<NodeId> StreamMatcher::SelectedNodes() const {
-  TREEQ_CHECK(selection_supported());
-  return impl_->SelectedNodes();
+void StreamMatcher::Select(const uint8_t* row) {
+  NodeId node;
+  std::memcpy(&node, row, sizeof(NodeId));
+  TREEQ_CHECK(node >= 0 && node < selected_.universe());
+  selected_.Insert(node);
 }
 
-const StreamStats& StreamMatcher::stats() const { return impl_->stats(); }
+void StreamMatcher::OnEvent(const SaxEvent& event) {
+  if (event.kind == SaxEvent::Kind::kEndElement) {
+    End();
+    return;
+  }
+  Start(event.node, [&](size_t i) {
+    return std::find(event.labels.begin(), event.labels.end(),
+                     program_->labels[i]) != event.labels.end();
+  });
+}
 
-Result<bool> StreamMatcher::MatchTree(const xpath::PathExpr& query,
+bool StreamMatcher::Matches() const {
+  // A selecting run's answer is nonempty exactly when the query matches.
+  return collect_ ? !selected_.empty() : matches_;
+}
+
+const NodeSet& StreamMatcher::selected() const {
+  TREEQ_CHECK(collect_);
+  return selected_;
+}
+
+Status StreamMatcher::Run(const Tree& tree, const ExecContext& exec) {
+  label_ids_.clear();
+  for (const std::string& name : program_->labels) {
+    label_ids_.push_back(tree.label_table().Lookup(name));
+  }
+  return stream::WalkTree(
+      tree, exec,
+      [&](NodeId v) {
+        const std::vector<LabelId>& labels = tree.labels(v);
+        Start(v, [&](size_t i) {
+          return std::find(labels.begin(), labels.end(), label_ids_[i]) !=
+                 labels.end();
+        });
+      },
+      [&](NodeId) { End(); });
+}
+
+Result<bool> StreamMatcher::MatchTree(const StreamProgram& program,
                                       const Tree& tree, StreamStats* stats,
                                       const ExecContext& exec) {
   TREEQ_OBS_SPAN("stream.match_tree");
-  TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<StreamMatcher> matcher,
-                         Compile(query));
-  TREEQ_RETURN_IF_ERROR(StreamTree(
-      tree, [&matcher](const SaxEvent& e) { matcher->OnEvent(e); }, exec));
-  if (stats != nullptr) *stats = matcher->stats();
-  return matcher->Matches();
+  StreamMatcher matcher(program);
+  TREEQ_RETURN_IF_ERROR(matcher.Run(tree, exec));
+  if (stats != nullptr) *stats = matcher.stats();
+  return matcher.Matches();
 }
 
-Result<std::vector<NodeId>> StreamMatcher::SelectFromTree(
-    const xpath::PathExpr& query, const Tree& tree, StreamStats* stats,
-    const ExecContext& exec) {
+Result<NodeSet> StreamMatcher::SelectFromTree(const StreamProgram& program,
+                                              const Tree& tree,
+                                              StreamStats* stats,
+                                              const ExecContext& exec) {
   TREEQ_OBS_SPAN("stream.select_from_tree");
-  TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<StreamMatcher> matcher,
-                         Compile(query));
-  if (!matcher->selection_supported()) {
+  if (!program.selection_supported()) {
     return Status::Unsupported(
         "node selection needs label-only qualifiers on non-final steps");
   }
-  TREEQ_RETURN_IF_ERROR(StreamTree(
-      tree, [&matcher](const SaxEvent& e) { matcher->OnEvent(e); }, exec));
-  if (stats != nullptr) *stats = matcher->stats();
-  return matcher->SelectedNodes();
+  StreamMatcher matcher(program, tree.num_nodes());
+  TREEQ_RETURN_IF_ERROR(matcher.Run(tree, exec));
+  if (stats != nullptr) *stats = matcher.stats();
+  return std::move(matcher.selected_);
 }
 
 }  // namespace stream

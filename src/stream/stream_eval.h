@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "stream/sax.h"
+#include "tree/node_set.h"
 #include "util/status.h"
 #include "xpath/ast.h"
 
@@ -31,6 +31,18 @@
 ///    lower bounds of [5]: general node selection inherently buffers, so
 ///    the O(depth * |Q|) guarantee is kept by restricting the fragment
 ///    instead.
+///
+/// A query compiles once into an immutable StreamProgram (the engine's
+/// Plan keeps one); each run is a StreamMatcher holding only run state:
+///   - one flat byte stack with one row per open element — the node id, one
+///     byte per distinct label test, one flag byte per step position;
+///   - the label tests resolved to the document's LabelIds once per run (a
+///     label the document lacks never matches), so a node's label test is
+///     an integer compare;
+///   - the selection, written straight into a NodeSet.
+/// The matcher core consumes (node, label bits) events. Tree runs feed it
+/// from WalkTree; text streams feed SaxEvents through OnEvent, which tests
+/// label names instead of ids. It is the same matcher either way.
 
 namespace treeq {
 namespace stream {
@@ -39,20 +51,44 @@ namespace stream {
 struct StreamStats {
   /// Maximum number of simultaneously open frames (== max depth + 1).
   size_t peak_frames = 0;
-  /// Per-frame state size in bytes (fixed at compile time).
+  /// Bytes of one frame row (fixed by the program).
   size_t frame_bytes = 0;
   uint64_t events = 0;
 
   size_t PeakStateBytes() const { return peak_frames * frame_bytes; }
 };
 
-/// A compiled streaming matcher. Compile once per (query, document) run.
-class StreamMatcher {
+/// A compiled query. Immutable and cheap to copy (copies share the
+/// compiled form); one program serves any number of concurrent runs.
+class StreamProgram {
  public:
   /// Compiles `query`; Unsupported if it falls outside the fragment above.
-  static Result<std::unique_ptr<StreamMatcher>> Compile(
-      const xpath::PathExpr& query);
+  static Result<StreamProgram> Compile(const xpath::PathExpr& query);
 
+  /// Whether node selection is available for this query.
+  bool selection_supported() const;
+
+  /// Bytes of one frame row: node id, label-test bytes, position bytes.
+  size_t frame_bytes() const;
+
+ private:
+  friend class StreamMatcher;
+  struct Impl;
+  explicit StreamProgram(std::shared_ptr<const Impl> impl)
+      : impl_(std::move(impl)) {}
+
+  std::shared_ptr<const Impl> impl_;
+};
+
+/// One run of a program over one event stream. A run reports
+/// `stream.events` and `stream.peak_stack_depth` to the obs registry
+/// once, when it ends.
+class StreamMatcher {
+ public:
+  /// `universe` bounds the node ids the stream reports ([0, universe)).
+  /// When it is positive and the program supports selection, the run
+  /// collects the selected nodes; 0 runs the Boolean matcher only.
+  explicit StreamMatcher(const StreamProgram& program, int universe = 0);
   ~StreamMatcher();
   StreamMatcher(const StreamMatcher&) = delete;
   StreamMatcher& operator=(const StreamMatcher&) = delete;
@@ -63,38 +99,58 @@ class StreamMatcher {
   /// After the full stream: did [[query]](root) select anything?
   bool Matches() const;
 
-  /// Whether node selection is available for this query.
-  bool selection_supported() const;
+  /// After the full stream: the selected nodes. Requires a positive
+  /// universe and selection_supported().
+  const NodeSet& selected() const;
 
-  /// After the full stream: the selected nodes (document order, distinct).
-  /// Requires selection_supported().
-  std::vector<NodeId> SelectedNodes() const;
+  const StreamStats& stats() const { return stats_; }
 
-  const StreamStats& stats() const;
-
-  /// Convenience: stream a whole tree (its SAX events, stream/sax.h) and
-  /// report the Boolean result. `exec` is charged one unit per SAX event,
+  /// Streams a whole tree through the matcher (WalkTree) and reports the
+  /// Boolean result. `exec` is charged one unit per start or end event,
   /// and the stream aborts mid-way when a limit trips. Because the
   /// matcher's state is O(depth * |Q|), aborting leaves nothing big to
   /// tear down — this is the engine's graceful-degradation fallback path.
-  static Result<bool> MatchTree(const xpath::PathExpr& query,
+  static Result<bool> MatchTree(const StreamProgram& program,
                                 const Tree& tree,
                                 StreamStats* stats = nullptr,
                                 const ExecContext& exec =
                                     ExecContext::Unbounded());
 
-  /// Convenience: stream a whole tree and report selected nodes; charged
-  /// as MatchTree.
-  static Result<std::vector<NodeId>> SelectFromTree(
-      const xpath::PathExpr& query, const Tree& tree,
+  /// Streams a whole tree and returns the selected nodes; charged as
+  /// MatchTree. Unsupported unless selection_supported().
+  static Result<NodeSet> SelectFromTree(
+      const StreamProgram& program, const Tree& tree,
       StreamStats* stats = nullptr,
       const ExecContext& exec = ExecContext::Unbounded());
 
  private:
-  class Impl;
-  explicit StreamMatcher(std::unique_ptr<Impl> impl);
+  /// The core: opens a frame for `node`; has_label(i) says whether the
+  /// node carries the program's i-th label test.
+  template <typename HasLabel>
+  void Start(NodeId node, HasLabel&& has_label);
+  /// Closes the innermost frame.
+  void End();
+  Status Run(const Tree& tree, const ExecContext& exec);
 
-  std::unique_ptr<Impl> impl_;
+  uint8_t* Row(size_t depth) {
+    return stack_.data() + depth * stats_.frame_bytes;
+  }
+  void Select(const uint8_t* row);
+
+  std::shared_ptr<const StreamProgram::Impl> program_;
+  /// Rows of the open frames, innermost last; grows to the peak depth
+  /// and is reused from then on.
+  std::vector<uint8_t> stack_;
+  size_t depth_ = 0;
+  /// Tree runs: the label tests as the document's LabelIds.
+  std::vector<LabelId> label_ids_;
+  bool collect_;
+  /// Whether End must evaluate the close-time pass: always for Boolean
+  /// runs, and for selecting runs whose final step has a path qualifier.
+  bool close_pass_;
+  bool matches_ = false;
+  NodeSet selected_;
+  StreamStats stats_;
 };
 
 }  // namespace stream

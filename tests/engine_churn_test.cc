@@ -102,6 +102,8 @@ TEST(EngineChurnTest, BatchesRaceDocumentChurnWithoutStaleResults) {
       });
     }
 
+    std::atomic<size_t> gets{0};
+    std::atomic<size_t> not_found{0};
     std::mutex recorded_mu;
     std::vector<Recorded> recorded;
     std::vector<std::thread> submitters;
@@ -110,13 +112,26 @@ TEST(EngineChurnTest, BatchesRaceDocumentChurnWithoutStaleResults) {
         Rng rng(static_cast<uint64_t>(round) * 7919u +
                 static_cast<uint64_t>(s));
         std::vector<Recorded> local;
-        for (int op = 0; op < 24; ++op) {
+        // Every Get can miss while both documents sit between a churner's
+        // Remove and its Add (which first builds a fresh catalog), so a
+        // submitter goes on past its 24 operations until it has recorded
+        // a request, for at most 10 s.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (int op = 0;
+             op < 24 || (local.empty() &&
+                         std::chrono::steady_clock::now() < give_up);
+             ++op) {
           std::vector<QueryRequest> requests;
           const int batch = static_cast<int>(rng.Uniform(1, 6));
           for (int i = 0; i < batch; ++i) {
             Result<DocumentPtr> doc = store.Get(
                 "doc" + std::to_string(rng.Uniform(0, kNumDocs - 1)));
-            if (!doc.ok()) continue;  // lost a Remove race; fine
+            gets.fetch_add(1, std::memory_order_relaxed);
+            if (!doc.ok()) {  // lost a Remove race; fine
+              not_found.fetch_add(1, std::memory_order_relaxed);
+              continue;
+            }
             QueryRequest request;
             request.plan = plans[static_cast<size_t>(
                 rng.Uniform(0, static_cast<int64_t>(plans.size()) - 1))];
@@ -176,7 +191,8 @@ TEST(EngineChurnTest, BatchesRaceDocumentChurnWithoutStaleResults) {
           << r.document->name() << " (epoch " << r.document->epoch() << ")";
       ++checked;
     }
-    EXPECT_GT(checked, 0u);
+    EXPECT_GT(checked, 0u) << not_found.load() << " of " << gets.load()
+                           << " Gets found no document";
     executor.Shutdown();
   }
 }

@@ -75,13 +75,15 @@ TEST_F(IntegrationTest, AllEnginesAgreeOnConjunctiveQueries) {
     EXPECT_EQ(direct.ToVector(), via_forward.ToVector()) << text;
     // Engine 5: streaming over SAX events (selection mode if supported,
     // Boolean otherwise).
-    auto matcher = std::move(stream::StreamMatcher::Compile(*fwd)).value();
+    auto stream_program =
+        std::move(stream::StreamProgram::Compile(*fwd)).value();
+    stream::StreamMatcher matcher(stream_program, doc_->num_nodes());
     stream::StreamTree(doc_->tree(), [&matcher](const stream::SaxEvent& e) {
-      matcher->OnEvent(e);
+      matcher.OnEvent(e);
     });
-    EXPECT_EQ(matcher->Matches(), !direct.empty()) << text;
-    if (matcher->selection_supported()) {
-      EXPECT_EQ(matcher->SelectedNodes(), direct.ToVector()) << text;
+    EXPECT_EQ(matcher.Matches(), !direct.empty()) << text;
+    if (stream_program.selection_supported()) {
+      EXPECT_EQ(matcher.selected().ToVector(), direct.ToVector()) << text;
     }
   }
 }
@@ -142,7 +144,8 @@ TEST(DeepTreeTest, EnginesSurviveDeepDocuments) {
   NodeSet direct = xpath::EvalQueryFromRoot(doc, *p).value();
   EXPECT_EQ(direct.size(), 1);  // only the deepest b has no a below
 
-  auto fwd_ok = stream::StreamMatcher::MatchTree(*p, deep);
+  auto fwd_ok = stream::StreamMatcher::MatchTree(
+      std::move(stream::StreamProgram::Compile(*p)).value(), deep);
   ASSERT_TRUE(fwd_ok.ok());
   EXPECT_TRUE(fwd_ok.value());
 
@@ -183,7 +186,8 @@ TEST(SingleNodeTest, AllEnginesHandleTheSmallestTree) {
   EXPECT_FALSE(std::move(cq::EvaluateBooleanTreewidth(unsat, doc)).value());
 
   stream::StreamStats stats;
-  auto matched = stream::StreamMatcher::MatchTree(*any, t, &stats);
+  auto matched = stream::StreamMatcher::MatchTree(
+      std::move(stream::StreamProgram::Compile(*any)).value(), t, &stats);
   ASSERT_TRUE(matched.ok());
   EXPECT_TRUE(matched.value());
   EXPECT_EQ(stats.peak_frames, 1u);

@@ -22,6 +22,13 @@ std::unique_ptr<xpath::PathExpr> MustParse(const std::string& text) {
   return std::move(p).value();
 }
 
+StreamProgram MustCompile(const xpath::PathExpr& query) {
+  Result<StreamProgram> program = StreamProgram::Compile(query);
+  EXPECT_TRUE(program.ok()) << xpath::ToString(query) << ": "
+                            << program.status().ToString();
+  return std::move(program).value();
+}
+
 TEST(SaxTest, EventsAreBalancedAndDocumentOrdered) {
   Rng rng(3);
   RandomTreeOptions opts;
@@ -74,19 +81,19 @@ TEST(SaxTest, XmlTextStreamRejectsMalformed) {
 }
 
 TEST(StreamMatcherTest, CompileRejectsBackwardAxes) {
-  EXPECT_FALSE(StreamMatcher::Compile(*MustParse("a/parent::b")).ok());
-  EXPECT_FALSE(StreamMatcher::Compile(*MustParse("ancestor::a")).ok());
+  EXPECT_FALSE(StreamProgram::Compile(*MustParse("a/parent::b")).ok());
+  EXPECT_FALSE(StreamProgram::Compile(*MustParse("ancestor::a")).ok());
   EXPECT_FALSE(
-      StreamMatcher::Compile(*MustParse("following-sibling::a")).ok());
+      StreamProgram::Compile(*MustParse("following-sibling::a")).ok());
 }
 
 TEST(StreamMatcherTest, SelectionSupportClassification) {
-  auto simple = StreamMatcher::Compile(*MustParse("//a/b[c]"));
+  auto simple = StreamProgram::Compile(*MustParse("//a/b[c]"));
   ASSERT_TRUE(simple.ok());
-  EXPECT_TRUE(simple.value()->selection_supported());
-  auto hard = StreamMatcher::Compile(*MustParse("//a[c]/b"));
+  EXPECT_TRUE(simple.value().selection_supported());
+  auto hard = StreamProgram::Compile(*MustParse("//a[c]/b"));
   ASSERT_TRUE(hard.ok());
-  EXPECT_FALSE(hard.value()->selection_supported());
+  EXPECT_FALSE(hard.value().selection_supported());
 }
 
 class StreamAgreementTest : public ::testing::TestWithParam<int> {};
@@ -117,7 +124,7 @@ TEST_P(StreamAgreementTest, BooleanMatchesInMemoryEvaluator) {
   };
   for (const char* text : kQueries) {
     std::unique_ptr<xpath::PathExpr> p = MustParse(text);
-    Result<bool> streamed = StreamMatcher::MatchTree(*p, t);
+    Result<bool> streamed = StreamMatcher::MatchTree(MustCompile(*p), t);
     ASSERT_TRUE(streamed.ok()) << text << ": "
                                << streamed.status().ToString();
     bool expected = !xpath::EvalQueryFromRoot(doc, *p).value().empty();
@@ -147,12 +154,12 @@ TEST_P(StreamAgreementTest, SelectionMatchesInMemoryEvaluator) {
   };
   for (const char* text : kQueries) {
     std::unique_ptr<xpath::PathExpr> p = MustParse(text);
-    Result<std::vector<NodeId>> streamed =
-        StreamMatcher::SelectFromTree(*p, t);
+    Result<NodeSet> streamed =
+        StreamMatcher::SelectFromTree(MustCompile(*p), t);
     ASSERT_TRUE(streamed.ok()) << text << ": "
                                << streamed.status().ToString();
     NodeSet expected = xpath::EvalQueryFromRoot(doc, *p).value();
-    EXPECT_EQ(streamed.value(), expected.ToVector()) << text;
+    EXPECT_EQ(streamed.value().ToVector(), expected.ToVector()) << text;
   }
 }
 
@@ -207,7 +214,7 @@ TEST_P(StreamAgreementTest, RandomQueriesMatchInMemoryEvaluator) {
 
   for (int trial = 0; trial < 25; ++trial) {
     std::unique_ptr<xpath::PathExpr> p = gen_path(3);
-    Result<bool> streamed = StreamMatcher::MatchTree(*p, t);
+    Result<bool> streamed = StreamMatcher::MatchTree(MustCompile(*p), t);
     ASSERT_TRUE(streamed.ok()) << xpath::ToString(*p);
     bool expected = !xpath::EvalQueryFromRoot(doc, *p).value().empty();
     EXPECT_EQ(streamed.value(), expected) << xpath::ToString(*p);
@@ -221,12 +228,14 @@ TEST(StreamMatcherTest, MemoryScalesWithDepthNotSize) {
   // Wide flat document: many nodes, depth 2.
   Tree wide = Caterpillar(1, 5000, "s", "l");
   StreamStats wide_stats;
-  ASSERT_TRUE(StreamMatcher::MatchTree(*p, wide, &wide_stats).ok());
+  ASSERT_TRUE(
+      StreamMatcher::MatchTree(MustCompile(*p), wide, &wide_stats).ok());
   EXPECT_LE(wide_stats.peak_frames, 3u);
   // Deep chain: few nodes relative to the wide doc, depth 999.
   Tree deep = Chain(1000);
   StreamStats deep_stats;
-  ASSERT_TRUE(StreamMatcher::MatchTree(*p, deep, &deep_stats).ok());
+  ASSERT_TRUE(
+      StreamMatcher::MatchTree(MustCompile(*p), deep, &deep_stats).ok());
   EXPECT_EQ(deep_stats.peak_frames, 1000u);
   EXPECT_GT(deep_stats.frame_bytes, 0u);
 }
@@ -243,7 +252,8 @@ TEST(StreamMatcherTest, PipelineWithForwardRewriting) {
   Result<std::unique_ptr<xpath::PathExpr>> forward =
       xpath::ToForwardXPath(*backward);
   ASSERT_TRUE(forward.ok()) << forward.status().ToString();
-  Result<bool> streamed = StreamMatcher::MatchTree(*forward.value(), t);
+  Result<bool> streamed =
+      StreamMatcher::MatchTree(MustCompile(*forward.value()), t);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(streamed.value(),
             !xpath::EvalQueryFromRoot(doc, *backward).value().empty());
