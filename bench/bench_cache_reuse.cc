@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ using treeq::engine::Executor;
 using treeq::engine::Plan;
 using treeq::engine::PlanPtr;
 using treeq::QueryResult;
-using treeq::engine::Request;
+using treeq::QueryRequest;
 
 // The per-document query set: each (query, document) pair is one distinct
 // result-cache key, so D = |queries| x |documents used by the sweep point|.
@@ -103,19 +104,19 @@ std::vector<PlanPtr> CompileQueries() {
 /// kRequestsPerMix / D times. Shuffling interleaves hits and misses so a
 /// cached run measures the steady mixed path, not a miss-phase followed by
 /// a hit-phase.
-std::vector<Request> BuildMix(const DocumentStore& store,
+std::vector<QueryRequest> BuildMix(const DocumentStore& store,
                               const std::vector<PlanPtr>& plans,
                               int documents, int* distinct_out) {
   const int distinct = kNumQueries * documents;
   const int repeats = kRequestsPerMix / distinct;
   TREEQ_CHECK(repeats * distinct == kRequestsPerMix);
-  std::vector<Request> mix;
+  std::vector<QueryRequest> mix;
   mix.reserve(static_cast<size_t>(kRequestsPerMix));
   for (int rep = 0; rep < repeats; ++rep) {
     for (int d = 0; d < documents; ++d) {
       treeq::DocumentPtr doc = store.Get("doc" + std::to_string(d)).value();
       for (const PlanPtr& plan : plans) {
-        mix.push_back(Request{plan, doc});
+        mix.push_back({plan, doc, {}});
       }
     }
   }
@@ -125,17 +126,22 @@ std::vector<Request> BuildMix(const DocumentStore& store,
   return mix;
 }
 
-double MeasureQps(const std::vector<Request>& mix, Executor* exec) {
+/// Submits the whole mix, then waits for every answer.
+double MeasureQps(const std::vector<QueryRequest>& mix, Executor* exec) {
   uint64_t start = NowNs();
-  std::vector<treeq::Result<QueryResult>> results = exec->RunBatch(mix);
+  std::vector<std::future<treeq::Result<QueryResult>>> futures;
+  futures.reserve(mix.size());
+  for (const QueryRequest& request : mix) {
+    futures.push_back(exec->Submit(request).future);
+  }
+  for (auto& f : futures) TREEQ_CHECK(f.get().ok());
   uint64_t wall_ns = NowNs() - start;
-  for (const auto& r : results) TREEQ_CHECK(r.ok());
   return static_cast<double>(mix.size()) * 1e9 /
          static_cast<double>(wall_ns);
 }
 
 /// Best-of-`reps` qps through a fresh cacheless 1-worker executor.
-double UncachedQps(const std::vector<Request>& mix, int reps) {
+double UncachedQps(const std::vector<QueryRequest>& mix, int reps) {
   double best = 0;
   for (int i = 0; i < reps; ++i) {
     Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 64});
@@ -147,7 +153,7 @@ double UncachedQps(const std::vector<Request>& mix, int reps) {
 /// Best-of-`reps` qps through a fully cache-wired 1-worker executor. Fresh
 /// caches per rep: every rep replays the same cold-start-to-warm mix, so
 /// the measurement includes the misses that populate the caches.
-double CachedQps(const std::vector<Request>& mix, int reps,
+double CachedQps(const std::vector<QueryRequest>& mix, int reps,
                  uint64_t* executions_out, uint64_t* hits_out,
                  uint64_t* eval_hits_out) {
   double best = 0;
@@ -186,7 +192,8 @@ void RunReuseSweep(treeq::benchjson::Record* record) {
   double cold_ratio = 0;
   for (int documents : {kMaxDocuments, kMaxDocuments / 2, 10, 1}) {
     int distinct = 0;
-    std::vector<Request> mix = BuildMix(store, plans, documents, &distinct);
+    std::vector<QueryRequest> mix =
+        BuildMix(store, plans, documents, &distinct);
     const double target_rate =
         static_cast<double>(kRequestsPerMix - distinct) / kRequestsPerMix;
 

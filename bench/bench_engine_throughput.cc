@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -40,7 +41,7 @@ using treeq::engine::Plan;
 using treeq::engine::PlanCache;
 using treeq::engine::PlanPtr;
 using treeq::QueryResult;
-using treeq::engine::Request;
+using treeq::QueryRequest;
 
 struct WorkloadQuery {
   Language language;
@@ -96,28 +97,37 @@ std::vector<PlanPtr> CompileWorkload() {
   return plans;
 }
 
-std::vector<Request> BuildBatch(const DocumentStore& store,
+std::vector<QueryRequest> BuildBatch(const DocumentStore& store,
                                 const std::vector<PlanPtr>& plans) {
-  std::vector<Request> requests;
+  std::vector<QueryRequest> requests;
   for (int rep = 0; rep < kBatchRepeats; ++rep) {
     for (const std::string& name : store.Names()) {
       for (const PlanPtr& plan : plans) {
-        requests.push_back(Request{plan, store.Get(name).value()});
+        requests.push_back({plan, store.Get(name).value(), {}});
       }
     }
   }
   return requests;
 }
 
-/// One timed RunBatch on a fresh pool of `threads` workers. Returns qps.
-double MeasureQps(const std::vector<Request>& batch, int threads,
+/// Submits every request, then waits for every answer.
+void RunAll(Executor* exec, const std::vector<QueryRequest>& batch) {
+  std::vector<std::future<treeq::Result<QueryResult>>> futures;
+  futures.reserve(batch.size());
+  for (const QueryRequest& request : batch) {
+    futures.push_back(exec->Submit(request).future);
+  }
+  for (auto& f : futures) TREEQ_CHECK(f.get().ok());
+}
+
+/// One timed RunAll on a fresh pool of `threads` workers. Returns qps.
+double MeasureQps(const std::vector<QueryRequest>& batch, int threads,
                   uint64_t* wall_ns_out) {
   Executor exec(Executor::Options{.num_workers = threads,
                                   .queue_capacity = 64});
   uint64_t start = NowNs();
-  std::vector<treeq::Result<QueryResult>> results = exec.RunBatch(batch);
+  RunAll(&exec, batch);
   uint64_t wall_ns = NowNs() - start;
-  for (const auto& r : results) TREEQ_CHECK(r.ok());
   if (wall_ns_out != nullptr) *wall_ns_out = wall_ns;
   return static_cast<double>(batch.size()) * 1e9 /
          static_cast<double>(wall_ns);
@@ -127,7 +137,7 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   DocumentStore store;
   BuildCorpus(&store);
   std::vector<PlanPtr> plans = CompileWorkload();
-  std::vector<Request> batch = BuildBatch(store, plans);
+  std::vector<QueryRequest> batch = BuildBatch(store, plans);
 
   std::printf("=== engine throughput: qps vs worker threads ===\n");
   std::printf("corpus: %d catalog documents, %d products each\n",
@@ -210,7 +220,7 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
     uint64_t start = NowNs();
     std::vector<treeq::engine::Submission> submissions;
     submissions.reserve(batch.size());
-    for (const Request& r : batch) {
+    for (const QueryRequest& r : batch) {
       submissions.push_back(exec.Submit({r.plan, r.document, opts}));
     }
     for (auto& s : submissions) TREEQ_CHECK(s.future.get().ok());
@@ -344,11 +354,11 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   double cache_on_qps = 0;
   uint64_t result_cache_hits = 0;
   {
-    std::vector<Request> mix;
+    std::vector<QueryRequest> mix;
     for (int rep = 0; rep < 10; ++rep) {
       for (const std::string& name : store.Names()) {
         for (const PlanPtr& plan : plans) {
-          mix.push_back(Request{plan, store.Get(name).value()});
+          mix.push_back({plan, store.Get(name).value(), {}});
         }
       }
     }
@@ -364,9 +374,8 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
                                       .result_cache = &result_cache,
                                       .singleflight = true});
       uint64_t start = NowNs();
-      std::vector<treeq::Result<QueryResult>> results = exec.RunBatch(mix);
+      RunAll(&exec, mix);
       uint64_t wall_ns = NowNs() - start;
-      for (const auto& r : results) TREEQ_CHECK(r.ok());
       cache_on_qps = std::max(cache_on_qps,
                               static_cast<double>(mix.size()) * 1e9 /
                                   static_cast<double>(wall_ns));
@@ -412,17 +421,17 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   TREEQ_CHECK(alias_cache.size() == 1);
 
   // Sequential submit-and-wait, so each request sees every earlier insert
-  // (a RunBatch looks everything up before the first result lands, which
+  // (a RunAll looks everything up before the first result lands, which
   // would report zero intra-batch hits regardless of keying).
-  auto measure_hit_rate = [&](const std::vector<Request>& mix,
+  auto measure_hit_rate = [&](const std::vector<QueryRequest>& mix,
                               double* qps_out) {
     treeq::cache::ResultCache rc;
     Executor exec(Executor::Options{.num_workers = 1,
                                     .queue_capacity = 64,
                                     .result_cache = &rc});
     uint64_t start = NowNs();
-    for (const Request& r : mix) {
-      TREEQ_CHECK(exec.Submit({r.plan, r.document, {}}).future.get().ok());
+    for (const QueryRequest& r : mix) {
+      TREEQ_CHECK(exec.Submit(r).future.get().ok());
     }
     uint64_t wall_ns = NowNs() - start;
     *qps_out = static_cast<double>(mix.size()) * 1e9 /
@@ -432,14 +441,14 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   };
 
   constexpr int kAliasRepeats = 10;
-  std::vector<Request> cross_mix, same_mix;
+  std::vector<QueryRequest> cross_mix, same_mix;
   for (int rep = 0; rep < kAliasRepeats; ++rep) {
     for (const std::string& name : store.Names()) {
       for (const PlanPtr& plan : alias_plans) {
-        cross_mix.push_back(Request{plan, store.Get(name).value()});
+        cross_mix.push_back({plan, store.Get(name).value(), {}});
       }
       for (int a = 0; a < kNumAliases; ++a) {
-        same_mix.push_back(Request{alias_plans[0], store.Get(name).value()});
+        same_mix.push_back({alias_plans[0], store.Get(name).value(), {}});
       }
     }
   }
@@ -528,13 +537,12 @@ int WriteMetrics(const std::string& path) {
 void BM_ExecutorBatch(benchmark::State& state) {
   DocumentStore store;
   BuildCorpus(&store);
-  std::vector<Request> batch = BuildBatch(store, CompileWorkload());
+  std::vector<QueryRequest> batch = BuildBatch(store, CompileWorkload());
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Executor exec(
         Executor::Options{.num_workers = threads, .queue_capacity = 64});
-    auto results = exec.RunBatch(batch);
-    benchmark::DoNotOptimize(results.size());
+    RunAll(&exec, batch);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch.size()));

@@ -85,8 +85,6 @@ class SolutionEnumerator {
       if (!abort_.ok()) return;
       theta_[var] = v;
       if (last) {
-        abort_ = exec_.ChargeMemory(theta_.size() * sizeof(NodeId));
-        if (!abort_.ok()) return;
         results_.push_back(theta_);
       } else {
         const int next = dfs_order_[i + 1];

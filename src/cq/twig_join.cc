@@ -240,8 +240,6 @@ class TwigStackRunner {
       chosen_items_[q] = entry.item;
       if (depth_in_path + 1 == path.size()) {
         // Record the solution keyed by the root-to-leaf pattern path.
-        abort_ = exec_.ChargeMemory(path.size() * sizeof(NodeId));
-        if (!abort_.ok()) return;
         std::vector<NodeId> solution(path.size());
         for (size_t i = 0; i < path.size(); ++i) {
           solution[path.size() - 1 - i] = (*partial)[i];  // root first
@@ -279,8 +277,6 @@ class TwigStackRunner {
                 std::vector<NodeId>* assignment, TupleSet* result) {
     if (!abort_.ok()) return;
     if (index == paths.size()) {
-      abort_ = exec_.ChargeMemory(assignment->size() * sizeof(NodeId));
-      if (!abort_.ok()) return;
       result->push_back(*assignment);
       return;
     }
@@ -353,8 +349,6 @@ Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
     const std::vector<JoinItem>& self_items = index.Items(label);
     // Start with the node's own matches.
     TREEQ_RETURN_IF_ERROR(exec.Charge(1 + self_items.size()));
-    TREEQ_RETURN_IF_ERROR(
-        exec.ChargeMemory(self_items.size() * m * sizeof(NodeId)));
     TupleSet tuples;
     for (const JoinItem& item : self_items) {
       std::vector<NodeId> tuple(m, kNullNode);
@@ -404,8 +398,6 @@ Result<TupleSet> TwigByStructuralJoins(const TwigPattern& pattern,
       // charge it so skewed documents trip ResourceExhausted, not the OOM
       // killer.
       TREEQ_RETURN_IF_ERROR(exec.Charge(1 + tuples.size()));
-      TREEQ_RETURN_IF_ERROR(
-          exec.ChargeMemory(tuples.size() * m * sizeof(NodeId)));
     }
     partial[q] = std::move(tuples);
   }

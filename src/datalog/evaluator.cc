@@ -29,9 +29,6 @@ Result<NodeSet> EvaluateDatalog(const Program& program, const Document& doc,
   }
   TREEQ_OBS_COUNT("datalog.ground_clauses", ground.horn.num_clauses());
   TREEQ_OBS_COUNT("datalog.ground_literals", ground.horn.SizeInLiterals());
-  TREEQ_RETURN_IF_ERROR(exec.ChargeMemory(
-      static_cast<uint64_t>(ground.horn.SizeInLiterals()) *
-      sizeof(horn::PredId)));
   TREEQ_ASSIGN_OR_RETURN(std::vector<char> truth, ground.horn.Solve(exec));
   NodeSet result(tree.num_nodes());
   horn::PredId base = ground.pred_base.at(program.query_predicate());

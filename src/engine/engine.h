@@ -10,8 +10,8 @@
 ///   PlanCache cache(/*capacity=*/128);         // (language, text) -> Plan
 ///   auto plan = cache.GetOrCompile(Language::kXPath, "//product").value();
 ///   Executor exec({.num_workers = 8});
-///   auto future = exec.Submit(plan, doc);      // bounded MPMC hand-off
-///   QueryResult r = future.get().value();
+///   auto submission = exec.Submit({plan, doc, {}});  // the one front door
+///   QueryResult r = submission.future.get().value();
 ///
 /// See DESIGN.md ("The serving engine") for the thread-safety contract and
 /// plan-cache semantics.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 
 #include "fault/fault.h"
@@ -39,27 +38,9 @@ void CountRequestLanguage(Language language) {
   }
 }
 
-#ifndef TREEQ_OBS_DISABLED
-/// A profile carrying the request identity every recording path (result
-/// cache hit, rejection, worker) shares; each site fills in the rest.
-obs::QueryProfile IdentityProfile(uint64_t id, const Plan& plan,
-                                  const Document& doc, bool plan_cache_hit) {
-  obs::QueryProfile profile;
-  profile.id = id;
-  profile.language = LanguageName(plan.language());
-  profile.query_hash = obs::HashQueryText(plan.text());
-  profile.query = plan.text().substr(0, obs::kMaxQueryChars);
-  profile.document = doc.name();
-  profile.explain = plan.Explain();
-  profile.canonical_hash = plan.canonical_hash().ToHex();
-  profile.cache_hit = plan_cache_hit;
-  return profile;
-}
-#endif
-
 Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
-                           const ExecContextPtr& context,
-                           bool allow_degraded, cache::EvalCache* eval_cache) {
+                           const ExecContext& exec, bool allow_degraded,
+                           cache::EvalCache* eval_cache) {
   if (plan == nullptr) {
     return Status::InvalidArgument("null plan submitted");
   }
@@ -80,20 +61,17 @@ Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
     memo.emplace(eval_cache, doc->epoch());
     options.axis_memo = &*memo;
   }
-  const ExecContext& exec =
-      context != nullptr ? *context : ExecContext::Unbounded();
   return plan->Execute(*doc, exec, options);
 }
 
 /// A request qualifies for result-cache service and singleflight collapse
-/// only when nothing about it is per-request: no deadline, no budgets, no
+/// only when nothing about it is per-request: no deadline, no budget, no
 /// bypass. Bounded requests must pay (and be limited by) their own
 /// execution.
 bool CacheEligible(const SubmitOptions& options) {
   return !options.bypass_cache &&
          options.timeout == std::chrono::nanoseconds::zero() &&
-         options.visit_budget == UINT64_MAX &&
-         options.memory_budget == UINT64_MAX;
+         options.visit_budget == UINT64_MAX;
 }
 
 cache::ResultKey MakeResultKey(const Plan& plan, uint64_t doc_epoch) {
@@ -147,10 +125,6 @@ void Executor::Shutdown() {
 }
 
 Submission Executor::Submit(QueryRequest request) {
-  return SubmitWithCollapse(std::move(request), singleflight_);
-}
-
-Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
   const SubmitOptions& options = request.options;
   Task task;
   task.plan = std::move(request.plan);
@@ -163,9 +137,14 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
     limits.deadline = ExecContext::Clock::now() + options.timeout;
   }
   limits.visit_budget = options.visit_budget;
-  limits.memory_budget = options.memory_budget;
   task.context = std::make_shared<ExecContext>(limits);
+#ifndef TREEQ_OBS_DISABLED
+  task.profile_id = obs::NextQueryId();
+#endif
+  Submission submission;
+  submission.context = task.context;
 
+  bool collapse = singleflight_;
   const bool reusable = task.plan != nullptr && task.document != nullptr &&
                         (result_cache_ != nullptr || collapse) &&
                         CacheEligible(options);
@@ -177,23 +156,8 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
         // Served on the submitting thread: no queue, no worker. Charge the
         // lookup (one unit) — the saved execution was not paid for.
         (void)task.context->Charge(1);
-#ifndef TREEQ_OBS_DISABLED
-        if (obs::FlightRecorder::Global().enabled()) {
-          obs::QueryProfile profile =
-              IdentityProfile(obs::NextQueryId(), *task.plan, *task.document,
-                              task.cache_hit);
-          profile.engine = "cache.result";
-          profile.result_cache_hit = true;
-          profile.visits = 1;
-          profile.estimated_visits = hit->route_cost;
-          TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
-        }
-#endif
-        Submission submission;
-        submission.context = task.context;
-        std::promise<Result<QueryResult>> ready;
-        submission.future = ready.get_future();
-        ready.set_value(*std::move(hit));
+        submission.future = task.promise.get_future();
+        Finish(task, *std::move(hit), {.kind = Ending::kResultCacheHit});
         return submission;
       }
     }
@@ -207,8 +171,6 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
         // Collapsed into the in-flight leader's execution; this request's
         // context is returned but unused (Cancel() on a follower does not
         // cancel the shared leader).
-        Submission submission;
-        submission.context = task.context;
         submission.future = *std::move(follower);
         return submission;
       }
@@ -216,161 +178,130 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
     }
     task.result_key = std::move(key);
   }
-  return SubmitTask(std::move(task), options.reject_when_full);
-}
 
-Submission Executor::SubmitTask(Task task, bool reject_when_full) {
-  Submission submission;
-  submission.context = task.context;
   submission.future = task.promise.get_future();
 #ifndef TREEQ_OBS_DISABLED
-  // Stamp the queue-wait start and the process-unique query id here, on
-  // the submitting thread, so the worker can attribute the wait and the
-  // flight recorder has a stable id even for rejected requests' siblings.
+  // Stamp the queue-wait start here, on the submitting thread, so the
+  // worker can attribute the wait.
   task.enqueue_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  task.profile_id = obs::NextQueryId();
 #endif
   TREEQ_OBS_INC("engine.exec.submitted");
-  // If this task is a singleflight leader, its key must survive the move
-  // below: a rejected leader still owes the in-flight table a Complete, or
-  // collapsed followers would wait forever.
-  std::optional<cache::ResultKey> flight_key;
-  if (task.flight_leader) flight_key = task.result_key;
-#ifndef TREEQ_OBS_DISABLED
-  // Snapshot what a rejection profile needs before the task is consumed
-  // by the queue move below (shared_ptr copies; recorder-gated).
-  PlanPtr profile_plan;
-  DocumentPtr profile_doc;
-  if (obs::FlightRecorder::Global().enabled()) {
-    profile_plan = task.plan;
-    profile_doc = task.document;
-  }
-  const uint64_t profile_id = task.profile_id;
-  const bool profile_cache_hit = task.cache_hit;
-#endif
-  bool accepted;
-  if (shutdown_.load(std::memory_order_acquire)) {
-    accepted = false;
-  } else if (TREEQ_FAULT_FIRED("engine.queue.push")) {
-    // Injected submit-side saturation: indistinguishable from a genuinely
-    // full queue — same rejection counter, same Unavailable contract.
-    accepted = false;
-  } else if (reject_when_full) {
-    accepted = queue_.TryPush(std::move(task));
-  } else {
-    accepted = queue_.Push(std::move(task));
-  }
+  // A refused push leaves `task` here, so the rejection finishes it like
+  // any other request: a rejected leader still completes its flight, or
+  // collapsed followers would wait forever. An injected push fault is
+  // indistinguishable from a genuinely full queue.
+  const bool accepted =
+      !shutdown_.load(std::memory_order_acquire) &&
+      !TREEQ_FAULT_FIRED("engine.queue.push") &&
+      (options.reject_when_full ? queue_.TryPush(std::move(task))
+                                : queue_.Push(std::move(task)));
   if (!accepted) {
-    // The task's promise went into a failed push or is dropped with
-    // `task`; either way, rebuild a pre-failed future. Shutdown wins over "queue full" for the message —
-    // a TryPush can lose to either.
+    // Shutdown wins over "queue full" for the message — a TryPush can lose
+    // to either.
     const bool down = shutdown_.load(std::memory_order_acquire);
     if (!down) TREEQ_OBS_INC("engine.rejected");
-    Status status = Status::Unavailable(
-        down ? "executor is shut down" : "executor queue is full");
-    if (flight_key.has_value()) {
-      inflight_.Complete(*flight_key, status);
-    }
-#ifndef TREEQ_OBS_DISABLED
-    // Rejected requests get a profile too (engine "rejected", zero
-    // execute time): a saturated queue is exactly when the flight
-    // recorder is most useful.
-    if (profile_plan != nullptr && profile_doc != nullptr &&
-        obs::FlightRecorder::Global().enabled()) {
-      obs::QueryProfile profile = IdentityProfile(
-          profile_id, *profile_plan, *profile_doc, profile_cache_hit);
-      profile.engine = "rejected";
-      profile.ok = false;
-      profile.status = StatusCodeName(status.code());
-      TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
-    }
-#endif
-    std::promise<Result<QueryResult>> failed;
-    submission.future = failed.get_future();
-    failed.set_value(std::move(status));
+    Finish(task,
+           Status::Unavailable(down ? "executor is shut down"
+                                    : "executor queue is full"),
+           {.kind = Ending::kRejected});
   }
   return submission;
 }
 
-std::vector<Submission> Executor::SubmitBatch(
-    std::span<QueryRequest> requests) {
-  // Warm each distinct document once on the submitting thread, so N
-  // requests against the same document race on nothing: the label index is
-  // built (or found already built) exactly here. With an eval cache
-  // attached, the first executed request then populates axis images the
-  // rest of the group reuses.
-  std::unordered_set<const Document*> warmed;
-  for (const QueryRequest& request : requests) {
-    if (request.document == nullptr) continue;
-    if (warmed.insert(request.document.get()).second) {
-      (void)request.document->label_index();
+void Executor::Finish(Task& task, Result<QueryResult> result,
+                      const Ending& ending) {
+  // 1. Publish a reusable outcome before anyone can observe the future: ok
+  // and non-degraded only, so a cache hit is bit-identical to the uncached
+  // evaluation it replays.
+  if (task.result_key.has_value() && result_cache_ != nullptr &&
+      result.ok() && !result.value().degraded) {
+    result_cache_->Insert(*task.result_key, result.value());
+  }
+#ifndef TREEQ_OBS_DISABLED
+  // 2. Record the profile before the future is fulfilled: once the caller
+  // sees it ready, the profile is visible in the recorder. Rejected
+  // requests get one too (a saturated queue is exactly when the recorder
+  // is most useful).
+  if (obs::FlightRecorder::Global().enabled() && task.plan != nullptr &&
+      task.document != nullptr) {
+    const Plan& plan = *task.plan;
+    obs::QueryProfile profile;
+    profile.id = task.profile_id;
+    profile.language = LanguageName(plan.language());
+    profile.query_hash = obs::HashQueryText(plan.text());
+    profile.query = plan.text().substr(0, obs::kMaxQueryChars);
+    profile.document = task.document->name();
+    profile.explain = plan.Explain();
+    profile.canonical_hash = plan.canonical_hash().ToHex();
+    profile.cache_hit = task.cache_hit;
+    profile.ok = result.ok();
+    profile.status = StatusCodeName(result.status().code());
+    profile.degraded = result.ok() && result.value().degraded;
+    if (result.ok()) profile.estimated_visits = result.value().route_cost;
+    switch (ending.kind) {
+      case Ending::kResultCacheHit:
+        profile.engine = "cache.result";
+        profile.result_cache_hit = true;
+        profile.visits = 1;  // the lookup charge
+        break;
+      case Ending::kRejected:
+        profile.engine = "rejected";
+        break;
+      case Ending::kRan: {
+        // GetCounter registers on first use and returns a stable pointer.
+        static obs::Counter* const words_scanned =
+            obs::StatsRegistry::Global().GetCounter("axes.words_scanned");
+        static obs::Counter* const label_hits =
+            obs::StatsRegistry::Global().GetCounter("labelindex.hits");
+        static obs::Counter* const eval_hits =
+            obs::StatsRegistry::Global().GetCounter("cache.eval.hits");
+        profile.engine = result.ok()
+                             ? result.value().engine
+                             : treeq::plan::EngineName(plan.NativeEngine());
+        if (result.ok()) {
+          profile.route_rationale = result.value().route_rationale;
+        }
+        profile.queue_wait_ns = ending.queue_wait_ns;
+        // A plan-cache hit reused a plan some earlier request paid to
+        // compile.
+        profile.compile_ns = task.cache_hit ? 0 : plan.compile_ns();
+        profile.execute_ns = ending.execute_ns;
+        profile.visits = task.context->visits_used();
+        // The shadow is flushed at every request boundary (step 3), so
+        // what it holds now is exactly this request's share.
+        profile.words_scanned = ending.shadow->BufferedDelta(words_scanned);
+        profile.label_index_hits = ending.shadow->BufferedDelta(label_hits);
+        profile.eval_cache_hits = ending.shadow->BufferedDelta(eval_hits);
+        break;
+      }
     }
+    TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
   }
-  // Collapse identical eligible requests within the batch regardless of
-  // the executor-wide singleflight flag: the first of each key leads, the
-  // rest follow its outcome.
-  std::vector<Submission> submissions;
-  submissions.reserve(requests.size());
-  for (QueryRequest& request : requests) {
-    submissions.push_back(
-        SubmitWithCollapse(std::move(request), /*collapse=*/true));
-  }
-  return submissions;
-}
-
-std::vector<Result<QueryResult>> Executor::RunBatch(
-    std::vector<Request> requests) {
-  std::vector<std::future<Result<QueryResult>>> futures;
-  futures.reserve(requests.size());
-  for (Request& r : requests) {
-    QueryRequest request;
-    request.plan = std::move(r.plan);
-    request.document = std::move(r.document);
-    futures.push_back(Submit(std::move(request)).future);
-  }
-  std::vector<Result<QueryResult>> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
+#endif
+  // 3. Merge the worker's counter deltas before the caller can observe the
+  // future: "future ready" implies "stats visible".
+  if (ending.shadow != nullptr) ending.shadow->Flush();
+  // 4. The flight fans out after the flush for the same reason: a
+  // follower's future ready implies the leader's stats are visible too.
+  if (task.flight_leader) inflight_.Complete(*task.result_key, result);
+  // 5.
+  task.promise.set_value(std::move(result));
 }
 
 void Executor::WorkerLoop() {
   // Fault rules with thread_tag="worker" fire only on pool threads.
   TREEQ_FAULT_THREAD_TAG("worker");
   // All counter increments below (and inside the evaluators) buffer into
-  // this worker's shadow and merge at request boundaries; see executor.h.
+  // this worker's shadow, which Finish merges at each request boundary;
+  // see executor.h.
   obs::ShadowCounters shadow;
-#ifndef TREEQ_OBS_DISABLED
-  // The two evaluator counters a profile attributes per request. GetCounter
-  // registers on first use and returns a stable pointer, so hoisting the
-  // lookups out of the loop leaves the per-request snapshot as two probes
-  // of the shadow's thread-private map.
-  obs::Counter* const words_scanned =
-      obs::StatsRegistry::Global().GetCounter("axes.words_scanned");
-  obs::Counter* const label_hits =
-      obs::StatsRegistry::Global().GetCounter("labelindex.hits");
-  obs::Counter* const eval_hits =
-      obs::StatsRegistry::Global().GetCounter("cache.eval.hits");
-#endif
   while (std::optional<Task> task = queue_.Pop()) {
     auto start = std::chrono::steady_clock::now();
-#ifndef TREEQ_OBS_DISABLED
-    // The shadow was flushed at the previous request boundary, but snapshot
-    // the buffered deltas anyway so the attribution stays correct even if
-    // a future change leaves residue in the buffer.
-    const bool profiling = obs::FlightRecorder::Global().enabled() &&
-                           task->plan != nullptr &&
-                           task->document != nullptr;
-    const uint64_t words_before =
-        profiling ? shadow.BufferedDelta(words_scanned) : 0;
-    const uint64_t labels_before =
-        profiling ? shadow.BufferedDelta(label_hits) : 0;
-    const uint64_t eval_hits_before =
-        profiling ? shadow.BufferedDelta(eval_hits) : 0;
     uint64_t queue_wait_ns = 0;
+#ifndef TREEQ_OBS_DISABLED
     if (task->enqueue_ns != 0) {
       const uint64_t dequeue_ns = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -382,76 +313,30 @@ void Executor::WorkerLoop() {
     }
 #endif
     // Injected worker hand-off failure: the popped task never evaluates
-    // and fails with the injected status, but every obligation below —
-    // profile, shadow flush, flight completion, promise — still runs.
+    // and fails with the injected status, but Finish still runs every
+    // obligation — profile, shadow flush, flight completion, promise.
     Result<QueryResult> result = [&]() -> Result<QueryResult> {
       if (Status injected = TREEQ_FAULT_INJECT("engine.queue.pop");
           !injected.ok()) {
         return injected;
       }
-      return RunOne(task->plan, task->document, task->context,
+      return RunOne(task->plan, task->document, *task->context,
                     task->allow_degraded,
                     task->bypass_cache ? nullptr : eval_cache_);
     }();
-    // Publish a reusable outcome before anyone can observe the future: ok
-    // and non-degraded only, so a cache hit is bit-identical to the
-    // uncached evaluation it replays.
-    if (task->result_key.has_value() && result_cache_ != nullptr &&
-        result.ok() && !result.value().degraded) {
-      result_cache_->Insert(*task->result_key, result.value());
-    }
     auto elapsed_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
     TREEQ_OBS_INC("engine.exec.requests");
     if (!result.ok()) TREEQ_OBS_INC("engine.exec.errors");
-    TREEQ_OBS_HISTOGRAM("engine.exec.request_ns", elapsed_ns);
     TREEQ_OBS_HISTOGRAM("engine.execute_ns", elapsed_ns);
-    if (task->context != nullptr) {
-      TREEQ_OBS_COUNT("exec.visits", task->context->visits_used());
-    }
-#ifndef TREEQ_OBS_DISABLED
-    if (profiling) {
-      const Plan& plan = *task->plan;
-      obs::QueryProfile profile = IdentityProfile(
-          task->profile_id, plan, *task->document, task->cache_hit);
-      profile.engine =
-          result.ok() ? result.value().engine
-                      : treeq::plan::EngineName(plan.NativeEngine());
-      profile.degraded = result.ok() && result.value().degraded;
-      if (result.ok()) {
-        profile.route_rationale = result.value().route_rationale;
-        profile.estimated_visits = result.value().route_cost;
-      }
-      profile.ok = result.ok();
-      profile.status = StatusCodeName(result.status().code());
-      profile.queue_wait_ns = queue_wait_ns;
-      // A cache hit reused a plan some earlier request paid to compile.
-      profile.compile_ns = task->cache_hit ? 0 : plan.compile_ns();
-      profile.execute_ns = elapsed_ns;
-      profile.visits =
-          task->context != nullptr ? task->context->visits_used() : 0;
-      profile.words_scanned =
-          shadow.BufferedDelta(words_scanned) - words_before;
-      profile.label_index_hits =
-          shadow.BufferedDelta(label_hits) - labels_before;
-      profile.eval_cache_hits =
-          shadow.BufferedDelta(eval_hits) - eval_hits_before;
-      // Record before the flush + set_value below: once the caller sees
-      // the future ready, the profile is visible in the recorder.
-      TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
-    }
-#endif
-    // Merge this request's counter deltas before the caller can observe
-    // the future: "future ready" implies "stats visible". The flight fans
-    // out after the flush for the same reason — a follower's future ready
-    // implies the leader's stats are visible too.
-    shadow.Flush();
-    if (task->flight_leader) {
-      inflight_.Complete(*task->result_key, result);
-    }
-    task->promise.set_value(std::move(result));
+    TREEQ_OBS_COUNT("exec.visits", task->context->visits_used());
+    Finish(*task, std::move(result),
+           {.kind = Ending::kRan,
+            .shadow = &shadow,
+            .queue_wait_ns = queue_wait_ns,
+            .execute_ns = elapsed_ns});
   }
 }
 

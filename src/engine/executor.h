@@ -7,7 +7,6 @@
 #include <future>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -21,18 +20,29 @@
 
 /// \file executor.h
 /// A fixed-size worker pool that evaluates (plan, document) requests
-/// concurrently. Submit() enqueues onto a bounded MPMC queue (mpmc_queue.h)
-/// and returns a future; RunBatch() is the submit-all/wait-all convenience
-/// the bench and example use. Plans and documents are immutable and shared
-/// by shared_ptr, so a request needs no locking beyond the queue hand-off.
+/// concurrently. Submit(QueryRequest) is the only entry point: it enqueues
+/// onto a bounded MPMC queue (mpmc_queue.h) and returns a future; a caller
+/// with many requests submits each and then waits on the futures. Plans and
+/// documents are immutable and shared by shared_ptr, so a request needs no
+/// locking beyond the queue hand-off.
+///
+/// A request ends in one of three ways: served from the result cache on the
+/// submitting thread, rejected (queue full, executor shut down, or the
+/// `engine.queue.push` fault point), or executed by a worker. All three go
+/// through one private completion step, Finish(), which in order inserts a
+/// reusable result into the result cache, records the request's profile
+/// (when the flight recorder is on), flushes the worker's shadow counters,
+/// completes the singleflight the request leads, and fulfils its future.
+/// A collapsed singleflight follower is not a request of its own: its
+/// future is fulfilled by the leader's Finish and it records no profile.
 ///
 /// Observability under concurrency: each worker installs an
 /// obs::ShadowCounters, so the thousands of counter increments a single
 /// evaluation performs (xpath.axis_ops, datalog.ground_clauses, ...) land
 /// in a thread-private buffer instead of contending on shared cache lines.
 /// The buffer is merged into the global StatsRegistry at each request
-/// boundary, *before* the request's future is fulfilled: once every future
-/// of a batch is ready, the registry totals are exact.
+/// boundary, *before* the request's future is fulfilled: once every
+/// submitted future is ready, the registry totals are exact.
 ///
 /// Backpressure: Submit blocks while the queue is full — a heavy client
 /// slows down rather than ballooning memory — unless the request opts into
@@ -42,7 +52,7 @@
 /// requests (their futures complete), and joins.
 ///
 /// Bounded requests: Submit with SubmitOptions attaches an ExecContext
-/// (util/exec_context.h) carrying the request's deadline and budgets; the
+/// (util/exec_context.h) carrying the request's deadline and budget; the
 /// returned Submission exposes Cancel(), and the worker threads the context
 /// through Plan::Execute so evaluation aborts cooperatively.
 ///
@@ -50,8 +60,8 @@
 /// all off by default — a default-constructed Executor behaves exactly as
 /// before):
 ///   - With a result cache, an *unbounded* request (no timeout, no visit
-///     or memory budget, bypass_cache unset) whose (doc epoch, dialect,
-///     text) key is resident returns an already-ready future from the
+///     budget, bypass_cache unset) whose (doc epoch, canonical query hash)
+///     key is resident returns an already-ready future from the
 ///     Submit call itself — it never touches the worker queue, and its
 ///     context is charged 1 unit (the lookup), not the saved work. Only
 ///     ok, non-degraded results are ever inserted.
@@ -67,13 +77,10 @@
 /// per-request.
 
 namespace treeq {
+namespace obs {
+class ShadowCounters;
+}  // namespace obs
 namespace engine {
-
-/// One unit of serving work.
-struct Request {
-  PlanPtr plan;
-  DocumentPtr document;
-};
 
 /// Per-request limits and policies for Submit.
 struct SubmitOptions {
@@ -83,8 +90,6 @@ struct SubmitOptions {
   std::chrono::nanoseconds timeout = std::chrono::nanoseconds::zero();
   /// Deterministic work budget in charge units; UINT64_MAX = unlimited.
   uint64_t visit_budget = UINT64_MAX;
-  /// Bytes of evaluator intermediate state; UINT64_MAX = unlimited.
-  uint64_t memory_budget = UINT64_MAX;
   /// Reject immediately (Unavailable) instead of blocking when the queue
   /// is full.
   bool reject_when_full = false;
@@ -102,8 +107,7 @@ struct SubmitOptions {
 };
 
 /// One Submit call as a value: the plan, the document, and the per-request
-/// options, carried together instead of as a growing positional argument
-/// list. Submit(QueryRequest) is the executor's only submit entry point.
+/// options. Submit(QueryRequest) is the executor's only entry point.
 struct QueryRequest {
   PlanPtr plan;
   DocumentPtr document;
@@ -159,23 +163,6 @@ class Executor {
   /// is an already-failed Unavailable future.
   Submission Submit(QueryRequest request);
 
-  /// Batched front door: submits every request and returns one Submission
-  /// per request, in request order. Beyond N Submit calls, the batch
-  /// - warms each distinct document once (label index; plus, with an eval
-  ///   cache attached, the axis-image memo the requests then share), and
-  /// - dedupes identical work WITHIN the batch: cache-eligible requests
-  ///   with the same (document epoch, dialect, text) collapse into one
-  ///   execution via the in-flight table, whether or not the executor-wide
-  ///   singleflight flag is set.
-  /// Per-request SubmitOptions (deadline, budgets, cancellation,
-  /// bypass_cache) are honored individually: bounded requests never
-  /// collapse and execute under their own contexts.
-  std::vector<Submission> SubmitBatch(std::span<QueryRequest> requests);
-
-  /// Submits every request, then waits for all of them. Results are in
-  /// request order.
-  std::vector<Result<QueryResult>> RunBatch(std::vector<Request> requests);
-
   /// Stops accepting new work, drains queued requests (their futures
   /// complete), and joins the workers. Idempotent and safe to race with
   /// Submit: a Submit that loses the race gets an Unavailable future
@@ -193,11 +180,11 @@ class Executor {
   struct Task {
     PlanPtr plan;
     DocumentPtr document;
-    ExecContextPtr context;  // null = unbounded
+    ExecContextPtr context;  // never null
     bool allow_degraded = false;
     bool bypass_cache = false;
-    /// Set for cache-eligible requests that missed the result cache: the
-    /// worker inserts the finished result under this key, and — when
+    /// Set for cache-eligible requests that missed the result cache:
+    /// Finish inserts the result under this key, and — when
     /// `flight_leader` — completes the in-flight table entry, fanning the
     /// outcome out to collapsed followers.
     std::optional<cache::ResultKey> result_key;
@@ -211,10 +198,20 @@ class Executor {
     std::promise<Result<QueryResult>> promise;
   };
 
-  /// Submit with an explicit collapse policy (Submit uses the executor's
-  /// singleflight flag; SubmitBatch forces collapsing within the batch).
-  Submission SubmitWithCollapse(QueryRequest request, bool collapse);
-  Submission SubmitTask(Task task, bool reject_when_full);
+  /// How a request ended, and what a worker measured when it ran one.
+  struct Ending {
+    enum Kind { kResultCacheHit, kRejected, kRan };
+    Kind kind;
+    /// The worker's shadow counters and wall times; null and zero unless
+    /// `kind` is kRan.
+    obs::ShadowCounters* shadow = nullptr;
+    uint64_t queue_wait_ns = 0;
+    uint64_t execute_ns = 0;
+  };
+
+  /// The one completion step every request goes through (see the file
+  /// comment for the order of its steps).
+  void Finish(Task& task, Result<QueryResult> result, const Ending& ending);
   void WorkerLoop();
 
   BoundedQueue<Task> queue_;

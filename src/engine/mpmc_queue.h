@@ -26,9 +26,10 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks until there is room (or the queue is closed). Returns false —
-  /// with `item` consumed — iff the queue was closed.
-  bool Push(T item) {
+  /// Blocks until there is room (or the queue is closed). Returns false iff
+  /// the queue was closed; `item` is moved from only when accepted, so a
+  /// refused item stays with the caller.
+  bool Push(T&& item) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock,
                    [this] { return closed_ || items_.size() < capacity_; });
@@ -39,10 +40,10 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push for admission control: returns false — with `item`
-  /// consumed — when the queue is full or closed, instead of waiting for
-  /// room.
-  bool TryPush(T item) {
+  /// Non-blocking push for admission control: returns false when the queue
+  /// is full or closed, instead of waiting for room. Like Push, `item` is
+  /// moved from only when accepted.
+  bool TryPush(T&& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
@@ -58,17 +59,6 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop; nullopt when empty (whether or not closed).
-  std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
     lock.unlock();

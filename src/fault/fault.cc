@@ -89,8 +89,7 @@ const std::vector<std::string>& KnownPoints() {
           "engine.queue.pop",        "engine.queue.push",
           "engine.shutdown",         "engine.worker.run",
           "exec.budget.charge",      "exec.deadline.check",
-          "exec.memory.charge",      "plan.route.decide",
-          "store.evict.notify",
+          "plan.route.decide",       "store.evict.notify",
       };
   return *kPoints;
 }

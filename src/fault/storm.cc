@@ -218,29 +218,19 @@ StormReport RunStorm(const StormOptions& options, const FaultPlan& plan) {
         continue;
       }
       if (roll >= 70) {
-        // Batched submit: collapses identical requests within the batch.
-        const int batch_size = static_cast<int>(rng.Uniform(2, 6));
-        std::vector<QueryRequest> requests;
-        for (int i = 0; i < batch_size; ++i) {
-          if (std::optional<QueryRequest> request = pick_request()) {
-            requests.push_back(*std::move(request));
-          }
-        }
-        if (requests.empty()) continue;
-        // Snapshot (plan, document) first: SubmitBatch moves the requests
-        // out of the span.
-        std::vector<std::pair<engine::PlanPtr, DocumentPtr>> snapshot;
-        for (const QueryRequest& r : requests) {
-          snapshot.emplace_back(r.plan, r.document);
-        }
-        submit_calls.fetch_add(requests.size(), std::memory_order_relaxed);
-        std::vector<engine::Submission> submissions =
-            executor.SubmitBatch(requests);
-        for (size_t i = 0; i < submissions.size(); ++i) {
+        // Burst: the same unbounded request submitted 2-5 times back to
+        // back, so later copies collapse into the first's flight (or hit
+        // its cached result).
+        std::optional<QueryRequest> request = pick_request();
+        if (!request) continue;
+        const int burst = static_cast<int>(rng.Uniform(2, 5));
+        submit_calls.fetch_add(static_cast<uint64_t>(burst),
+                               std::memory_order_relaxed);
+        for (int i = 0; i < burst; ++i) {
           TrackedSubmit t;
-          t.submission = std::move(submissions[i]);
-          t.plan = snapshot[i].first;
-          t.document = std::move(snapshot[i].second);
+          t.plan = request->plan;
+          t.document = request->document;
+          t.submission = executor.Submit(*request);
           local.push_back(std::move(t));
         }
         continue;
@@ -348,8 +338,8 @@ StormReport RunStorm(const StormOptions& options, const FaultPlan& plan) {
   }
 
   // --- Invariant: registry totals exact -------------------------------
-  // Every submit call either reached SubmitTask (counted), was served by
-  // a result-cache hit on the submitting thread, or collapsed into an
+  // Every submit call either reached the queue push (counted), was served
+  // by a result-cache hit on the submitting thread, or collapsed into an
   // in-flight leader. The tallies are plain atomics, but the submitted
   // counter itself is observability, so the equation needs obs compiled
   // in. Workers flush their shadow counters before fulfilling futures, so

@@ -10,7 +10,7 @@
 /// \file storm.h
 /// The reusable fault-storm harness behind tests/fault_storm_test.cc and
 /// the nightly CI sweep: one RunStorm call drives a randomized mixed
-/// workload (unbounded / bounded / cancelled / rejected / batched submits
+/// workload (unbounded / bounded / cancelled / rejected / burst submits
 /// racing document churn) through a fully wired serving stack — Executor +
 /// EvalCache + ResultCache + singleflight + DocumentStore — under a fault
 /// plan derived from a single seed, then checks the engine's cross-cutting

@@ -15,8 +15,7 @@ const ExecContext& ExecContext::Unbounded() {
 ExecContext::ExecContext(Limits limits)
     : limits_(limits),
       limited_(limits.deadline != Clock::time_point::max() ||
-               limits.visit_budget != UINT64_MAX ||
-               limits.memory_budget != UINT64_MAX) {}
+               limits.visit_budget != UINT64_MAX) {}
 
 ExecContext ExecContext::WithDeadline(Clock::duration timeout) {
   Limits limits;
@@ -48,8 +47,11 @@ Status ExecContext::ChargeSlow(uint64_t units) const {
       return Trip(AbortKind::kDeadline);
     }
   }
-  uint64_t before = visits_used_.fetch_add(units, std::memory_order_relaxed);
+  // Load and store, not fetch_add: only the charging thread writes (see
+  // exec_context.h).
+  uint64_t before = visits_used_.load(std::memory_order_relaxed);
   uint64_t after = before + units;
+  visits_used_.store(after, std::memory_order_relaxed);
   if (after > limits_.visit_budget || after < before /*overflow*/) {
     visits_used_.store(limits_.visit_budget, std::memory_order_relaxed);
     return Trip(AbortKind::kVisitBudget);
@@ -59,23 +61,6 @@ Status ExecContext::ChargeSlow(uint64_t units) const {
   if (limits_.deadline != Clock::time_point::max() &&
       (before == 0 || before / kDeadlineStride != after / kDeadlineStride)) {
     if (Clock::now() >= limits_.deadline) return Trip(AbortKind::kDeadline);
-  }
-  return Status::OK();
-}
-
-Status ExecContext::ChargeMemory(uint64_t bytes) const {
-  AbortKind aborted = abort_.load(std::memory_order_relaxed);
-  if (aborted != AbortKind::kNone) return AbortStatus(aborted);
-  if (cancelled_.load(std::memory_order_relaxed)) {
-    return Trip(AbortKind::kCancelled);
-  }
-  if (limited_ && TREEQ_FAULT_FIRED("exec.memory.charge")) {
-    return Trip(AbortKind::kMemoryBudget);
-  }
-  uint64_t before = memory_used_.fetch_add(bytes, std::memory_order_relaxed);
-  uint64_t after = before + bytes;
-  if (after > limits_.memory_budget || after < before) {
-    return Trip(AbortKind::kMemoryBudget);
   }
   return Status::OK();
 }
@@ -107,7 +92,6 @@ Status ExecContext::Trip(AbortKind kind) const {
         TREEQ_OBS_INC("exec.deadline_exceeded");
         break;
       case AbortKind::kVisitBudget:
-      case AbortKind::kMemoryBudget:
         TREEQ_OBS_INC("exec.budget_exhausted");
         break;
       case AbortKind::kNone:
@@ -131,10 +115,6 @@ Status ExecContext::AbortStatus(AbortKind kind) const {
       return Status::ResourceExhausted(
           "visit budget of " + std::to_string(limits_.visit_budget) +
           " exhausted");
-    case AbortKind::kMemoryBudget:
-      return Status::ResourceExhausted(
-          "memory budget of " + std::to_string(limits_.memory_budget) +
-          " bytes exhausted");
     case AbortKind::kNone:
       break;
   }

@@ -27,13 +27,14 @@
 ///     tests use it to pin budget enforcement without wall clocks.
 ///   - `deadline` is a wall-clock bound, checked every `kDeadlineStride`
 ///     charge units so the steady_clock read stays off the per-visit path.
-///   - `memory_budget` bounds bytes of evaluator-allocated intermediate
-///     state, charged via `ChargeMemory` at allocation sites.
 ///
-/// Thread safety: `Charge`/`ChargeMemory` may be called from the evaluating
-/// thread while any other thread calls `Cancel()`; all state is atomic.
-/// Once a limit trips the context is sticky — every later charge returns
-/// the same error — so deep evaluator recursions unwind promptly.
+/// Thread safety: exactly one thread charges a given context — the worker
+/// that evaluates its request, or the submitting thread for a result-cache
+/// hit — so `Charge` spends the budget with a relaxed load and store, not
+/// an atomic add. Any other thread may only call `Cancel()` and read the
+/// accessors. Once a limit trips the context is sticky — every
+/// later charge returns the same error — so deep evaluator recursions
+/// unwind promptly.
 ///
 /// The shared `ExecContext::Unbounded()` context never trips and its fast
 /// path performs no writes, so pre-existing unlimited entry points cost one
@@ -51,8 +52,6 @@ class ExecContext {
     Clock::time_point deadline = Clock::time_point::max();
     /// Charge units the evaluation may spend; UINT64_MAX = unlimited.
     uint64_t visit_budget = UINT64_MAX;
-    /// Bytes of intermediate state the evaluation may hold.
-    uint64_t memory_budget = UINT64_MAX;
   };
 
   /// How many charge units elapse between wall-clock deadline checks.
@@ -92,9 +91,6 @@ class ExecContext {
     return ChargeSlow(units);
   }
 
-  /// Spends `bytes` of the memory budget (no deadline check).
-  Status ChargeMemory(uint64_t bytes) const;
-
   /// Re-checks cancellation and the deadline without spending budget (for
   /// stage boundaries where work was already charged).
   Status CheckNow() const;
@@ -102,9 +98,6 @@ class ExecContext {
   /// Charge units spent so far (partial progress at abort time).
   uint64_t visits_used() const {
     return visits_used_.load(std::memory_order_relaxed);
-  }
-  uint64_t memory_used() const {
-    return memory_used_.load(std::memory_order_relaxed);
   }
 
   /// True once a Charge/CheckNow has returned non-OK (or Cancel was
@@ -119,7 +112,6 @@ class ExecContext {
     kCancelled,
     kDeadline,
     kVisitBudget,
-    kMemoryBudget,
   };
 
   Status ChargeSlow(uint64_t units) const;
@@ -133,7 +125,6 @@ class ExecContext {
   bool limited_ = false;
   std::atomic<bool> cancelled_{false};
   mutable std::atomic<uint64_t> visits_used_{0};
-  mutable std::atomic<uint64_t> memory_used_{0};
   mutable std::atomic<AbortKind> abort_{AbortKind::kNone};
 };
 

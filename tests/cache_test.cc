@@ -1,11 +1,11 @@
 // Tests for the cross-query reuse layer (cache/eval_cache.h,
 // cache/result_cache.h) and its engine wiring: versioned axis-image
 // memoization, whole-query result caching, in-flight deduplication
-// (singleflight), batched submission, and DocumentStore epoch
-// invalidation. Execution counts are asserted through the cache objects'
-// own atomic tallies and per-request ExecContext spend, so every test
-// also runs under TREEQ_OBS_DISABLED builds; the concurrency tests are
-// part of the TSan CI job.
+// (singleflight), and DocumentStore epoch invalidation. Execution counts
+// are asserted through the cache objects' own atomic tallies and
+// per-request ExecContext spend, so every test also runs under
+// TREEQ_OBS_DISABLED builds; the concurrency tests are part of the TSan
+// CI job.
 
 #include <gtest/gtest.h>
 
@@ -507,62 +507,6 @@ TEST(ExecutorCacheTest, ReplaceInvalidatesThroughStoreListeners) {
   ASSERT_GT(resident, 0u);
   ASSERT_TRUE(store.Remove("doc").ok());
   EXPECT_EQ(result_cache.size(), 0u);
-}
-
-TEST(ExecutorCacheTest, SubmitBatchDedupesAndHonorsPerRequestOptions) {
-  DocumentPtr doc = Catalog();
-  PlanPtr repeated =
-      Plan::Compile(Language::kXPath, "//review/rating5").value();
-  PlanPtr other = Plan::Compile(Language::kXPath, "//name").value();
-  // Batch collapsing works even with the executor-wide flag off. The
-  // result cache is the execution tally: one insert per executed eligible
-  // request.
-  ResultCache result_cache;
-  Executor exec(Executor::Options{.num_workers = 1,
-                                  .queue_capacity = 32,
-                                  .result_cache = &result_cache,
-                                  .singleflight = false});
-
-  std::vector<QueryRequest> requests;
-  SubmitOptions bypass;
-  bypass.bypass_cache = true;
-  requests.push_back({BlockerPlan(), doc, bypass});  // occupies the worker
-  constexpr int kDuplicates = 5;
-  for (int i = 0; i < kDuplicates; ++i) {
-    requests.push_back({repeated, doc, {}});
-  }
-  SubmitOptions starved;
-  starved.visit_budget = 1;
-  requests.push_back({repeated, doc, starved});  // same text, own budget
-  requests.push_back({other, doc, {}});
-
-  std::vector<engine::Submission> submissions =
-      exec.SubmitBatch(requests);
-  ASSERT_EQ(submissions.size(), requests.size());
-
-  ASSERT_TRUE(submissions[0].future.get().ok());  // blocker
-  Result<QueryResult> want = repeated->Execute(*doc);
-  ASSERT_TRUE(want.ok());
-  for (int i = 1; i <= kDuplicates; ++i) {
-    Result<QueryResult> r = submissions[static_cast<size_t>(i)].future.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->value, want->value);
-  }
-
-  // The bounded duplicate was not collapsed: its own budget tripped.
-  Result<QueryResult> bounded =
-      submissions[kDuplicates + 1].future.get();
-  ASSERT_FALSE(bounded.ok());
-  EXPECT_EQ(bounded.status().code(), StatusCode::kResourceExhausted);
-
-  Result<QueryResult> distinct = submissions.back().future.get();
-  ASSERT_TRUE(distinct.ok());
-  EXPECT_EQ(distinct->value, other->Execute(*doc)->value);
-
-  // Within-batch dedup: one execution for the five duplicates, one for the
-  // distinct query. The blocker (bypassed) and the bounded duplicate
-  // (ineligible) never touch the cache.
-  EXPECT_EQ(result_cache.inserts(), 2u);
 }
 
 // ---------------------------------------------------------------------------

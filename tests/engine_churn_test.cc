@@ -1,4 +1,4 @@
-// Document churn under load: SubmitBatch and Submit racing DocumentStore
+// Document churn under load: bursts of Submit calls racing DocumentStore
 // Replace/Remove+Add while the result cache, the eval cache, and
 // singleflight are all live. No fault injection here — this is the
 // fault-free half of the storm's contract, so it must hold identically in
@@ -122,9 +122,8 @@ TEST(EngineChurnTest, BatchesRaceDocumentChurnWithoutStaleResults) {
              op < 24 || (local.empty() &&
                          std::chrono::steady_clock::now() < give_up);
              ++op) {
-          std::vector<QueryRequest> requests;
-          const int batch = static_cast<int>(rng.Uniform(1, 6));
-          for (int i = 0; i < batch; ++i) {
+          const int requests = static_cast<int>(rng.Uniform(1, 6));
+          for (int i = 0; i < requests; ++i) {
             Result<DocumentPtr> doc = store.Get(
                 "doc" + std::to_string(rng.Uniform(0, kNumDocs - 1)));
             gets.fetch_add(1, std::memory_order_relaxed);
@@ -132,26 +131,11 @@ TEST(EngineChurnTest, BatchesRaceDocumentChurnWithoutStaleResults) {
               not_found.fetch_add(1, std::memory_order_relaxed);
               continue;
             }
-            QueryRequest request;
-            request.plan = plans[static_cast<size_t>(
-                rng.Uniform(0, static_cast<int64_t>(plans.size()) - 1))];
-            request.document = *doc;
-            requests.push_back(std::move(request));
-          }
-          if (requests.empty()) continue;
-          // Snapshot (plan, document) first: SubmitBatch moves the
-          // requests out of the span.
-          std::vector<std::pair<PlanPtr, DocumentPtr>> snapshot;
-          for (const QueryRequest& r : requests) {
-            snapshot.emplace_back(r.plan, r.document);
-          }
-          std::vector<Submission> submissions =
-              executor.SubmitBatch(requests);
-          for (size_t i = 0; i < submissions.size(); ++i) {
             Recorded r;
-            r.submission = std::move(submissions[i]);
-            r.plan = snapshot[i].first;
-            r.document = std::move(snapshot[i].second);
+            r.plan = plans[static_cast<size_t>(
+                rng.Uniform(0, static_cast<int64_t>(plans.size()) - 1))];
+            r.document = *doc;
+            r.submission = executor.Submit({r.plan, r.document, {}});
             local.push_back(std::move(r));
           }
         }
@@ -180,7 +164,7 @@ TEST(EngineChurnTest, BatchesRaceDocumentChurnWithoutStaleResults) {
     size_t checked = 0;
     for (Recorded& r : recorded) {
       Result<QueryResult> outcome = r.submission.future.get();
-      // Unbounded batch submits can only fail through admission control /
+      // Unbounded submits can only fail through admission control /
       // shutdown, neither of which this test exercises.
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       Result<QueryResult> replay =

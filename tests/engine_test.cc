@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -335,23 +336,26 @@ TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
                     "exists x . Lab_price(x)").value(),
   };
 
-  std::vector<Request> requests;
+  std::vector<QueryRequest> requests;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (size_t p = 0; p < plans.size(); ++p) {
-      requests.push_back(Request{plans[p], docs[d]});
+      requests.push_back({plans[p], docs[d], {}});
     }
   }
 
   Executor exec(Executor::Options{.num_workers = 4, .queue_capacity = 4});
-  std::vector<Result<QueryResult>> results = exec.RunBatch(requests);
-  ASSERT_EQ(results.size(), requests.size());
+  std::vector<std::future<Result<QueryResult>>> futures;
+  for (const QueryRequest& r : requests) {
+    futures.push_back(exec.Submit(r).future);
+  }
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    Result<QueryResult> got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
     Result<QueryResult> expected =
         requests[i].plan->Execute(*requests[i].document);
     ASSERT_TRUE(expected.ok());
     // The variant compares shape tag and payload in one go.
-    EXPECT_EQ(results[i]->value, expected->value);
+    EXPECT_EQ(got->value, expected->value);
   }
 }
 
@@ -382,9 +386,11 @@ TEST(ExecutorTest, StatsMergedWhenFuturesReady) {
   constexpr int kRequests = 50;
   {
     Executor exec(Executor::Options{.num_workers = 4, .queue_capacity = 16});
-    std::vector<Request> requests(kRequests, Request{plan, doc});
-    auto results = exec.RunBatch(std::move(requests));
-    ASSERT_EQ(results.size(), static_cast<size_t>(kRequests));
+    std::vector<std::future<Result<QueryResult>>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(exec.Submit({plan, doc, {}}).future);
+    }
+    for (auto& f : futures) ASSERT_TRUE(f.get().ok());
     // All futures ready => every worker's shadow deltas are merged.
     EXPECT_EQ(reg.CounterValue("engine.exec.requests"),
               static_cast<uint64_t>(kRequests));
@@ -932,6 +938,85 @@ TEST(ExecutorTest, ProfilesAttributeWorkCounters) {
             reg.CounterValue("labelindex.hits"));
 }
 
+// Every way a request can end records exactly one profile: a worker run,
+// a result-cache hit, a queue-full rejection and a Submit after Shutdown.
+// A singleflight follower shares its leader's outcome and records none.
+TEST(ExecutorTest, EveryWayARequestEndsRecordsOneProfile) {
+  DocumentPtr doc = Catalog(41, 40);
+  PlanPtr plan = Plan::Compile(Language::kXPath, "//review/rating5").value();
+  PlanPtr other = Plan::Compile(Language::kXPath, "//name").value();
+  // Naive FO, quadratic in the document: keeps the one worker busy for
+  // milliseconds while the test thread fills the one-slot queue.
+  PlanPtr blocker = Plan::Compile(Language::kFo,
+                                  "forall x . forall y . "
+                                  "(not Child(x, y) or not Lab_zzz(x))")
+                        .value();
+  cache::ResultCache result_cache;
+  Executor exec(Executor::Options{.num_workers = 1,
+                                  .queue_capacity = 1,
+                                  .result_cache = &result_cache,
+                                  .singleflight = true});
+  obs::FlightRecorder::Options rec_options;
+  rec_options.slow_threshold_ns = UINT64_MAX;
+  ScopedGlobalRecorder recorder(rec_options);
+  auto recent = [] { return obs::FlightRecorder::Global().Recent(); };
+
+  Result<QueryResult> ran = exec.Submit({plan, doc, {}}).future.get();
+  ASSERT_TRUE(ran.ok());
+  ASSERT_EQ(recent().size(), 1u);
+  EXPECT_EQ(recent().back().engine, ran->engine);
+
+  Result<QueryResult> hit = exec.Submit({plan, doc, {}}).future.get();
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->value, ran->value);
+  ASSERT_EQ(recent().size(), 2u);
+  const obs::QueryProfile hit_profile = recent().back();
+  EXPECT_EQ(hit_profile.engine, "cache.result");
+  EXPECT_TRUE(hit_profile.result_cache_hit);
+  EXPECT_EQ(hit_profile.visits, 1u);
+  EXPECT_EQ(hit_profile.estimated_visits, ran->route_cost);
+
+  // The blocker runs on the worker, the leader waits in the one queue
+  // slot, the follower joins the leader's flight, and the admission-
+  // controlled request finds the queue full.
+  SubmitOptions bypass;
+  bypass.bypass_cache = true;
+  Submission blocked = exec.Submit({blocker, doc, bypass});
+  Submission leader = exec.Submit({other, doc, {}});
+  Submission follower = exec.Submit({other, doc, {}});
+  SubmitOptions reject = bypass;
+  reject.reject_when_full = true;
+  Result<QueryResult> rejected = exec.Submit({plan, doc, reject}).future.get();
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(blocked.future.get().ok());
+  Result<QueryResult> led = leader.future.get();
+  ASSERT_TRUE(led.ok());
+  Result<QueryResult> followed = follower.future.get();
+  ASSERT_TRUE(followed.ok());
+  EXPECT_EQ(followed->value, led->value);
+  EXPECT_EQ(exec.inflight().followers(), 1u);
+
+  exec.Shutdown();
+  Result<QueryResult> late = exec.Submit({plan, doc, bypass}).future.get();
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
+
+  // Runs of plan, blocker and leader; one hit; two rejections.
+  std::vector<obs::QueryProfile> all = recent();
+  ASSERT_EQ(all.size(), 6u);
+  std::set<uint64_t> ids;
+  int hits = 0, rejections = 0;
+  for (const obs::QueryProfile& p : all) {
+    ids.insert(p.id);
+    hits += p.result_cache_hit ? 1 : 0;
+    rejections += p.engine == "rejected" ? 1 : 0;
+  }
+  EXPECT_EQ(ids.size(), all.size());
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(rejections, 2);
+}
+
 TEST(ExecutorTest, QueueWaitAndExecuteHistogramsRecorded) {
   obs::StatsRegistry& reg = obs::StatsRegistry::Global();
   reg.Reset();
@@ -940,8 +1025,11 @@ TEST(ExecutorTest, QueueWaitAndExecuteHistogramsRecorded) {
   constexpr int kRequests = 10;
   {
     Executor exec(Executor::Options{.num_workers = 2, .queue_capacity = 8});
-    std::vector<Request> requests(kRequests, Request{plan, doc});
-    for (auto& r : exec.RunBatch(std::move(requests))) ASSERT_TRUE(r.ok());
+    std::vector<std::future<Result<QueryResult>>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(exec.Submit({plan, doc, {}}).future);
+    }
+    for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   }
   auto histograms = reg.HistogramValues();
   ASSERT_TRUE(histograms.count("engine.queue_wait_ns"));

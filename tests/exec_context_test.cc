@@ -25,7 +25,6 @@ TEST(ExecContextTest, UnboundedNeverTripsAndNeverWrites) {
   for (int i = 0; i < 10000; ++i) {
     EXPECT_TRUE(exec.Charge().ok());
   }
-  EXPECT_TRUE(exec.ChargeMemory(uint64_t{1} << 40).ok());
   EXPECT_TRUE(exec.CheckNow().ok());
   EXPECT_FALSE(exec.expired());
   // The fast path performs no bookkeeping writes.
@@ -60,19 +59,6 @@ TEST(ExecContextTest, VisitBudgetOverflowIsABudgetTrip) {
   ExecContext exec = ExecContext::WithVisitBudget(UINT64_MAX - 1);
   EXPECT_TRUE(exec.Charge(UINT64_MAX - 1).ok());
   EXPECT_EQ(exec.Charge(UINT64_MAX).code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ExecContextTest, MemoryBudget) {
-  ExecContext::Limits limits;
-  limits.memory_budget = 1024;
-  ExecContext exec(limits);
-  EXPECT_TRUE(exec.ChargeMemory(1000).ok());
-  EXPECT_EQ(exec.memory_used(), 1000u);
-  Status s = exec.ChargeMemory(100);
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(s.message().find("memory"), std::string::npos);
-  // Sticky across charge kinds.
-  EXPECT_EQ(exec.Charge().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ExecContextTest, CancelIsStickyAndCrossThread) {
@@ -228,29 +214,12 @@ TEST(ExecContextFaultTest, InjectedTripsAreStickyAndRenderRealStatuses) {
   }
 }
 
-TEST(ExecContextFaultTest, InjectedMemoryTripUsesMemoryAbortKind) {
-  if (!fault::kFaultPointsCompiledIn) {
-    GTEST_SKIP() << "fault points compiled out";
-  }
-  fault::FaultPlan plan;
-  plan.seed = 1;
-  fault::FaultRule rule;
-  rule.point = "exec.memory.charge";
-  plan.rules.push_back(rule);
-  fault::ScopedFaultPlan armed(plan);
-  ExecContext context = ExecContext::WithVisitBudget(uint64_t{1} << 40);
-  Status status = context.ChargeMemory(64);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-}
-
 TEST(ExecContextFaultTest, InjectionNeverTouchesTheUnboundedContext) {
   // Holds in every build: the shared Unbounded() context takes the fast
   // path and the slow-path injection sites are guarded on limited_.
   fault::FaultPlan plan;
   plan.seed = 1;
-  for (const char* point :
-       {"exec.budget.charge", "exec.deadline.check", "exec.memory.charge"}) {
+  for (const char* point : {"exec.budget.charge", "exec.deadline.check"}) {
     fault::FaultRule rule;
     rule.point = point;
     plan.rules.push_back(rule);
@@ -259,7 +228,6 @@ TEST(ExecContextFaultTest, InjectionNeverTouchesTheUnboundedContext) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(ExecContext::Unbounded().Charge().ok());
   }
-  EXPECT_TRUE(ExecContext::Unbounded().ChargeMemory(1024).ok());
   EXPECT_TRUE(ExecContext::Unbounded().CheckNow().ok());
 }
 

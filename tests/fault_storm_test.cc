@@ -280,12 +280,6 @@ TEST(FaultPointsTest, EveryKnownPointIsFirable) {
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   };
-  drivers["exec.memory.charge"] = [&] {
-    ExecContext context = ExecContext::WithVisitBudget(1 << 20);
-    Status status = context.ChargeMemory(64);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  };
   drivers["plan.route.decide"] = [&] {
     // Injected router failure = the cost-based decision is abandoned and
     // the plan falls back to its native engine. The answer must be the
@@ -331,15 +325,13 @@ TEST(FaultPointsTest, InjectedExecTripsDoNotTouchUnbounded) {
   // leave it usable (a tripped Unbounded() would poison the process).
   FaultPlan plan;
   plan.seed = 1;
-  for (const char* point :
-       {"exec.budget.charge", "exec.deadline.check", "exec.memory.charge"}) {
+  for (const char* point : {"exec.budget.charge", "exec.deadline.check"}) {
     FaultRule rule;
     rule.point = point;
     plan.rules.push_back(rule);
   }
   ScopedFaultPlan armed(plan);
   EXPECT_TRUE(ExecContext::Unbounded().Charge(1).ok());
-  EXPECT_TRUE(ExecContext::Unbounded().ChargeMemory(64).ok());
 }
 
 // ---------------------------------------------------------------------------
