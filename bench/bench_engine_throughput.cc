@@ -1,7 +1,8 @@
 // Serving-engine throughput: queries/second of the Executor worker pool as
 // the thread count grows (1, 2, 4, 8) on a mixed XPath + CQ + datalog + FO
-// workload over catalog documents, and the latency gap between a PlanCache
-// hit and a cold compile. The obs counters in the --json record prove the
+// workload over catalog documents large enough that every request queues
+// to a worker, and the latency gap between a PlanCache hit and a cold
+// compile. The obs counters in the --json record prove the
 // two headline claims: per-evaluation work counters stay exact under
 // concurrency (shadow counters merge losslessly), and a cache hit leaves
 // engine.plan.compiles untouched.
@@ -11,6 +12,7 @@
 // carries hardware_concurrency so a reader can interpret the rows.
 
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include "bench_json.h"
 
@@ -67,6 +69,11 @@ constexpr int kNumQueries = static_cast<int>(std::size(kWorkload));
 
 constexpr int kNumDocuments = 6;
 constexpr int kProductsPerDocument = 120;
+// The worker sweep's documents: large enough that the router scores every
+// query of the mix above plan::kInlineCost (the Boolean CQ, the cheapest,
+// at about 12,800), so each request is handed to a worker. On the
+// 120-product documents the whole mix runs on the submitting thread.
+constexpr int kSweepProductsPerDocument = 4000;
 constexpr int kBatchRepeats = 8;  // requests = repeats * docs * queries
 
 uint64_t NowNs() {
@@ -76,11 +83,12 @@ uint64_t NowNs() {
           .count());
 }
 
-void BuildCorpus(DocumentStore* store) {
+void BuildCorpus(DocumentStore* store,
+                 int products_per_document = kProductsPerDocument) {
   for (int d = 0; d < kNumDocuments; ++d) {
     treeq::Rng rng(static_cast<uint64_t>(1000 + d));
     treeq::CatalogOptions opts;
-    opts.num_products = kProductsPerDocument;
+    opts.num_products = products_per_document;
     auto added = store->Add("catalog" + std::to_string(d),
                             treeq::CatalogDocument(&rng, opts));
     TREEQ_CHECK(added.ok());
@@ -110,6 +118,30 @@ std::vector<QueryRequest> BuildBatch(const DocumentStore& store,
   return requests;
 }
 
+/// CPU time of the whole process (every thread), in nanoseconds.
+uint64_t ProcessCpuNs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+/// Builds the worker sweep's batch, checking that every request in it
+/// queues to a worker rather than running on the submitting thread.
+std::vector<QueryRequest> BuildQueuedBatch(DocumentStore* store) {
+  BuildCorpus(store, kSweepProductsPerDocument);
+  std::vector<PlanPtr> plans = CompileWorkload();
+  for (const std::string& name : store->Names()) {
+    treeq::DocumentPtr doc = store->Get(name).value();
+    for (const PlanPtr& plan : plans) {
+      TREEQ_CHECK(
+          !plan->Route(*doc, treeq::ExecContext::Unbounded(), false)
+               .run_inline);
+    }
+  }
+  return BuildBatch(*store, plans);
+}
+
 /// Submits every request, then waits for every answer.
 void RunAll(Executor* exec, const std::vector<QueryRequest>& batch) {
   std::vector<std::future<treeq::Result<QueryResult>>> futures;
@@ -133,34 +165,102 @@ double MeasureQps(const std::vector<QueryRequest>& batch, int threads,
          static_cast<double>(wall_ns);
 }
 
+/// A few RunAll passes on a fresh 1-worker pool, timed by the wall clock
+/// and by the process's CPU clock. CPU time counts the submitting thread
+/// and the worker alike, and a busy host does not inflate it.
+struct Sample {
+  double qps;
+  uint64_t cpu_ns;
+};
+Sample MeasureSample(const std::vector<QueryRequest>& batch) {
+  constexpr int kPasses = 4;  // about 20 ms of work per sample
+  Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 64});
+  const uint64_t start = NowNs();
+  const uint64_t cpu_start = ProcessCpuNs();
+  for (int pass = 0; pass < kPasses; ++pass) RunAll(&exec, batch);
+  const uint64_t cpu_ns = ProcessCpuNs() - cpu_start;
+  const uint64_t wall_ns = NowNs() - start;
+  return {static_cast<double>(kPasses * batch.size()) * 1e9 /
+              static_cast<double>(wall_ns),
+          cpu_ns};
+}
+
+/// Overhead of mode B over mode A on `batch`: kAlternations interleaved
+/// pairs, each pair's order flipped from the last so drift cancels. The
+/// ratio is the median over the pairs of cpu(A) / cpu(B) — B's throughput
+/// per CPU-second relative to A's; 1.0 means B costs nothing. Also
+/// returns each mode's best wall-clock qps.
+struct Overhead {
+  double ratio;
+  double a_qps;
+  double b_qps;
+};
+template <typename SetA, typename SetB>
+Overhead MeasureOverhead(const std::vector<QueryRequest>& batch, SetA set_a,
+                         SetB set_b) {
+  constexpr int kAlternations = 21;
+  Overhead out{0, 0, 0};
+  std::vector<double> ratios;
+  for (int i = 0; i < kAlternations; ++i) {
+    Sample a, b;
+    if (i % 2 == 0) {
+      set_a();
+      a = MeasureSample(batch);
+      set_b();
+      b = MeasureSample(batch);
+    } else {
+      set_b();
+      b = MeasureSample(batch);
+      set_a();
+      a = MeasureSample(batch);
+    }
+    ratios.push_back(static_cast<double>(a.cpu_ns) /
+                     static_cast<double>(std::max<uint64_t>(1, b.cpu_ns)));
+    out.a_qps = std::max(out.a_qps, a.qps);
+    out.b_qps = std::max(out.b_qps, b.qps);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kAlternations / 2,
+                   ratios.end());
+  out.ratio = ratios[kAlternations / 2];
+  return out;
+}
+
 void RunThroughputSweep(treeq::benchjson::Record* record) {
   DocumentStore store;
   BuildCorpus(&store);
   std::vector<PlanPtr> plans = CompileWorkload();
   std::vector<QueryRequest> batch = BuildBatch(store, plans);
 
+  DocumentStore sweep_store;
+  std::vector<QueryRequest> sweep_batch = BuildQueuedBatch(&sweep_store);
+
   std::printf("=== engine throughput: qps vs worker threads ===\n");
   std::printf("corpus: %d catalog documents, %d products each\n",
-              kNumDocuments, kProductsPerDocument);
+              kNumDocuments, kSweepProductsPerDocument);
   std::printf("batch:  %zu requests (%d-query mix x %d docs x %d repeats)\n",
-              batch.size(), kNumQueries, kNumDocuments, kBatchRepeats);
-  std::printf("hardware_concurrency: %u\n\n",
+              sweep_batch.size(), kNumQueries, kNumDocuments, kBatchRepeats);
+  std::printf("hardware_concurrency: %u\n",
               std::thread::hardware_concurrency());
+  std::printf("every request scores above plan::kInlineCost (%llu) and "
+              "queues to a worker; on the %d-product documents used below, "
+              "the cheap mix runs inline on the submitting thread\n\n",
+              static_cast<unsigned long long>(treeq::plan::kInlineCost),
+              kProductsPerDocument);
 
   // Warm-up pass so first-touch effects don't land on the 1-thread row.
-  (void)MeasureQps(batch, 1, nullptr);
+  (void)MeasureQps(sweep_batch, 1, nullptr);
 
   double qps1 = 0;
   for (int threads : {1, 2, 4, 8}) {
     uint64_t wall_ns = 0;
-    double qps = MeasureQps(batch, threads, &wall_ns);
+    double qps = MeasureQps(sweep_batch, threads, &wall_ns);
     if (threads == 1) qps1 = qps;
     std::printf("threads=%d  wall=%8.2f ms  qps=%9.0f  speedup=%.2fx\n",
                 threads, static_cast<double>(wall_ns) / 1e6, qps,
                 qps / qps1);
     if (record != nullptr) {
       record->AddRow({{"threads", static_cast<double>(threads)},
-                      {"requests", static_cast<double>(batch.size())},
+                      {"requests", static_cast<double>(sweep_batch.size())},
                       {"wall_ns", static_cast<double>(wall_ns)},
                       {"qps", qps},
                       {"speedup_vs_1_thread", qps / qps1}});
@@ -210,7 +310,10 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   // (1) Overhead: the same batch submitted with a far deadline + huge
   // budget attached, so every evaluator charge runs the bounded (but
   // never-tripping) path. The qps delta is the whole-engine cost of the
-  // ExecContext plumbing.
+  // ExecContext plumbing, against the same batch submitted plain (after a
+  // warm-up pass: the sweep above ran other documents).
+  (void)MeasureQps(batch, 1, nullptr);
+  const double plain_qps = MeasureQps(batch, 1, nullptr);
   double bounded_qps;
   {
     Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 64});
@@ -273,41 +376,35 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
 
   std::printf("\n=== bounded execution ===\n");
   std::printf("bounded submit qps (1 thread): %9.0f  (plain: %9.0f, %.1f%%)\n",
-              bounded_qps, qps1, 100.0 * bounded_qps / qps1);
+              bounded_qps, plain_qps, 100.0 * bounded_qps / plain_qps);
   std::printf("10ms-deadline completion p50:  %8.2f ms\n", deadline_p50 / 1e6);
   std::printf("cancel-to-future-ready p50:    %8.2f ms\n", cancel_p50 / 1e6);
 
   // --- Flight recorder overhead -----------------------------------------
   // The same 1-thread batch with the recorder off and on: the on-run pays
   // for one QueryProfile (a few string copies + a sharded ring insert) per
-  // request. Best-of-3 per mode so scheduler noise doesn't masquerade as
-  // recorder cost.
+  // request. Interleaved off/on pairs compared in CPU time, median ratio,
+  // so neither scheduler noise nor drift masquerades as recorder cost.
   treeq::obs::FlightRecorder& recorder = treeq::obs::FlightRecorder::Global();
-  recorder.Disable();
-  double recorder_off_qps = 0;
-  for (int i = 0; i < 3; ++i) {
-    recorder_off_qps = std::max(recorder_off_qps, MeasureQps(batch, 1,
-                                                             nullptr));
-  }
   treeq::obs::FlightRecorder::Options rec_options;  // 256 deep, auto slow
-  recorder.Enable(rec_options);
-  double recorder_on_qps = 0;
-  for (int i = 0; i < 3; ++i) {
-    recorder_on_qps = std::max(recorder_on_qps, MeasureQps(batch, 1,
-                                                           nullptr));
-  }
+  const Overhead rec = MeasureOverhead(
+      batch, [&] { recorder.Disable(); },
+      [&] { recorder.Enable(rec_options); });
   const uint64_t recorder_recorded = recorder.recorded();
   const uint64_t recorder_slow = recorder.slow_recorded();
   recorder.Disable();
-  const double recorder_ratio = recorder_on_qps / recorder_off_qps;
+  const double recorder_off_qps = rec.a_qps;
+  const double recorder_on_qps = rec.b_qps;
+  const double recorder_ratio = rec.ratio;
 
   std::printf("\n=== flight recorder overhead (1 thread) ===\n");
-  std::printf("recorder off: %9.0f qps\n", recorder_off_qps);
-  std::printf("recorder on:  %9.0f qps  (%.1f%% of off; %llu profiles, "
-              "%llu slow)\n",
-              recorder_on_qps, 100.0 * recorder_ratio,
+  std::printf("recorder off: %9.0f qps (best)\n", recorder_off_qps);
+  std::printf("recorder on:  %9.0f qps (best; %llu profiles, %llu slow)\n",
+              recorder_on_qps,
               static_cast<unsigned long long>(recorder_recorded),
               static_cast<unsigned long long>(recorder_slow));
+  std::printf("on/off throughput per CPU-second: %.3f (median of pairs)\n",
+              recorder_ratio);
 
   // --- Fault-point overhead ---------------------------------------------
   // The same 1-thread batch with the registry disarmed (the shipping
@@ -316,32 +413,30 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   // full Hit() slow path — hash, hit counter, rule scan — at every
   // compiled-in point without ever injecting, so armed/disarmed is an
   // upper bound on what the compiled-in points can cost at all. The two
-  // modes are measured interleaved (disarmed, armed, disarmed, ...) so
-  // machine drift between sections cannot skew the ratio; CI gates it
-  // >= 0.98. The true disarmed-vs-TREEQ_FAULT_DISABLED comparison needs
-  // two builds and lives in the nightly fault-storm CI job.
+  // modes are measured in interleaved pairs and compared in CPU time
+  // (median ratio), so neither machine drift nor a busy host can skew
+  // the ratio; CI gates it >= 0.98. The true
+  // disarmed-vs-TREEQ_FAULT_DISABLED comparison needs two builds and
+  // lives in the nightly fault-storm CI job.
   treeq::fault::FaultPlan idle_plan;
   idle_plan.seed = 1;
   treeq::fault::FaultRule idle_rule;
   idle_rule.point = "bench.idle";
   idle_plan.rules.push_back(idle_rule);
-  double fault_disarmed_qps = 0;
-  double fault_armed_idle_qps = 0;
-  for (int i = 0; i < 3; ++i) {
-    treeq::fault::FaultRegistry::Global().Disarm();
-    fault_disarmed_qps = std::max(fault_disarmed_qps,
-                                  MeasureQps(batch, 1, nullptr));
-    treeq::fault::FaultRegistry::Global().Arm(idle_plan);
-    fault_armed_idle_qps = std::max(fault_armed_idle_qps,
-                                    MeasureQps(batch, 1, nullptr));
-  }
+  const Overhead fault = MeasureOverhead(
+      batch, [] { treeq::fault::FaultRegistry::Global().Disarm(); },
+      [&] { treeq::fault::FaultRegistry::Global().Arm(idle_plan); });
   treeq::fault::FaultRegistry::Global().Disarm();
-  const double fault_overhead_ratio = fault_armed_idle_qps / fault_disarmed_qps;
+  const double fault_disarmed_qps = fault.a_qps;
+  const double fault_armed_idle_qps = fault.b_qps;
+  const double fault_overhead_ratio = fault.ratio;
 
   std::printf("\n=== fault-point overhead (1 thread) ===\n");
-  std::printf("disarmed:     %9.0f qps\n", fault_disarmed_qps);
-  std::printf("armed (idle): %9.0f qps  (%.1f%% of disarmed)\n",
-              fault_armed_idle_qps, 100.0 * fault_overhead_ratio);
+  std::printf("disarmed:     %9.0f qps (best)\n", fault_disarmed_qps);
+  std::printf("armed (idle): %9.0f qps (best)\n", fault_armed_idle_qps);
+  std::printf("armed/disarmed throughput per CPU-second: %.3f (median of "
+              "pairs)\n",
+              fault_overhead_ratio);
 
   // --- Cross-query reuse: 90%-repeated mix, caches on vs off ------------
   // Each distinct (plan, document) pair appears 10 times in the mix, so a
@@ -470,11 +565,13 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
 
   if (record != nullptr) {
     record->SetNumber("bounded_qps_1_thread", bounded_qps);
-    record->SetNumber("bounded_vs_plain_ratio", bounded_qps / qps1);
+    record->SetNumber("bounded_vs_plain_ratio", bounded_qps / plain_qps);
     record->SetNumber("deadline_10ms_completion_ns_p50", deadline_p50);
     record->SetNumber("cancel_latency_ns_p50", cancel_p50);
     record->SetNumber("num_documents", kNumDocuments);
     record->SetNumber("products_per_document", kProductsPerDocument);
+    record->SetNumber("sweep_products_per_document",
+                      kSweepProductsPerDocument);
     record->SetNumber("batch_requests", static_cast<double>(batch.size()));
     record->SetNumber("workload_queries", kNumQueries);
     record->SetNumber("cold_compile_ns_avg", cold_ns);
@@ -536,8 +633,7 @@ int WriteMetrics(const std::string& path) {
 
 void BM_ExecutorBatch(benchmark::State& state) {
   DocumentStore store;
-  BuildCorpus(&store);
-  std::vector<QueryRequest> batch = BuildBatch(store, CompileWorkload());
+  std::vector<QueryRequest> batch = BuildQueuedBatch(&store);
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Executor exec(

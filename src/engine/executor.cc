@@ -39,7 +39,8 @@ void CountRequestLanguage(Language language) {
 }
 
 Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
-                           const ExecContext& exec, bool allow_degraded,
+                           const ExecContext& exec,
+                           const plan::RouteDecision& route,
                            cache::EvalCache* eval_cache) {
   if (plan == nullptr) {
     return Status::InvalidArgument("null plan submitted");
@@ -53,7 +54,7 @@ Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
   TREEQ_FAULT_POINT("engine.worker.run");
   CountRequestLanguage(plan->language());
   ExecuteOptions options;
-  options.allow_degraded = allow_degraded;
+  options.route = &route;
   // Bind the cross-query memo to this document's epoch for the duration of
   // the evaluation; the memo object itself is stateless and cheap.
   std::optional<cache::EvalCache::Memo> memo;
@@ -129,7 +130,6 @@ Submission Executor::Submit(QueryRequest request) {
   Task task;
   task.plan = std::move(request.plan);
   task.document = std::move(request.document);
-  task.allow_degraded = options.allow_degraded;
   task.bypass_cache = options.bypass_cache;
   task.cache_hit = options.plan_cache_hit;
   ExecContext::Limits limits;
@@ -144,8 +144,12 @@ Submission Executor::Submit(QueryRequest request) {
   Submission submission;
   submission.context = task.context;
 
+  // Shutdown is checked before any cache: an executor that is shut down
+  // answers nothing, not even a key it has cached.
+  const bool down = shutdown_.load(std::memory_order_acquire);
   bool collapse = singleflight_;
-  const bool reusable = task.plan != nullptr && task.document != nullptr &&
+  const bool reusable = !down && task.plan != nullptr &&
+                        task.document != nullptr &&
                         (result_cache_ != nullptr || collapse) &&
                         CacheEligible(options);
   if (reusable) {
@@ -153,9 +157,7 @@ Submission Executor::Submit(QueryRequest request) {
         MakeResultKey(*task.plan, task.document->epoch());
     if (result_cache_ != nullptr) {
       if (std::optional<QueryResult> hit = result_cache_->Lookup(key)) {
-        // Served on the submitting thread: no queue, no worker. Charge the
-        // lookup (one unit) — the saved execution was not paid for.
-        (void)task.context->Charge(1);
+        // Served on the submitting thread: no routing, no evaluation.
         submission.future = task.promise.get_future();
         Finish(task, *std::move(hit), {.kind = Ending::kResultCacheHit});
         return submission;
@@ -180,33 +182,51 @@ Submission Executor::Submit(QueryRequest request) {
   }
 
   submission.future = task.promise.get_future();
+  TREEQ_OBS_INC("engine.exec.submitted");
+  // Route once, here; the run executes this decision. A null plan or
+  // document has nothing to route and fails at once in RunOne.
+  bool run_inline = true;
+  if (!down && task.plan != nullptr && task.document != nullptr) {
+    task.route = task.plan->Route(*task.document, *task.context,
+                                  options.allow_degraded);
+    run_inline = task.route.run_inline;
+  }
 #ifndef TREEQ_OBS_DISABLED
   // Stamp the queue-wait start here, on the submitting thread, so the
   // worker can attribute the wait.
-  task.enqueue_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  if (!run_inline) {
+    task.enqueue_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
 #endif
-  TREEQ_OBS_INC("engine.exec.submitted");
-  // A refused push leaves `task` here, so the rejection finishes it like
-  // any other request: a rejected leader still completes its flight, or
-  // collapsed followers would wait forever. An injected push fault is
-  // indistinguishable from a genuinely full queue.
+  // Admission, the same for both paths. A refused push leaves `task`
+  // here, so the rejection finishes it like any other request: a rejected
+  // leader still completes its flight, or collapsed followers would wait
+  // forever. An injected push fault is indistinguishable from a genuinely
+  // full queue.
   const bool accepted =
-      !shutdown_.load(std::memory_order_acquire) &&
-      !TREEQ_FAULT_FIRED("engine.queue.push") &&
-      (options.reject_when_full ? queue_.TryPush(std::move(task))
-                                : queue_.Push(std::move(task)));
+      !down && !TREEQ_FAULT_FIRED("engine.queue.push") &&
+      (run_inline || (options.reject_when_full
+                          ? queue_.TryPush(std::move(task))
+                          : queue_.Push(std::move(task))));
   if (!accepted) {
     // Shutdown wins over "queue full" for the message — a TryPush can lose
     // to either.
-    const bool down = shutdown_.load(std::memory_order_acquire);
-    if (!down) TREEQ_OBS_INC("engine.rejected");
+    const bool closed = shutdown_.load(std::memory_order_acquire);
+    if (!closed) TREEQ_OBS_INC("engine.rejected");
     Finish(task,
-           Status::Unavailable(down ? "executor is shut down"
-                                    : "executor queue is full"),
+           Status::Unavailable(closed ? "executor is shut down"
+                                      : "executor queue is full"),
            {.kind = Ending::kRejected});
+  } else if (run_inline) {
+    // Too cheap to hand off: run it here, as a worker would, and return a
+    // ready future. The stack shadow keeps the per-request counter
+    // attribution a worker's shadow gives.
+    obs::ShadowCounters shadow;
+    TREEQ_OBS_INC("engine.exec.inline_requests");
+    Run(task, &shadow, 0);
   }
   return submission;
 }
@@ -241,11 +261,11 @@ void Executor::Finish(Task& task, Result<QueryResult> result,
     profile.status = StatusCodeName(result.status().code());
     profile.degraded = result.ok() && result.value().degraded;
     if (result.ok()) profile.estimated_visits = result.value().route_cost;
+    profile.visits = task.context->visits_used();
     switch (ending.kind) {
       case Ending::kResultCacheHit:
         profile.engine = "cache.result";
         profile.result_cache_hit = true;
-        profile.visits = 1;  // the lookup charge
         break;
       case Ending::kRejected:
         profile.engine = "rejected";
@@ -269,7 +289,6 @@ void Executor::Finish(Task& task, Result<QueryResult> result,
         // compile.
         profile.compile_ns = task.cache_hit ? 0 : plan.compile_ns();
         profile.execute_ns = ending.execute_ns;
-        profile.visits = task.context->visits_used();
         // The shadow is flushed at every request boundary (step 3), so
         // what it holds now is exactly this request's share.
         profile.words_scanned = ending.shadow->BufferedDelta(words_scanned);
@@ -291,6 +310,36 @@ void Executor::Finish(Task& task, Result<QueryResult> result,
   task.promise.set_value(std::move(result));
 }
 
+void Executor::Run(Task& task, obs::ShadowCounters* shadow,
+                   uint64_t queue_wait_ns) {
+  TREEQ_OBS_HISTOGRAM("engine.queue_wait_ns", queue_wait_ns);
+  const auto start = std::chrono::steady_clock::now();
+  // Injected hand-off failure: the task never evaluates and fails with the
+  // injected status, but Finish still runs every obligation — profile,
+  // shadow flush, flight completion, promise.
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    if (Status injected = TREEQ_FAULT_INJECT("engine.queue.pop");
+        !injected.ok()) {
+      return injected;
+    }
+    return RunOne(task.plan, task.document, *task.context, task.route,
+                  task.bypass_cache ? nullptr : eval_cache_);
+  }();
+  const auto elapsed_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  TREEQ_OBS_INC("engine.exec.requests");
+  if (!result.ok()) TREEQ_OBS_INC("engine.exec.errors");
+  TREEQ_OBS_HISTOGRAM("engine.execute_ns", elapsed_ns);
+  TREEQ_OBS_COUNT("exec.visits", task.context->visits_used());
+  Finish(task, std::move(result),
+         {.kind = Ending::kRan,
+          .shadow = shadow,
+          .queue_wait_ns = queue_wait_ns,
+          .execute_ns = elapsed_ns});
+}
+
 void Executor::WorkerLoop() {
   // Fault rules with thread_tag="worker" fire only on pool threads.
   TREEQ_FAULT_THREAD_TAG("worker");
@@ -299,44 +348,17 @@ void Executor::WorkerLoop() {
   // see executor.h.
   obs::ShadowCounters shadow;
   while (std::optional<Task> task = queue_.Pop()) {
-    auto start = std::chrono::steady_clock::now();
     uint64_t queue_wait_ns = 0;
 #ifndef TREEQ_OBS_DISABLED
-    if (task->enqueue_ns != 0) {
-      const uint64_t dequeue_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              start.time_since_epoch())
-              .count());
-      queue_wait_ns =
-          dequeue_ns > task->enqueue_ns ? dequeue_ns - task->enqueue_ns : 0;
-      TREEQ_OBS_HISTOGRAM("engine.queue_wait_ns", queue_wait_ns);
+    const uint64_t dequeue_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+    if (dequeue_ns > task->enqueue_ns) {
+      queue_wait_ns = dequeue_ns - task->enqueue_ns;
     }
 #endif
-    // Injected worker hand-off failure: the popped task never evaluates
-    // and fails with the injected status, but Finish still runs every
-    // obligation — profile, shadow flush, flight completion, promise.
-    Result<QueryResult> result = [&]() -> Result<QueryResult> {
-      if (Status injected = TREEQ_FAULT_INJECT("engine.queue.pop");
-          !injected.ok()) {
-        return injected;
-      }
-      return RunOne(task->plan, task->document, *task->context,
-                    task->allow_degraded,
-                    task->bypass_cache ? nullptr : eval_cache_);
-    }();
-    auto elapsed_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    TREEQ_OBS_INC("engine.exec.requests");
-    if (!result.ok()) TREEQ_OBS_INC("engine.exec.errors");
-    TREEQ_OBS_HISTOGRAM("engine.execute_ns", elapsed_ns);
-    TREEQ_OBS_COUNT("exec.visits", task->context->visits_used());
-    Finish(*task, std::move(result),
-           {.kind = Ending::kRan,
-            .shadow = &shadow,
-            .queue_wait_ns = queue_wait_ns,
-            .execute_ns = elapsed_ns});
+    Run(*task, &shadow, queue_wait_ns);
   }
 }
 

@@ -20,41 +20,56 @@
 
 /// \file executor.h
 /// A fixed-size worker pool that evaluates (plan, document) requests
-/// concurrently. Submit(QueryRequest) is the only entry point: it enqueues
-/// onto a bounded MPMC queue (mpmc_queue.h) and returns a future; a caller
-/// with many requests submits each and then waits on the futures. Plans and
-/// documents are immutable and shared by shared_ptr, so a request needs no
-/// locking beyond the queue hand-off.
+/// concurrently. Submit(QueryRequest) is the only entry point and returns a
+/// future; a caller with many requests submits each and then waits on the
+/// futures. Plans and documents are immutable and shared by shared_ptr, so
+/// a request needs no locking beyond the queue hand-off.
 ///
-/// A request ends in one of three ways: served from the result cache on the
+/// Submit routes each request once (Plan::Route) and keeps the decision;
+/// the run executes it and never scores again. A request the router scores
+/// at most plan::kInlineCost runs on the submitting thread, because handing
+/// it to a worker would cost more than evaluating it; Submit then returns
+/// an already-ready future. Anything scored higher is pushed onto a bounded
+/// MPMC queue (mpmc_queue.h) for a worker, so a long run stays asynchronous
+/// and cancellable.
+///
+/// A request ends in one of four ways: served from the result cache on the
 /// submitting thread, rejected (queue full, executor shut down, or the
-/// `engine.queue.push` fault point), or executed by a worker. All three go
-/// through one private completion step, Finish(), which in order inserts a
-/// reusable result into the result cache, records the request's profile
-/// (when the flight recorder is on), flushes the worker's shadow counters,
-/// completes the singleflight the request leads, and fulfils its future.
-/// A collapsed singleflight follower is not a request of its own: its
-/// future is fulfilled by the leader's Finish and it records no profile.
+/// `engine.queue.push` fault point), run inline on the submitting thread,
+/// or run by a worker. All four go through one private completion step,
+/// Finish(), which in order inserts a reusable result into the result
+/// cache, records the request's profile (when the flight recorder is on),
+/// flushes the running thread's shadow counters, completes the singleflight
+/// the request leads, and fulfils its future. An inline run takes the
+/// worker's steps in the worker's order — the `engine.queue.push` and
+/// `engine.queue.pop` fault points, the evaluation, the same counters and
+/// histograms (a queue wait of 0) — so both paths look the same to the
+/// registry, the flight recorder and a fault plan. A collapsed singleflight
+/// follower is not a request of its own: its future is fulfilled by the
+/// leader's Finish and it records no profile.
 ///
 /// Observability under concurrency: each worker installs an
-/// obs::ShadowCounters, so the thousands of counter increments a single
-/// evaluation performs (xpath.axis_ops, datalog.ground_clauses, ...) land
-/// in a thread-private buffer instead of contending on shared cache lines.
-/// The buffer is merged into the global StatsRegistry at each request
-/// boundary, *before* the request's future is fulfilled: once every
-/// submitted future is ready, the registry totals are exact.
+/// obs::ShadowCounters, and an inline run installs one on the stack, so the
+/// thousands of counter increments a single evaluation performs
+/// (xpath.axis_ops, datalog.ground_clauses, ...) land in a thread-private
+/// buffer instead of contending on shared cache lines. The buffer is merged
+/// into the global StatsRegistry at each request boundary, *before* the
+/// request's future is fulfilled: once every submitted future is ready,
+/// the registry totals are exact.
 ///
 /// Backpressure: Submit blocks while the queue is full — a heavy client
 /// slows down rather than ballooning memory — unless the request opts into
 /// admission control (SubmitOptions::reject_when_full), in which case a
 /// saturated queue rejects immediately with Unavailable (counted as
-/// `engine.rejected`). Destruction closes the queue, drains remaining
-/// requests (their futures complete), and joins.
+/// `engine.rejected`). An inline request takes no queue slot, so a full
+/// queue neither blocks nor rejects it. Destruction closes the queue,
+/// drains remaining requests (their futures complete), and joins.
 ///
 /// Bounded requests: Submit with SubmitOptions attaches an ExecContext
 /// (util/exec_context.h) carrying the request's deadline and budget; the
-/// returned Submission exposes Cancel(), and the worker threads the context
-/// through Plan::Execute so evaluation aborts cooperatively.
+/// returned Submission exposes Cancel(), and the run threads the context
+/// through Plan::Execute so evaluation aborts cooperatively. An inline run
+/// is over when Submit returns, so Cancel() on it is a no-op.
 ///
 /// Cross-query reuse (Options::eval_cache / result_cache / singleflight;
 /// all off by default — a default-constructed Executor behaves exactly as
@@ -62,9 +77,9 @@
 ///   - With a result cache, an *unbounded* request (no timeout, no visit
 ///     budget, bypass_cache unset) whose (doc epoch, canonical query hash)
 ///     key is resident returns an already-ready future from the
-///     Submit call itself — it never touches the worker queue, and its
-///     context is charged 1 unit (the lookup), not the saved work. Only
-///     ok, non-degraded results are ever inserted.
+///     Submit call itself — it is neither routed nor run, and its context
+///     is charged nothing (visits_used() and the profile's visits read 0).
+///     Only ok, non-degraded results are ever inserted.
 ///   - With singleflight on, concurrent identical unbounded Submits
 ///     collapse: the first becomes the leader and executes; the rest get
 ///     futures fulfilled with copies of the leader's outcome — including
@@ -121,7 +136,8 @@ struct Submission {
   ExecContextPtr context;
 
   /// Requests cooperative cancellation; the future then completes with
-  /// Status::Cancelled (unless the result was already computed).
+  /// Status::Cancelled (unless the result was already computed — always
+  /// so for a request that ran inline).
   void Cancel() {
     if (context != nullptr) context->Cancel();
   }
@@ -155,18 +171,23 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// The front door: enqueues one request. Attaches an ExecContext built
-  /// from `request.options` and returns it alongside the future so the
-  /// caller can Cancel(); respects `options.reject_when_full` for
-  /// admission control. The future carries the evaluation result, or an
+  /// The front door: routes one request, then runs it inline or enqueues
+  /// it (see the file comment). Attaches an ExecContext built from
+  /// `request.options` and returns it alongside the future so the caller
+  /// can Cancel(); respects `options.reject_when_full` for admission
+  /// control. The future carries the evaluation result, or an
   /// InvalidArgument status for a null plan/document; after Shutdown() it
-  /// is an already-failed Unavailable future.
+  /// is an already-failed Unavailable future, even for a key the result
+  /// cache holds. The future of an inline run is ready on return.
   Submission Submit(QueryRequest request);
 
   /// Stops accepting new work, drains queued requests (their futures
   /// complete), and joins the workers. Idempotent and safe to race with
   /// Submit: a Submit that loses the race gets an Unavailable future
-  /// instead of a broken promise.
+  /// instead of a broken promise. A Submit that read the executor as up
+  /// before Shutdown() began may still be running its request inline, and
+  /// touching the caches, after Shutdown() returns: Shutdown() waits for
+  /// the workers, not for other threads' Submit calls.
   void Shutdown();
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
@@ -181,7 +202,8 @@ class Executor {
     PlanPtr plan;
     DocumentPtr document;
     ExecContextPtr context;  // never null
-    bool allow_degraded = false;
+    /// The router's decision, made once at Submit; the run executes it.
+    plan::RouteDecision route;
     bool bypass_cache = false;
     /// Set for cache-eligible requests that missed the result cache:
     /// Finish inserts the result under this key, and — when
@@ -190,20 +212,21 @@ class Executor {
     std::optional<cache::ResultKey> result_key;
     bool flight_leader = false;
     /// Profile metadata stamped at Submit (obs-enabled builds; zero
-    /// otherwise): steady-clock enqueue time for the queue-wait histogram,
-    /// the process-unique query id, and the caller's plan-cache verdict.
+    /// otherwise): steady-clock enqueue time for the queue-wait histogram
+    /// (queued tasks only), the process-unique query id, and the caller's
+    /// plan-cache verdict.
     uint64_t enqueue_ns = 0;
     uint64_t profile_id = 0;
     bool cache_hit = false;
     std::promise<Result<QueryResult>> promise;
   };
 
-  /// How a request ended, and what a worker measured when it ran one.
+  /// How a request ended, and what was measured when it ran.
   struct Ending {
     enum Kind { kResultCacheHit, kRejected, kRan };
     Kind kind;
-    /// The worker's shadow counters and wall times; null and zero unless
-    /// `kind` is kRan.
+    /// The running thread's shadow counters and wall times; null and zero
+    /// unless `kind` is kRan. An inline run waited for no queue.
     obs::ShadowCounters* shadow = nullptr;
     uint64_t queue_wait_ns = 0;
     uint64_t execute_ns = 0;
@@ -212,6 +235,11 @@ class Executor {
   /// The one completion step every request goes through (see the file
   /// comment for the order of its steps).
   void Finish(Task& task, Result<QueryResult> result, const Ending& ending);
+  /// Runs an admitted task under `shadow` and finishes it: the
+  /// `engine.queue.pop` seam, the evaluation, the run's counters and
+  /// histograms, then Finish. A worker calls it for each popped task, and
+  /// Submit for an inline one with `queue_wait_ns` = 0.
+  void Run(Task& task, obs::ShadowCounters* shadow, uint64_t queue_wait_ns);
   void WorkerLoop();
 
   BoundedQueue<Task> queue_;

@@ -326,37 +326,49 @@ Result<QueryResult> Plan::Execute(const Document& doc,
   // start evaluating at all.
   TREEQ_RETURN_IF_ERROR(exec.CheckNow());
 
-  plan::RouteFacts facts;
-  if (!options.force_route.empty()) {
-    facts.forced = plan::ParseEngineName(options.force_route);
-    if (!facts.forced.has_value()) {
-      return Status::InvalidArgument("unknown engine name: " +
-                                     options.force_route);
+  plan::RouteDecision routed;
+  const plan::RouteDecision* decision = options.route;
+  if (decision == nullptr) {
+    std::optional<plan::EngineKind> forced;
+    if (!options.force_route.empty()) {
+      forced = plan::ParseEngineName(options.force_route);
+      if (!forced.has_value()) {
+        return Status::InvalidArgument("unknown engine name: " +
+                                       options.force_route);
+      }
+      if (std::find(eligible_.begin(), eligible_.end(), *forced) ==
+          eligible_.end()) {
+        return Status::Unsupported("engine " + options.force_route +
+                                   " is not eligible for this plan");
+      }
     }
-    if (std::find(eligible_.begin(), eligible_.end(), *facts.forced) ==
-        eligible_.end()) {
-      return Status::Unsupported("engine " + options.force_route +
-                                 " is not eligible for this plan");
-    }
+    routed = Route(doc, exec, options.allow_degraded, forced);
+    decision = &routed;
   }
+  if (decision->degraded) TREEQ_OBS_INC("engine.degraded");
+  TREEQ_ASSIGN_OR_RETURN(QueryResult out,
+                         ExecuteEngine(decision->chosen, doc, exec, options));
+  out.degraded = decision->degraded;
+  out.route_rationale = decision->rationale;
+  out.route_cost = decision->cost;
+  return out;
+}
+
+plan::RouteDecision Plan::Route(const Document& doc, const ExecContext& exec,
+                                bool allow_degraded,
+                                std::optional<plan::EngineKind> forced) const {
+  plan::RouteFacts facts;
+  facts.forced = forced;
   const uint64_t visit_budget = exec.limits().visit_budget;
   if (visit_budget != UINT64_MAX) {
     const uint64_t used = exec.visits_used();
     facts.remaining_visits = visit_budget > used ? visit_budget - used : 0;
   }
-  facts.allow_degraded = options.allow_degraded;
+  facts.allow_degraded = allow_degraded;
   facts.native_bound =
       query_size_ * (static_cast<uint64_t>(doc.num_nodes()) + 1);
-
-  plan::RouteDecision decision = plan::Route(
-      ir_, eligible_, NativeEngine(), plan::DocStats::For(doc), facts);
-  if (decision.degraded) TREEQ_OBS_INC("engine.degraded");
-  TREEQ_ASSIGN_OR_RETURN(QueryResult out,
-                         ExecuteEngine(decision.chosen, doc, exec, options));
-  out.degraded = decision.degraded;
-  out.route_rationale = std::move(decision.rationale);
-  out.route_cost = decision.cost;
-  return out;
+  return plan::Route(ir_, eligible_, NativeEngine(), plan::DocStats::For(doc),
+                     facts);
 }
 
 Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,

@@ -11,6 +11,7 @@
 #include "engine/query.h"
 #include "plan/cost.h"
 #include "plan/ir.h"
+#include "plan/route.h"
 #include "query/parse.h"
 #include "stream/stream_eval.h"
 #include "tree/axes.h"
@@ -39,10 +40,12 @@
 ///     form converts to;
 ///   - |Q|, the source AST size behind the native visit bound |Q|*(n+1).
 ///
-/// Execute() has one path: the router (plan/route.h) decides the engine
-/// and budget degradation from the document and the request's facts — or
-/// honours ExecuteOptions::force_route, which pins an engine for tests and
-/// experiments — and the chosen engine runs.
+/// Execute() has one path: the router (plan/route.h, through Route())
+/// decides the engine and budget degradation from the document and the
+/// request's facts — or honours ExecuteOptions::force_route, which pins an
+/// engine for tests and experiments — and the chosen engine runs. A caller
+/// that routed already (the Executor routes once, at Submit) passes its
+/// decision in ExecuteOptions::route, and Execute scores nothing.
 ///
 /// A compiled Plan is immutable; Execute is const and thread-safe, so one
 /// PlanPtr is shared freely across the Executor's workers.
@@ -76,6 +79,12 @@ struct ExecuteOptions {
   /// names; Unsupported when the engine is not in EligibleEngines().
   /// Tests use it to prove every eligible engine answers identically.
   std::string force_route;
+
+  /// A decision Route() already made for this plan, document and context.
+  /// When set, Execute runs it as decided and does not route again;
+  /// `force_route` and `allow_degraded` are then not consulted. Borrowed;
+  /// must outlive the call.
+  const plan::RouteDecision* route = nullptr;
 };
 
 class Plan {
@@ -110,6 +119,15 @@ class Plan {
   Result<QueryResult> Execute(
       const Document& doc, const ExecContext& exec = ExecContext::Unbounded(),
       const ExecuteOptions& options = ExecuteOptions()) const;
+
+  /// The router's decision (plan/route.h) for one execution on `doc`: the
+  /// engine, a budget degradation against the visits `exec` has left
+  /// (when `allow_degraded`), and whether the run is cheap enough to run
+  /// inline. `forced` pins the engine and must be eligible. Bumps the
+  /// plan.route.* counters, so each execution should route exactly once.
+  plan::RouteDecision Route(
+      const Document& doc, const ExecContext& exec, bool allow_degraded,
+      std::optional<plan::EngineKind> forced = std::nullopt) const;
 
   /// Wall time Compile() spent on this plan (parse + validate + classify +
   /// stream-rewrite). A cache-hit request did not pay it; per-query

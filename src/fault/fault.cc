@@ -127,7 +127,9 @@ void FaultRegistry::Disarm() {
 Status FaultRegistry::Hit(const char* point) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!armed_.load(std::memory_order_relaxed)) return Status::OK();
-  PointState& state = points_[point];
+  auto it = points_.find(std::string_view(point));
+  if (it == points_.end()) it = points_.emplace(point, PointState()).first;
+  PointState& state = it->second;
   const uint64_t hit = ++state.hits;
   for (RuleState* rs : state.rules) {
     const FaultRule& rule = rs->rule;
@@ -159,13 +161,13 @@ Status FaultRegistry::Hit(const char* point) {
 
 uint64_t FaultRegistry::hits(std::string_view point) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   return it != points_.end() ? it->second.hits : 0;
 }
 
 uint64_t FaultRegistry::fires(std::string_view point) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   return it != points_.end() ? it->second.fires : 0;
 }
 

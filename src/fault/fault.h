@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -140,7 +141,16 @@ class FaultRegistry {
   std::atomic<uint64_t> total_fires_{0};
   FaultPlan plan_;
   std::vector<std::unique_ptr<RuleState>> rules_;
-  std::unordered_map<std::string, PointState> points_;
+  /// Transparent hash: an armed Hit() looks its point up by the literal's
+  /// string_view, with no std::string built per hit.
+  struct PointHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, PointState, PointHash, std::equal_to<>>
+      points_;
 };
 
 /// Every named fault point compiled into the engine, in naming-scheme

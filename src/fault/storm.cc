@@ -27,9 +27,11 @@ namespace fault {
 
 namespace {
 
-/// The query corpus: one plan per language route the engine serves, all
-/// cheap on a small catalog (no naive-FO blowups — a storm runs hundreds
-/// of each).
+/// The query corpus: one plan per language route the engine serves, cheap
+/// on a small catalog, so they run inline; plus two naive-FO sentences the
+/// router scores above plan::kInlineCost, so they go to the workers. The
+/// two sentences stop at their first witness and take well under a
+/// millisecond on these catalogs — a storm runs hundreds of each.
 struct CorpusQuery {
   Language language;
   const char* text;
@@ -47,6 +49,12 @@ constexpr CorpusQuery kCorpus[] = {
     {Language::kFo,
      "exists x . exists y . (Child(x, y) and Lab_review(x) and "
      "Lab_rating5(y))"},
+    {Language::kFo,
+     "exists x . exists y . (Child(x, y) and Lab_review(x) and "
+     "not Lab_rating5(y))"},
+    {Language::kFo,
+     "exists x . (Lab_product(x) and not exists y . (Child(x, y) and "
+     "Lab_name(y)))"},
 };
 constexpr int kNumCorpusQueries =
     static_cast<int>(sizeof(kCorpus) / sizeof(kCorpus[0]));
@@ -169,8 +177,13 @@ StormReport RunStorm(const StormOptions& options, const FaultPlan& plan) {
   engine::Executor executor(exec_opts);
 
 #ifndef TREEQ_OBS_DISABLED
+  obs::StatsRegistry& registry = obs::StatsRegistry::Global();
   const uint64_t submitted_before =
-      obs::StatsRegistry::Global().CounterValue("engine.exec.submitted");
+      registry.CounterValue("engine.exec.submitted");
+  const uint64_t requests_before =
+      registry.CounterValue("engine.exec.requests");
+  const uint64_t inline_before =
+      registry.CounterValue("engine.exec.inline_requests");
 #endif
   const uint64_t result_hits_before = result_cache.hits();
   const uint64_t followers_before = executor.inflight().followers();
@@ -338,16 +351,20 @@ StormReport RunStorm(const StormOptions& options, const FaultPlan& plan) {
   }
 
   // --- Invariant: registry totals exact -------------------------------
-  // Every submit call either reached the queue push (counted), was served
-  // by a result-cache hit on the submitting thread, or collapsed into an
+  // Every submit call either reached admission (counted), was served by a
+  // result-cache hit on the submitting thread, or collapsed into an
   // in-flight leader. The tallies are plain atomics, but the submitted
   // counter itself is observability, so the equation needs obs compiled
-  // in. Workers flush their shadow counters before fulfilling futures, so
-  // with every future ready the registry is exact — no sleep needed.
+  // in. Every run, inline or on a worker, flushes its shadow counters
+  // before fulfilling its future, so with every future ready the registry
+  // is exact — no sleep needed. The same holds for the run counts.
 #ifndef TREEQ_OBS_DISABLED
+  report.inline_runs =
+      registry.CounterValue("engine.exec.inline_requests") - inline_before;
+  report.worker_runs = registry.CounterValue("engine.exec.requests") -
+                       requests_before - report.inline_runs;
   const uint64_t submitted_delta =
-      obs::StatsRegistry::Global().CounterValue("engine.exec.submitted") -
-      submitted_before;
+      registry.CounterValue("engine.exec.submitted") - submitted_before;
   const uint64_t hits_delta = result_cache.hits() - result_hits_before;
   const uint64_t followers_delta =
       executor.inflight().followers() - followers_before;
@@ -370,7 +387,9 @@ std::string StormReport::ToString() const {
                     std::to_string(submits) + " ok=" + std::to_string(ok) +
                     " failed=" + std::to_string(failed) + " fires=" +
                     std::to_string(injected_fires) + " replayed=" +
-                    std::to_string(replayed);
+                    std::to_string(replayed) + " inline=" +
+                    std::to_string(inline_runs) + " worker=" +
+                    std::to_string(worker_runs);
   if (violations.empty()) {
     out += " PASS";
     return out;

@@ -26,6 +26,10 @@
 ///     (obs-enabled builds): submitted == submit calls − result-cache hits
 ///     − collapsed followers.
 ///
+/// The query mix holds requests on both sides of plan::kInlineCost, so a
+/// storm drives both the inline path (run on the submitting thread) and
+/// the worker path; the report counts the runs of each.
+///
 /// A failing run is fully described by its one-line replay form
 /// (StormReport::replay_line); re-running the same (seed, plan) reproduces
 /// the identical firing schedule (see fault.h on determinism).
@@ -73,6 +77,11 @@ struct StormReport {
   uint64_t failed = 0;         ///< Futures that resolved with an error.
   uint64_t injected_fires = 0; ///< FaultRegistry::total_fires().
   uint64_t replayed = 0;       ///< Answers checked bit-identical vs replay.
+  /// Requests evaluated on a submitting thread and on a worker
+  /// (`engine.exec.inline_requests` and the rest of `engine.exec.requests`;
+  /// both 0 in TREEQ_OBS_DISABLED builds).
+  uint64_t inline_runs = 0;
+  uint64_t worker_runs = 0;
 
   /// Invariant violations, empty on a clean run. Each entry is a
   /// self-contained sentence; the test prints them with the replay line.

@@ -130,6 +130,7 @@ RouteDecision Route(const LogicalPlan& plan,
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
   }
+  decision.run_inline = decision.cost <= kInlineCost;
   return decision;
 }
 

@@ -23,6 +23,8 @@
 ///     xpath.stream when the request allows degradation and the plan is
 ///     stream-capable. Stream wins iff the native visit bound exceeds the
 ///     visits left; the run is then flagged degraded.
+///   - Either way, a chosen score at most kInlineCost marks the run
+///     inline: the Executor evaluates it on the submitting thread.
 ///
 /// Metrics: every budget or cost decision bumps plan.route.decisions and a
 /// per-engine plan.route.<engine> counter, and records the decision
@@ -55,6 +57,24 @@ struct RouteFacts {
   std::optional<EngineKind> forced;
 };
 
+/// The routed score at or below which a request runs on the thread that
+/// submits it (RouteDecision::run_inline): queuing it to a worker would
+/// cost more than evaluating it. A score is a cost, not a time, so the
+/// threshold is the measured hand-off cost divided by the measured ns per
+/// score unit (4-vCPU Xeon VM, g++ 12 -O2; EXPERIMENTS.md H1):
+///   - hand-off: 21 to 31 us of serving CPU per request. The mean
+///     perfbench eval_mix request fell from 79 to 48 us of CPU when every
+///     request ran inline, and from 73 to 55 us when the 39 of 48 (class,
+///     document) pairs at or below this threshold did;
+///   - ns per unit: 2.6 to 3.0, the summed median run time over the summed
+///     routed score of the eight eval_mix classes on catalogs of 660 to
+///     2,740 nodes (one class alone reads 0.2 to 25).
+/// 21-31 us / 2.6-3.0 ns is 7,000 to 11,900 units; the constant is a round
+/// value inside that range. Anything scored above it (naive FO, large
+/// documents) still queues, so a long run stays asynchronous and
+/// cancellable.
+inline constexpr uint64_t kInlineCost = 10'000;
+
 /// The router's verdict for one execution.
 struct RouteDecision {
   EngineKind chosen = EngineKind::kXPathSetAtATime;
@@ -62,6 +82,9 @@ struct RouteDecision {
   uint64_t cost = 0;
   /// Budget degradation to the streaming fallback.
   bool degraded = false;
+  /// `cost` <= kInlineCost: the Executor runs the request on the
+  /// submitting thread instead of handing it to a worker.
+  bool run_inline = false;
   /// One-line human rationale, e.g.
   /// "cq.twigstack cost=52 (native xpath.set_at_a_time cost=804)".
   /// Empty on the fault-injected fallback.

@@ -408,14 +408,18 @@ TEST(ExecutorCacheTest, SingleflightCollapsesConcurrentIdenticalSubmits) {
   bypass.bypass_cache = true;
   engine::Submission blocker = exec.Submit({BlockerPlan(), doc, bypass});
 
+  // The duplicates run on a larger catalog, where the plan scores above
+  // plan::kInlineCost: the leader queues instead of running inline.
+  DocumentPtr big = Catalog(1, 400);
+  ASSERT_FALSE(plan->Route(*big, ExecContext::Unbounded(), false).run_inline);
   constexpr int kDuplicates = 6;
   std::vector<engine::Submission> dups;
   for (int i = 0; i < kDuplicates; ++i) {
-    dups.push_back(exec.Submit({plan, doc, {}}));
+    dups.push_back(exec.Submit({plan, big, {}}));
   }
   ASSERT_TRUE(blocker.future.get().ok());
 
-  Result<QueryResult> want = plan->Execute(*doc);
+  Result<QueryResult> want = plan->Execute(*big);
   ASSERT_TRUE(want.ok());
   for (engine::Submission& s : dups) {
     Result<QueryResult> r = s.future.get();

@@ -324,7 +324,10 @@ TEST(ExecutorTest, NullPlanOrDocumentFailsCleanly) {
 }
 
 TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
-  std::vector<DocumentPtr> docs = {Catalog(1), Catalog(2), Catalog(3)};
+  // 4,000 products: every plan below scores above plan::kInlineCost, so
+  // the batch runs on the workers.
+  std::vector<DocumentPtr> docs = {Catalog(1, 4000), Catalog(2, 4000),
+                                   Catalog(3, 4000)};
   std::vector<PlanPtr> plans = {
       Plan::Compile(Language::kXPath, "//product[reviews]/name").value(),
       Plan::Compile(Language::kCq,
@@ -339,6 +342,10 @@ TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
   std::vector<QueryRequest> requests;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (size_t p = 0; p < plans.size(); ++p) {
+      ASSERT_FALSE(
+          plans[p]->Route(*docs[d], ExecContext::Unbounded(), false)
+              .run_inline)
+          << plans[p]->text();
       requests.push_back({plans[p], docs[d], {}});
     }
   }
@@ -361,9 +368,11 @@ TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
 
 TEST(ExecutorTest, ManyRequestsThroughSmallQueue) {
   // More requests than queue slots: Submit must backpressure, not deadlock
-  // or drop.
-  DocumentPtr doc = Catalog(5, 10);
+  // or drop. 600 products: the plan scores above plan::kInlineCost, so
+  // every request goes through the queue.
+  DocumentPtr doc = Catalog(5, 600);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//name").value();
+  ASSERT_FALSE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
   Executor exec(Executor::Options{.num_workers = 3, .queue_capacity = 2});
   std::vector<std::future<Result<QueryResult>>> futures;
   for (int i = 0; i < 200; ++i) futures.push_back(exec.Submit({plan, doc, {}}).future);
@@ -381,8 +390,11 @@ TEST(ExecutorTest, ManyRequestsThroughSmallQueue) {
 TEST(ExecutorTest, StatsMergedWhenFuturesReady) {
   obs::StatsRegistry& reg = obs::StatsRegistry::Global();
   reg.Reset();
-  DocumentPtr doc = Catalog();
+  // 600 products: the plan scores above plan::kInlineCost, so the
+  // requests run on the workers.
+  DocumentPtr doc = Catalog(1, 600);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//name").value();
+  ASSERT_FALSE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
   constexpr int kRequests = 50;
   {
     Executor exec(Executor::Options{.num_workers = 4, .queue_capacity = 16});
@@ -404,8 +416,11 @@ TEST(ExecutorTest, StatsMergedWhenFuturesReady) {
 #endif  // TREEQ_OBS_DISABLED
 
 TEST(ExecutorTest, SubmitAfterShutdownFails) {
-  DocumentPtr doc = Catalog(7, 5);
+  // 600 products: the plan scores above plan::kInlineCost, so requests
+  // queue and are still in flight at destruction.
+  DocumentPtr doc = Catalog(7, 600);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//a").value();
+  ASSERT_FALSE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
   auto exec = std::make_unique<Executor>(
       Executor::Options{.num_workers = 1, .queue_capacity = 2});
   // Exercise normal path, then destroy and verify nothing hangs. (Submit
@@ -441,8 +456,11 @@ TEST(ExecutorTest, SubmitAfterExplicitShutdownReturnsUnavailable) {
 TEST(ExecutorTest, ConcurrentSubmitAndShutdownNeverBreaksPromises) {
   // Race many Submits against Shutdown: every future must complete with
   // either a real result or Unavailable — a broken promise would throw.
-  DocumentPtr doc = Catalog(7, 5);
+  // 600 products: the plan scores above plan::kInlineCost, so every
+  // accepted request races its TryPush against Close().
+  DocumentPtr doc = Catalog(7, 600);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//name").value();
+  ASSERT_FALSE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
   for (int round = 0; round < 20; ++round) {
     Executor exec(Executor::Options{.num_workers = 2, .queue_capacity = 2});
     std::vector<std::future<Result<QueryResult>>> futures;
@@ -471,9 +489,12 @@ TEST(ExecutorTest, ConcurrentSubmitAndShutdownNeverBreaksPromises) {
 }
 
 TEST(ExecutorTest, AdmissionControlRejectsWhenSaturated) {
-  DocumentPtr doc = Catalog(3, 60);
+  // 600 products: the plan scores above plan::kInlineCost, so every
+  // request goes through the queue instead of running on this thread.
+  DocumentPtr doc = Catalog(3, 600);
   PlanPtr plan =
       Plan::Compile(Language::kXPath, "//product[reviews]//rating5").value();
+  ASSERT_FALSE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
   // One worker, one queue slot: pile on non-blocking submits until at
   // least one is rejected, without ever blocking the test thread.
   Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 1});
@@ -571,6 +592,76 @@ TEST(ExecutorTest, CancelMidRunCompletesCancelled) {
   EXPECT_TRUE(saw_cancelled);
 }
 
+// A request the router scores at or below plan::kInlineCost runs on the
+// submitting thread: Submit returns a future that is already ready, and a
+// Cancel after it is a no-op.
+TEST(ExecutorTest, CheapRequestIsReadyWhenSubmitReturns) {
+  DocumentPtr doc = Catalog();
+  PlanPtr plan = Plan::Compile(Language::kXPath, "//review/rating5").value();
+  ASSERT_TRUE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
+  const NodeSet expected = plan->Execute(*doc).value().nodes();
+  Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 4});
+  SubmitOptions bounded;
+  bounded.visit_budget = UINT64_MAX - 1;
+  for (const SubmitOptions& options : {SubmitOptions{}, bounded}) {
+    Submission s = exec.Submit({plan, doc, options});
+    EXPECT_EQ(s.future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    s.Cancel();
+    Result<QueryResult> r = s.future.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->nodes(), expected);
+  }
+}
+
+// A request scored above plan::kInlineCost still goes to a worker: its
+// future is not ready when Submit returns, and a Cancel issued while the
+// worker evaluates it stops the run.
+TEST(ExecutorTest, CostlyRequestQueuesAndCancelLandsMidRun) {
+  DocumentPtr doc = Catalog(13, 300);
+  PlanPtr plan =
+      Plan::Compile(Language::kFo,
+                    "forall x . forall y . forall z . "
+                    "(not Child(x, y) or not Child(y, z) or not Lab_zzz(x))")
+          .value();
+  ASSERT_GT(plan->Route(*doc, ExecContext::Unbounded(), false).cost,
+            plan::kInlineCost);
+  Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 4});
+  SubmitOptions opts;
+  opts.visit_budget = UINT64_MAX - 1;  // a metered context shows progress
+  Submission s = exec.Submit({plan, doc, opts});
+  EXPECT_NE(s.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  // The run is under way once the worker has charged the context.
+  while (s.context->visits_used() == 0 &&
+         s.future.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+    std::this_thread::yield();
+  }
+  s.Cancel();
+  Result<QueryResult> r = s.future.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_GT(s.context->visits_used(), 0u);
+}
+
+// Shutdown is checked before the result cache: a key cached before
+// Shutdown() is not served after it.
+TEST(ExecutorTest, CachedKeyAfterShutdownIsUnavailable) {
+  DocumentPtr doc = Catalog();
+  PlanPtr plan = Plan::Compile(Language::kXPath, "//review/rating5").value();
+  cache::ResultCache result_cache;
+  Executor exec(Executor::Options{.num_workers = 1,
+                                  .result_cache = &result_cache});
+  ASSERT_TRUE(exec.Submit({plan, doc, {}}).future.get().ok());
+  ASSERT_EQ(result_cache.size(), 1u);
+  exec.Shutdown();
+  Result<QueryResult> late = exec.Submit({plan, doc, {}}).future.get();
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(result_cache.hits(), 0u);
+}
+
 TEST(ExecutorTest, VisitBudgetIsDeterministicAcrossSubmissions) {
   DocumentPtr doc = Catalog(17, 40);
   PlanPtr plan =
@@ -662,11 +753,16 @@ TEST(ExecutorTest, BoundedExecutionCountersExported) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 
+    // The burst runs on a larger catalog, where the plan scores above
+    // plan::kInlineCost and queues instead of running inline.
+    DocumentPtr big = Catalog(23, 600);
+    ASSERT_FALSE(
+        plan->Route(*big, ExecContext::Unbounded(), false).run_inline);
     SubmitOptions reject;
     reject.reject_when_full = true;
     std::vector<Submission> burst;
     for (int i = 0; i < 64; ++i) {
-      burst.push_back(exec.Submit({plan, doc, reject}));
+      burst.push_back(exec.Submit({plan, big, reject}));
     }
     for (auto& s : burst) s.future.get();
   }
@@ -818,7 +914,14 @@ TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
   bool hit = true;
   PlanPtr plan = cache.GetOrCompile(Language::kXPath, query, &hit).value();
   ASSERT_FALSE(hit);
-  PlanPtr filler = Plan::Compile(Language::kXPath, "//a").value();
+  // Naive FO, quadratic in the document: scored above plan::kInlineCost,
+  // so it queues and keeps the one worker busy. A small catalog keeps the
+  // run to milliseconds.
+  PlanPtr filler = Plan::Compile(Language::kFo,
+                                 "forall x . forall y . "
+                                 "(not Child(x, y) or not Lab_zzz(x))")
+                       .value();
+  DocumentPtr filler_doc = Catalog();
 
   Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 8});
 
@@ -836,7 +939,8 @@ TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
 
   // A filler request ahead of the probe on the single worker guarantees
   // the probed request actually waits in the queue.
-  std::future<Result<QueryResult>> filler_future = exec.Submit({filler, doc, {}}).future;
+  std::future<Result<QueryResult>> filler_future =
+      exec.Submit({filler, filler_doc, {}}).future;
   SubmitOptions opts;
   opts.visit_budget = cost - 1;  // forces the router to degrade
   opts.allow_degraded = true;
@@ -846,6 +950,8 @@ TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
   Result<QueryResult> r = s.future.get();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(r->degraded);
+  // Scored above the inline threshold: the probe went through the queue.
+  ASSERT_GT(r->route_cost, plan::kInlineCost);
 
   const obs::QueryProfile* profile = nullptr;
   std::vector<obs::QueryProfile> recent =
@@ -966,27 +1072,33 @@ TEST(ExecutorTest, EveryWayARequestEndsRecordsOneProfile) {
   ASSERT_EQ(recent().size(), 1u);
   EXPECT_EQ(recent().back().engine, ran->engine);
 
-  Result<QueryResult> hit = exec.Submit({plan, doc, {}}).future.get();
+  Submission hit_submission = exec.Submit({plan, doc, {}});
+  Result<QueryResult> hit = hit_submission.future.get();
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->value, ran->value);
   ASSERT_EQ(recent().size(), 2u);
   const obs::QueryProfile hit_profile = recent().back();
   EXPECT_EQ(hit_profile.engine, "cache.result");
   EXPECT_TRUE(hit_profile.result_cache_hit);
-  EXPECT_EQ(hit_profile.visits, 1u);
+  EXPECT_EQ(hit_profile.visits, hit_submission.context->visits_used());
   EXPECT_EQ(hit_profile.estimated_visits, ran->route_cost);
 
   // The blocker runs on the worker, the leader waits in the one queue
   // slot, the follower joins the leader's flight, and the admission-
-  // controlled request finds the queue full.
+  // controlled request finds the queue full. The leader and the rejected
+  // request use a larger catalog, where they score above
+  // plan::kInlineCost and so queue instead of running inline.
+  DocumentPtr big = Catalog(41, 600);
+  ASSERT_FALSE(other->Route(*big, ExecContext::Unbounded(), false).run_inline);
+  ASSERT_FALSE(plan->Route(*big, ExecContext::Unbounded(), false).run_inline);
   SubmitOptions bypass;
   bypass.bypass_cache = true;
   Submission blocked = exec.Submit({blocker, doc, bypass});
-  Submission leader = exec.Submit({other, doc, {}});
-  Submission follower = exec.Submit({other, doc, {}});
+  Submission leader = exec.Submit({other, big, {}});
+  Submission follower = exec.Submit({other, big, {}});
   SubmitOptions reject = bypass;
   reject.reject_when_full = true;
-  Result<QueryResult> rejected = exec.Submit({plan, doc, reject}).future.get();
+  Result<QueryResult> rejected = exec.Submit({plan, big, reject}).future.get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   ASSERT_TRUE(blocked.future.get().ok());
@@ -1017,11 +1129,41 @@ TEST(ExecutorTest, EveryWayARequestEndsRecordsOneProfile) {
   EXPECT_EQ(rejections, 2);
 }
 
+// Routing happens once per request, at Submit, on both paths: the run
+// executes the decision and Plan::Execute does not score again.
+TEST(ExecutorTest, EachRequestRoutesOnce) {
+  obs::StatsRegistry& reg = obs::StatsRegistry::Global();
+  DocumentPtr small = Catalog(1, 40);
+  DocumentPtr big = Catalog(1, 400);
+  PlanPtr plan = Plan::Compile(Language::kXPath, "//review/rating5").value();
+  ASSERT_TRUE(plan->Route(*small, ExecContext::Unbounded(), false).run_inline);
+  ASSERT_FALSE(plan->Route(*big, ExecContext::Unbounded(), false).run_inline);
+  reg.Reset();
+  constexpr uint64_t kEach = 5;
+  {
+    Executor exec(Executor::Options{.num_workers = 2, .queue_capacity = 8});
+    for (uint64_t i = 1; i <= kEach; ++i) {
+      ASSERT_TRUE(exec.Submit({plan, small, {}}).future.get().ok());
+      EXPECT_EQ(reg.CounterValue("plan.route.decisions"), i);
+    }
+    for (uint64_t i = 1; i <= kEach; ++i) {
+      ASSERT_TRUE(exec.Submit({plan, big, {}}).future.get().ok());
+      EXPECT_EQ(reg.CounterValue("plan.route.decisions"), kEach + i);
+    }
+  }
+  EXPECT_EQ(reg.CounterValue("engine.exec.inline_requests"), kEach);
+  EXPECT_EQ(reg.CounterValue("engine.exec.requests"), 2 * kEach);
+  EXPECT_EQ(reg.CounterValue("engine.plan.runs"), 2 * kEach);
+}
+
 TEST(ExecutorTest, QueueWaitAndExecuteHistogramsRecorded) {
   obs::StatsRegistry& reg = obs::StatsRegistry::Global();
   reg.Reset();
-  DocumentPtr doc = Catalog(31, 20);
+  // 600 products: the plan scores above plan::kInlineCost, so the
+  // requests wait in the queue for the workers.
+  DocumentPtr doc = Catalog(31, 600);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//name").value();
+  ASSERT_FALSE(plan->Route(*doc, ExecContext::Unbounded(), false).run_inline);
   constexpr int kRequests = 10;
   {
     Executor exec(Executor::Options{.num_workers = 2, .queue_capacity = 8});

@@ -360,6 +360,44 @@ TEST(FaultStormTest, SeededStormsHoldEngineInvariants) {
     StormReport report = RunStorm(options);
     if (!report.passed()) ReportFailure(report);
     EXPECT_GT(report.submits, 0u);
+#ifndef TREEQ_OBS_DISABLED
+    // The mix covers both sides of plan::kInlineCost.
+    EXPECT_GT(report.inline_runs, 0u) << report.ToString();
+    EXPECT_GT(report.worker_runs, 0u) << report.ToString();
+#endif
+  }
+}
+
+// A seed's fault plan means the same on both paths: an executed request,
+// inline or on a worker, hits each executor fault point exactly once, so
+// the Nth hit of a point is the Nth request's.
+TEST(FaultPointsTest, EachRequestHitsEachExecutorPointOnce) {
+  if (!kFaultPointsCompiledIn) GTEST_SKIP() << "fault points compiled out";
+  DocumentPtr small = Catalog(1, 30);
+  DocumentPtr big = Catalog(1, 600);
+  engine::PlanPtr plan = XPathPlan();
+  ASSERT_TRUE(
+      plan->Route(*small, ExecContext::Unbounded(), false).run_inline);
+  ASSERT_FALSE(plan->Route(*big, ExecContext::Unbounded(), false).run_inline);
+  engine::Executor::Options opts;
+  opts.num_workers = 2;
+  opts.singleflight = true;
+  engine::Executor executor(opts);
+  // Armed with a rule that never fires: every point counts its hits.
+  ScopedFaultPlan armed(OnePoint("engine.shutdown", 0.0));
+  constexpr uint64_t kEach = 4;
+  for (const DocumentPtr& doc : {small, big}) {
+    for (uint64_t i = 0; i < kEach; ++i) {
+      QueryRequest request;
+      request.plan = plan;
+      request.document = doc;
+      ASSERT_TRUE(executor.Submit(request).future.get().ok());
+    }
+  }
+  for (const char* point :
+       {"cache.flight.join", "plan.route.decide", "engine.queue.push",
+        "engine.queue.pop", "engine.worker.run"}) {
+    EXPECT_EQ(FaultRegistry::Global().hits(point), 2 * kEach) << point;
   }
 }
 

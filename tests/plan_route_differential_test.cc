@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <optional>
 #include <string>
 #include <vector>
@@ -150,6 +152,49 @@ TEST(PlanRouteDifferentialTest, DialectsProduceBitIdenticalResults) {
       }
     }
   }
+}
+
+// The Executor routes once at Submit and runs a request scored at or
+// below plan::kInlineCost on the submitting thread, anything else on a
+// worker. Either way the answer, the engine and the route metadata are
+// those of a direct Plan::Execute.
+TEST(PlanRouteDifferentialTest, InlineQueuedAndDirectRunsAreBitIdentical) {
+  std::vector<DocumentPtr> docs = {Catalog(1), Catalog(7, 3),
+                                   Random(11, 200), Catalog(1, 1000),
+                                   Random(11, 12000)};
+  Executor exec(Executor::Options{.num_workers = 2});
+  int inline_runs = 0;
+  int queued_runs = 0;
+  for (const CorpusEntry& entry : Corpus()) {
+    SCOPED_TRACE(entry.name);
+    for (const PlanPtr& plan : CompileAll(entry)) {
+      for (const DocumentPtr& doc : docs) {
+        SCOPED_TRACE(plan->text() + " on " + doc->name() + " n=" +
+                     std::to_string(doc->num_nodes()));
+        Result<QueryResult> want = plan->Execute(*doc);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        Submission s = exec.Submit({plan, doc, {}});
+        const bool ran_inline = s.future.wait_for(std::chrono::seconds(0)) ==
+                                std::future_status::ready;
+        Result<QueryResult> got = s.future.get();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        if (want->route_cost <= plan::kInlineCost) {
+          EXPECT_TRUE(ran_inline);
+          ++inline_runs;
+        } else {
+          ++queued_runs;
+        }
+        EXPECT_EQ(got->value, want->value);
+        EXPECT_STREQ(got->engine, want->engine);
+        EXPECT_EQ(got->language, want->language);
+        EXPECT_EQ(got->degraded, want->degraded);
+        EXPECT_EQ(got->route_cost, want->route_cost);
+        EXPECT_EQ(got->route_rationale, want->route_rationale);
+      }
+    }
+  }
+  EXPECT_GT(inline_runs, 0);
+  EXPECT_GT(queued_runs, 0);
 }
 
 // Every engine the plan declares eligible must answer with the same
