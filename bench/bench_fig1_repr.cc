@@ -108,7 +108,7 @@ void BM_ComputeOrders(benchmark::State& state) {
   treeq::Tree t = treeq::RandomTree(&rng, opts);
   for (auto _ : state) {
     treeq::TreeOrders o = treeq::ComputeOrders(t);
-    benchmark::DoNotOptimize(o.pre.data());
+    benchmark::DoNotOptimize(o.size.data());
   }
   state.SetComplexityN(state.range(0));
 }

@@ -71,11 +71,11 @@ class ScalarNodeSet {
   int count_ = 0;
 };
 
-// Seed DescendantImage: one pre-order pass probing every node.
+// Seed DescendantImage: one pre-order (increasing id) pass probing every
+// node.
 void ScalarDescendantImage(const Tree& tree, const TreeOrders& orders,
                            const ScalarNodeSet& from, ScalarNodeSet* to) {
-  for (int i = 0; i < orders.num_nodes(); ++i) {
-    NodeId v = orders.node_at_pre[i];
+  for (NodeId v = 0; v < orders.num_nodes(); ++v) {
     NodeId p = tree.parent(v);
     if (p != treeq::kNullNode && (from.Contains(p) || to->Contains(p))) {
       to->Insert(v);
@@ -83,12 +83,12 @@ void ScalarDescendantImage(const Tree& tree, const TreeOrders& orders,
   }
 }
 
-// Seed AncestorImage: one post-order pass with per-node child-chain walks.
+// Seed AncestorImage: one children-before-parent pass (decreasing id, as
+// parent(v) < v) with per-node child-chain walks.
 void ScalarAncestorImage(const Tree& tree, const TreeOrders& orders,
                          const ScalarNodeSet& from, ScalarNodeSet* to) {
   std::vector<char> has(orders.num_nodes(), 0);
-  for (int i = 0; i < orders.num_nodes(); ++i) {
-    NodeId v = orders.node_at_post[i];
+  for (NodeId v = orders.num_nodes() - 1; v >= 0; --v) {
     char h = from.Contains(v) ? 1 : 0;
     char child_has = 0;
     for (NodeId c = tree.first_child(v); c != treeq::kNullNode;
@@ -104,30 +104,9 @@ void ScalarAncestorImage(const Tree& tree, const TreeOrders& orders,
 
 constexpr int kHeadlineNodes = 1'000'000;
 
-// A ~10^6-node document-order tree (ids == pre ranks, the common case for
-// parsed documents). BalancedTree builds breadth-first, so grow the same
-// shape depth-first here: depth 10 / fanout 4 => (4^11 - 1) / 3 = 1,398,101
-// nodes >= 10^6.
-constexpr int kBigDepth = 10;
-constexpr int kBigFanout = 4;
-
-void GrowPreOrder(treeq::TreeBuilder* builder, NodeId parent, int depth) {
-  if (depth == kBigDepth) return;
-  static const char* kLabels[] = {"a", "b", "c"};
-  for (int i = 0; i < kBigFanout; ++i) {
-    NodeId c = builder->AddChild(parent, kLabels[(depth + 1) % 3]);
-    GrowPreOrder(builder, c, depth + 1);
-  }
-}
-
-Tree MakeBigTree() {
-  treeq::TreeBuilder builder;
-  NodeId root = builder.AddChild(treeq::kNullNode, "a");
-  GrowPreOrder(&builder, root, 0);
-  auto tree = builder.Finish();
-  TREEQ_CHECK(tree.ok());
-  return std::move(tree).value();
-}
+// A ~10^6-node tree: depth 10 / fanout 4 => (4^11 - 1) / 3 = 1,398,101
+// nodes >= 10^6, labeled a, b, c by depth.
+Tree MakeBigTree() { return treeq::BalancedTree(10, 4, {"a", "b", "c"}); }
 
 std::vector<NodeId> RandomMembers(treeq::Rng* rng, int n, double density) {
   std::vector<NodeId> out;
@@ -230,7 +209,6 @@ void JsonWorkload(treeq::benchjson::Record* rec) {
   rec->SetNumber("input_nodes", n);
   rec->SetNumber("reps", kReps);
   rec->SetString("tree_shape", "balanced 4-ary, depth 10, doc-order ids");
-  rec->SetNumber("pre_is_identity", o.pre_is_identity ? 1 : 0);
 
   treeq::Rng rng(7);
   const std::vector<NodeId> a_members = RandomMembers(&rng, n, 0.5);

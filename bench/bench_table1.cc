@@ -47,7 +47,7 @@ bool EmpiricalWitness(const std::vector<treeq::Tree>& trees, RewriteAxis r,
     treeq::TreeOrders o = treeq::ComputeOrders(t);
     for (treeq::NodeId x = 0; x < t.num_nodes(); ++x) {
       for (treeq::NodeId y = 0; y < t.num_nodes(); ++y) {
-        if (o.pre[x] >= o.pre[y]) continue;
+        if (x >= y) continue;
         for (treeq::NodeId z = 0; z < t.num_nodes(); ++z) {
           if (treeq::AxisHolds(t, o, ToTreeAxis(r), x, z) &&
               treeq::AxisHolds(t, o, ToTreeAxis(s), y, z)) {

@@ -156,8 +156,9 @@ int main(int argc, char** argv) {
     std::printf("fault plan armed: %s\n", plan->ToString().c_str());
   }
 
-  // 1. Load the corpus. Add() precomputes each document's TreeOrders, so
-  //    the serving threads below share read-only data with no locking.
+  // 1. Load the corpus. Each Document computes its TreeOrders when it is
+  //    built, so the serving threads below share read-only data with no
+  //    locking.
   DocumentStore store;
   for (int d = 0; d < 4; ++d) {
     treeq::Rng rng(static_cast<uint64_t>(42 + d));

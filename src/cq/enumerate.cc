@@ -48,18 +48,6 @@ class SolutionEnumerator {
       }
     }
 
-    // Interval walks run over pre ranks; unless node ids are pre ranks,
-    // they read a pre-rank copy of the candidate set.
-    by_pre_.assign(k, NodeSet());
-    if (!orders_.pre_is_identity) {
-      for (int v = 0; v < k; ++v) {
-        if (v == root) continue;
-        by_pre_[v] = NodeSet(tree_.num_nodes());
-        reduced_.candidates[v].ForEachMember(
-            [&](NodeId w) { by_pre_[v].Insert(orders_.pre[w]); });
-      }
-    }
-
     partners_.assign(dfs_order_.size(), {});
     partners_[0] = reduced_.candidates[root].ToVector();
     theta_.assign(k, kNullNode);
@@ -103,18 +91,12 @@ class SolutionEnumerator {
     auto keep = [&](NodeId w) {
       if (w != kNullNode && cand.Contains(w)) out->push_back(w);
     };
-    // Candidates with pre rank in [begin, end).
+    // Candidates with id (= pre rank) in [begin, end).
     auto pre_range = [&](int begin, int end) {
-      if (orders_.pre_is_identity) {
-        cand.ForEachMemberInRange(
-            begin, end, [&](NodeId w) { out->push_back(w); });
-      } else {
-        by_pre_[var].ForEachMemberInRange(begin, end, [&](NodeId rank) {
-          out->push_back(orders_.node_at_pre[rank]);
-        });
-      }
+      cand.ForEachMemberInRange(begin, end,
+                                [&](NodeId w) { out->push_back(w); });
     };
-    bool reversed = false;  // walked in decreasing pre order
+    bool reversed = false;  // walked in decreasing id order
     switch (reduced_.parent_axis[var]) {
       case Axis::kSelf:
         keep(u);
@@ -129,10 +111,10 @@ class SolutionEnumerator {
         keep(tree_.parent(u));
         break;
       case Axis::kDescendant:
-        pre_range(orders_.pre[u] + 1, orders_.SubtreeEndPre(u));
+        pre_range(u + 1, orders_.SubtreeEndPre(u));
         break;
       case Axis::kDescendantOrSelf:
-        pre_range(orders_.pre[u], orders_.SubtreeEndPre(u));
+        pre_range(u, orders_.SubtreeEndPre(u));
         break;
       case Axis::kAncestorOrSelf:
         keep(u);
@@ -172,8 +154,8 @@ class SolutionEnumerator {
         pre_range(orders_.SubtreeEndPre(u), tree_.num_nodes());
         break;
       case Axis::kPreceding:
-        // Pre ranks before u, minus u's ancestors.
-        pre_range(0, orders_.pre[u]);
+        // Ids before u, minus u's ancestors.
+        pre_range(0, u);
         std::erase_if(*out, [&](NodeId w) {
           return orders_.IsProperAncestor(w, u);
         });
@@ -185,11 +167,7 @@ class SolutionEnumerator {
         if (tree_.prev_sibling(u) == kNullNode) keep(tree_.parent(u));
         break;
     }
-    if (orders_.pre_is_identity) {
-      if (reversed) std::reverse(out->begin(), out->end());
-    } else {
-      std::sort(out->begin(), out->end());
-    }
+    if (reversed) std::reverse(out->begin(), out->end());
   }
 
   const ConjunctiveQuery& query_;
@@ -199,7 +177,6 @@ class SolutionEnumerator {
   const ExecContext& exec_;
   Status abort_;
   std::vector<int> dfs_order_;
-  std::vector<NodeSet> by_pre_;
   std::vector<std::vector<NodeId>> partners_;  // per DFS position
   std::vector<NodeId> theta_;
   std::vector<std::vector<NodeId>> results_;

@@ -17,17 +17,33 @@ const char* TreeOrderName(TreeOrder order) {
   return "";
 }
 
-const std::vector<int>& RankOf(const TreeOrders& orders, TreeOrder order) {
+std::vector<int> RankOf(const Tree& tree, const TreeOrders& orders,
+                        TreeOrder order) {
+  const int n = tree.num_nodes();
+  std::vector<int> rank(static_cast<size_t>(n));
   switch (order) {
     case TreeOrder::kPre:
-      return orders.pre;
+      // Node ids are pre ranks.
+      for (NodeId v = 0; v < n; ++v) rank[v] = v;
+      break;
     case TreeOrder::kPost:
-      return orders.post;
-    case TreeOrder::kBflr:
-      return orders.bflr;
+      for (NodeId v = 0; v < n; ++v) rank[v] = orders.Post(v);
+      break;
+    case TreeOrder::kBflr: {
+      // Breadth-first left to right: `queue` doubles as the visit order.
+      std::vector<NodeId> queue = {tree.root()};
+      queue.reserve(static_cast<size_t>(n));
+      for (size_t head = 0; head < queue.size(); ++head) {
+        rank[queue[head]] = static_cast<int>(head);
+        for (NodeId c = tree.first_child(queue[head]); c != kNullNode;
+             c = tree.next_sibling(c)) {
+          queue.push_back(c);
+        }
+      }
+      break;
+    }
   }
-  TREEQ_CHECK(false);
-  return orders.pre;
+  return rank;
 }
 
 bool HasXProperty(const std::vector<std::pair<NodeId, NodeId>>& relation,
@@ -51,7 +67,7 @@ bool HasXProperty(const std::vector<std::pair<NodeId, NodeId>>& relation,
 bool AxisHasXPropertyOn(const Tree& tree, const TreeOrders& orders, Axis axis,
                         TreeOrder order) {
   return HasXProperty(MaterializeAxis(tree, orders, axis),
-                      RankOf(orders, order));
+                      RankOf(tree, orders, order));
 }
 
 bool XPropertyHolds(Axis axis, TreeOrder order) {
@@ -95,17 +111,47 @@ std::optional<TreeOrder> PickXOrder(const ConjunctiveQuery& query) {
   return std::nullopt;
 }
 
-std::vector<NodeId> MinimumValuation(const PreValuation& theta,
-                                     const std::vector<int>& rank) {
+namespace {
+
+template <typename Less>
+std::vector<NodeId> MinimumBy(const PreValuation& theta, Less less) {
   std::vector<NodeId> valuation(theta.size(), kNullNode);
   for (size_t x = 0; x < theta.size(); ++x) {
     NodeId best = kNullNode;
     theta[x].ForEachMember([&](NodeId v) {
-      if (best == kNullNode || rank[v] < rank[best]) best = v;
+      if (best == kNullNode || less(v, best)) best = v;
     });
     valuation[x] = best;
   }
   return valuation;
+}
+
+}  // namespace
+
+std::vector<NodeId> MinimumValuation(const PreValuation& theta,
+                                     const std::vector<int>& rank) {
+  return MinimumBy(theta,
+                   [&](NodeId a, NodeId b) { return rank[a] < rank[b]; });
+}
+
+std::vector<NodeId> MinimumValuation(const PreValuation& theta,
+                                     const TreeOrders& orders,
+                                     TreeOrder order) {
+  switch (order) {
+    case TreeOrder::kPre:
+      return MinimumBy(theta, [](NodeId a, NodeId b) { return a < b; });
+    case TreeOrder::kPost:
+      return MinimumBy(theta, [&](NodeId a, NodeId b) {
+        return orders.Post(a) < orders.Post(b);
+      });
+    case TreeOrder::kBflr:
+      // Breadth-first left to right is depth first, then document order.
+      return MinimumBy(theta, [&](NodeId a, NodeId b) {
+        return std::pair(orders.depth[a], a) < std::pair(orders.depth[b], b);
+      });
+  }
+  TREEQ_CHECK(false);
+  return {};
 }
 
 namespace {
@@ -150,7 +196,7 @@ Result<XEvalResult> EvaluateXProperty(const ConjunctiveQuery& query,
     return result;
   }
   // Lemma 6.4: the minimum valuation is consistent.
-  result.witness = MinimumValuation(acr.theta, RankOf(doc.orders(), order));
+  result.witness = MinimumValuation(acr.theta, doc.orders(), order);
   if (!ValuationSatisfies(normalized, doc.tree(), doc.orders(),
                           result.witness)) {
     return Status::Internal(
@@ -187,7 +233,7 @@ Result<bool> XPropertyTupleCheck(const ConjunctiveQuery& query,
                                          AcImplementation::kDirect, &initial);
   if (!acr.consistent) return false;
   std::vector<NodeId> witness =
-      MinimumValuation(acr.theta, RankOf(doc.orders(), order));
+      MinimumValuation(acr.theta, doc.orders(), order);
   if (!ValuationSatisfies(normalized, doc.tree(), doc.orders(), witness)) {
     return Status::Internal(
         "minimum valuation not consistent — Lemma 6.4 violated (bug)");

@@ -32,8 +32,10 @@ enum class TreeOrder { kPre, kPost, kBflr };
 
 const char* TreeOrderName(TreeOrder order);
 
-/// rank[v] = position of node v in the order.
-const std::vector<int>& RankOf(const TreeOrders& orders, TreeOrder order);
+/// rank[v] = position of node v in the order: the id for <pre,
+/// TreeOrders::Post for <post, and a breadth-first walk for <bflr. O(n).
+std::vector<int> RankOf(const Tree& tree, const TreeOrders& orders,
+                        TreeOrder order);
 
 /// Definition 6.3 on an explicit relation: for all n0 < n1, n2 < n3,
 /// R(n1, n2) and R(n0, n3) imply R(n0, n2). O(|R|^2) check.
@@ -58,6 +60,12 @@ std::optional<TreeOrder> PickXOrder(const ConjunctiveQuery& query);
 /// Lemma 6.4: the minimum valuation of `theta` w.r.t. the order.
 std::vector<NodeId> MinimumValuation(const PreValuation& theta,
                                      const std::vector<int>& rank);
+
+/// The same minimum, comparing nodes through `orders` in O(1) instead of
+/// through a rank array: what the evaluators below use.
+std::vector<NodeId> MinimumValuation(const PreValuation& theta,
+                                     const TreeOrders& orders,
+                                     TreeOrder order);
 
 /// Result of EvaluateXProperty: satisfiability plus, if satisfiable, the
 /// witness valuation (indexed by query variable).

@@ -9,8 +9,7 @@ namespace treeq {
 namespace engine {
 
 Result<DocumentPtr> DocumentStore::Add(std::string_view name, Tree tree) {
-  DocumentPtr doc = MakeDocumentWithOrders(std::move(tree),
-                                           std::string(name));
+  DocumentPtr doc = MakeDocument(std::move(tree), std::string(name));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = docs_.emplace(std::string(name), doc);
   if (!inserted) {
@@ -23,8 +22,7 @@ Result<DocumentPtr> DocumentStore::Add(std::string_view name, Tree tree) {
 
 Result<DocumentPtr> DocumentStore::Replace(std::string_view name,
                                            Tree tree) {
-  DocumentPtr doc = MakeDocumentWithOrders(std::move(tree),
-                                           std::string(name));
+  DocumentPtr doc = MakeDocument(std::move(tree), std::string(name));
   uint64_t old_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);

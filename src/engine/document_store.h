@@ -38,12 +38,12 @@ class DocumentStore {
   /// cache::ResultCache::InvalidateDocument.
   using EvictionListener = std::function<void(uint64_t epoch)>;
 
-  /// Registers `tree` under `name` with precomputed orders. InvalidArgument
+  /// Registers `tree` under `name` as a new Document. InvalidArgument
   /// if the name is taken (use Replace to swap a live document).
   Result<DocumentPtr> Add(std::string_view name, Tree tree);
 
   /// Atomically swaps the document registered under `name` for a new
-  /// Document built from `tree` (precomputed orders, fresh epoch).
+  /// Document built from `tree` (fresh epoch).
   /// NotFound if absent — replacing nothing is a caller bug worth
   /// surfacing. Existing handles to the old document stay valid; eviction
   /// listeners fire with the old epoch after the swap.

@@ -58,14 +58,6 @@ void CountLowering(Language language, bool structural) {
   if (!structural) TREEQ_OBS_INC("plan.lower.opaque");
 }
 
-/// Canonical result order so every engine's answer is bit-identical:
-/// tuples sort lexicographically and dedupe.
-void NormalizeTuples(TupleSet* tuples) {
-  std::sort(tuples->begin(), tuples->end());
-  tuples->erase(std::unique(tuples->begin(), tuples->end()),
-                tuples->end());
-}
-
 }  // namespace
 
 Result<PlanPtr> Plan::Compile(Language language, std::string_view text) {
@@ -433,7 +425,8 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       if (ir_.arity == 1) {
         out.value.emplace<NodeSet>(std::move(nodes));
       } else {
-        NormalizeTuples(&tuples);
+        // Projected matches: sort and dedupe into the canonical order.
+        cq::CanonicalizeTuples(&tuples);
         out.value.emplace<TupleSet>(std::move(tuples));
       }
       return out;
@@ -445,6 +438,7 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       // its own query, everything else the canonical branches.
       NodeSet nodes(doc.num_nodes());
       TupleSet tuples;
+      bool merged = false;  // tuples holds the union of several answers
       bool answer = false;
       auto evaluate = [&](const cq::ConjunctiveQuery& query) -> Status {
         if (ir_.arity == 0) {
@@ -460,8 +454,13 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
           TREEQ_ASSIGN_OR_RETURN(
               TupleSet matches,
               cq::EvaluateAcyclic(query, doc, exec, options.axis_memo));
-          for (std::vector<NodeId>& t : matches) {
-            tuples.push_back(std::move(t));
+          if (tuples.empty()) {
+            tuples = std::move(matches);
+          } else {
+            merged = merged || !matches.empty();
+            for (std::vector<NodeId>& t : matches) {
+              tuples.push_back(std::move(t));
+            }
           }
         }
         return Status::OK();
@@ -479,7 +478,9 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       } else if (ir_.arity == 1) {
         out.value.emplace<NodeSet>(std::move(nodes));
       } else {
-        NormalizeTuples(&tuples);
+        // EvaluateAcyclic returns each answer sorted and deduplicated; only
+        // a union of several non-empty branch answers needs it again.
+        if (merged) cq::CanonicalizeTuples(&tuples);
         out.value.emplace<TupleSet>(std::move(tuples));
       }
       return out;

@@ -12,8 +12,8 @@ std::vector<JoinItem> MakeJoinItems(const TreeOrders& orders,
   std::vector<JoinItem> items;
   items.reserve(nodes.size());
   for (NodeId n : nodes) {
-    items.push_back(JoinItem{orders.pre[n], orders.SubtreeEndPre(n),
-                             orders.depth[n], n});
+    items.push_back(
+        JoinItem{n, orders.SubtreeEndPre(n), orders.depth[n], n});
   }
   std::sort(items.begin(), items.end(),
             [](const JoinItem& a, const JoinItem& b) { return a.pre < b.pre; });

@@ -17,7 +17,9 @@
 namespace treeq {
 
 /// A node's structural coordinates: pre rank, end of subtree in pre ranks,
-/// and depth (depth is needed only for parent-child joins).
+/// and depth (depth is needed only for parent-child joins). Node ids are
+/// pre ranks (tree/tree.h), so `pre == node`; the joins compare `pre` and
+/// emit `node`, as the region encoding of [2] does.
 struct JoinItem {
   int pre = 0;
   int end = 0;  // SubtreeEndPre: pre + subtree size

@@ -9,16 +9,13 @@ Xasr Xasr::Build(const Tree& tree, const TreeOrders& orders) {
   Xasr xasr;
   const int n = tree.num_nodes();
   xasr.rows_.resize(n);
-  xasr.node_at_pre_.resize(n);
+  // Node ids are pre ranks, so row v is node v.
   for (NodeId v = 0; v < n; ++v) {
-    XasrRow& row = xasr.rows_[orders.pre[v]];
-    row.pre = orders.pre[v];
-    row.post = orders.post[v];
-    row.parent_pre = tree.parent(v) == kNullNode
-                         ? XasrRow::kNoParent
-                         : orders.pre[tree.parent(v)];
+    XasrRow& row = xasr.rows_[v];
+    row.pre = v;
+    row.post = orders.Post(v);
+    row.parent_pre = tree.IsRoot(v) ? XasrRow::kNoParent : tree.parent(v);
     row.label = tree.label(v);
-    xasr.node_at_pre_[orders.pre[v]] = v;
   }
   return xasr;
 }

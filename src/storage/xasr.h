@@ -31,7 +31,7 @@ struct XasrRow {
 };
 
 /// The XASR of a tree: rows sorted by `pre` (document order), so row i has
-/// pre == i.
+/// pre == i and, since node ids are pre ranks, describes node i.
 class Xasr {
  public:
   /// Builds the relation from a tree in O(n).
@@ -40,9 +40,6 @@ class Xasr {
   int num_rows() const { return static_cast<int>(rows_.size()); }
   const XasrRow& row(int pre) const { return rows_[pre]; }
   const std::vector<XasrRow>& rows() const { return rows_; }
-
-  /// Node id of the row with the given pre rank.
-  NodeId NodeAt(int pre) const { return node_at_pre_[pre]; }
 
   /// The `descendant` view: all (ancestor_pre, descendant_pre) pairs via the
   /// theta-join of Example 2.1. O(n^2) evaluation, quadratic output — this
@@ -62,7 +59,6 @@ class Xasr {
 
  private:
   std::vector<XasrRow> rows_;
-  std::vector<NodeId> node_at_pre_;
 };
 
 /// Strawman the paper argues against: computes Child+ by iterating joins of

@@ -197,7 +197,7 @@ bool AxisHolds(const Tree& tree, const TreeOrders& orders, Axis axis, NodeId u,
       return tree.next_sibling(v) == u;
     case Axis::kFollowingSibling:
       return u != v && tree.parent(u) == tree.parent(v) &&
-             tree.parent(u) != kNullNode && orders.pre[u] < orders.pre[v];
+             tree.parent(u) != kNullNode && u < v;
     case Axis::kPrecedingSibling:
       return AxisHolds(tree, orders, Axis::kFollowingSibling, v, u);
     case Axis::kFollowingSiblingOrSelf:
@@ -221,59 +221,19 @@ bool AxisHolds(const Tree& tree, const TreeOrders& orders, Axis axis, NodeId u,
 
 namespace {
 
-// Inserts the nodes at pre ranks [begin, end) into `to`: a word fill when
-// node ids coincide with pre ranks, a rank->node remap otherwise.
-void InsertPreRange(const TreeOrders& orders, int begin, int end,
-                    NodeSet* to) {
-  if (orders.pre_is_identity) {
-    to->InsertRange(begin, end);
-    return;
-  }
-  for (int i = begin; i < end; ++i) to->Insert(orders.node_at_pre[i]);
-}
-
-// Marks descendants of `from` nodes. Subtrees are contiguous pre ranges, so
-// the image is a union of word-filled ranges; ranges nested inside an
-// already-covered subtree are skipped (subtree ranges form a laminar
-// family, so after skipping, fills never overlap). Members must be visited
-// in increasing pre rank: node-id order when pre_is_identity, otherwise via
-// a scratch bitmap over pre ranks (bit enumeration is rank order for free —
-// no comparator sort).
+// Marks descendants of `from` nodes. Subtrees are contiguous id ranges, so
+// the image is a union of word-filled ranges. Members arrive in id (= pre)
+// order, and ranges nested inside an already-covered subtree are skipped
+// (subtree ranges form a laminar family, so fills never overlap).
 void DescendantImage(const TreeOrders& orders, const NodeSet& from,
                      bool include_self, NodeSet* to) {
-  int covered = 0;  // pre ranks below this are already marked
-  auto visit = [&](int rank, NodeId u) {
+  int covered = 0;  // ids below this are already marked
+  from.ForEachMember([&](NodeId u) {
     const int end = orders.SubtreeEndPre(u);
     if (end <= covered) return;
-    InsertPreRange(orders, rank + (include_self ? 0 : 1), end, to);
+    to->InsertRange(u + (include_self ? 0 : 1), end);
     covered = end;
-  };
-  if (orders.pre_is_identity) {
-    from.ForEachMember([&](NodeId u) { visit(u, u); });
-  } else if (from.size() * 8 >= orders.num_nodes()) {
-    // Dense members: scan pre ranks directly and leap to the end of each
-    // inserted subtree range — every rank the loop lands on is outside all
-    // ranges inserted so far, so the probe count is n minus the inserted
-    // mass, without materializing a rank-space copy of `from`.
-    const int n = orders.num_nodes();
-    for (int i = 0; i < n;) {
-      NodeId v = orders.node_at_pre[i];
-      if (from.Contains(v)) {
-        InsertPreRange(orders, i + (include_self ? 0 : 1),
-                       orders.SubtreeEndPre(v), to);
-        i = orders.SubtreeEndPre(v);  // SubtreeEndPre > pre: always advances
-      } else {
-        ++i;
-      }
-    }
-  } else {
-    // Sparse members: remap them into rank space first so the watermark
-    // scan touches O(|from| + n/64) words instead of probing every rank.
-    NodeSet by_pre(orders.num_nodes());
-    from.ForEachMember([&](NodeId u) { by_pre.Insert(orders.pre[u]); });
-    by_pre.ForEachMember(
-        [&](NodeId rank) { visit(rank, orders.node_at_pre[rank]); });
-  }
+  });
 }
 
 // Marks ancestors of `from` nodes by walking parent chains, stopping at the
@@ -384,37 +344,24 @@ void AxisImage(const Tree& tree, const TreeOrders& orders, Axis axis,
       return;
     case Axis::kFollowing: {
       if (from.empty()) return;
-      int threshold = n;  // pre rank from which nodes are in the image
-      if (orders.pre_is_identity) {
-        // Members arrive in pre order; once pre[u] >= threshold no later
-        // member's subtree can end earlier, so the scan stops at the first
-        // few set bits.
-        from.ForEachMemberWhile([&](NodeId u) {
-          if (u >= threshold) return false;
-          threshold = std::min(threshold, orders.SubtreeEndPre(u));
-          return true;
-        });
-      } else {
-        from.ForEachMember([&](NodeId u) {
-          threshold = std::min(threshold, orders.SubtreeEndPre(u));
-        });
-      }
-      InsertPreRange(orders, threshold, n, to);
+      // Members arrive in id (= pre) order; once u >= threshold no later
+      // member's subtree can end earlier, so the scan stops at the first
+      // few set bits.
+      int threshold = n;  // id from which nodes are in the image
+      from.ForEachMemberWhile([&](NodeId u) {
+        if (u >= threshold) return false;
+        threshold = std::min(threshold, orders.SubtreeEndPre(u));
+        return true;
+      });
+      to->InsertRange(threshold, n);
       return;
     }
     case Axis::kPreceding: {
       if (from.empty()) return;
-      // The image is determined by the member with the largest pre rank m:
-      // pre ranks [0, pre[m]) minus the proper ancestors of m.
-      NodeId m = kNullNode;
-      if (orders.pre_is_identity) {
-        m = from.LastMember();  // last set bit = largest pre rank
-      } else {
-        from.ForEachMember([&](NodeId u) {
-          if (m == kNullNode || orders.pre[u] > orders.pre[m]) m = u;
-        });
-      }
-      InsertPreRange(orders, 0, orders.pre[m], to);
+      // The image is determined by the last member m: ids [0, m) minus the
+      // proper ancestors of m.
+      const NodeId m = from.LastMember();
+      to->InsertRange(0, m);
       for (NodeId p = tree.parent(m); p != kNullNode; p = tree.parent(p)) {
         to->Erase(p);
       }

@@ -17,7 +17,8 @@
 /// all their inverses, plus Self.
 ///
 /// Two access paths are provided:
-///   - AxisHolds:  O(1) pair test using the (pre, post) characterizations;
+///   - AxisHolds:  O(1) pair test using the subtree-range characterizations
+///     of tree/orders.h;
 ///   - AxisImage:  O(n) image of a node set under an axis, the workhorse of
 ///     the set-at-a-time Core XPath evaluator and the tree-specialized
 ///     semijoins (Sections 3, 4, 6).
@@ -75,7 +76,7 @@ bool AxisHolds(const Tree& tree, const TreeOrders& orders, Axis axis, NodeId u,
 /// Computes `to` = { v : exists u in `from` with Axis(u, v) }, Section 3's
 /// linear-time building block. The kernels are word-parallel: they iterate
 /// only the set bits of `from` (tree/node_set.h skip-scan) and mark
-/// contiguous pre-rank ranges with word fills, so the cost is
+/// contiguous id (= pre-rank) ranges with word fills, so the cost is
 /// O(|from| + |to| + n/64) for most axes rather than a full n-node probe
 /// loop; O(n) remains the worst case.
 void AxisImage(const Tree& tree, const TreeOrders& orders, Axis axis,

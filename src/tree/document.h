@@ -11,14 +11,15 @@
 #include "tree/tree.h"
 
 /// \file document.h
-/// A `Document` bundles a Tree with its TreeOrders (<pre, <post, <bflr)
-/// and its per-label inverted index (tree/label_index.h) in one immutable
-/// value: the structure every query algorithm reads. It is the only way
-/// into the evaluators — each xpath, cq, datalog and fo entry point takes
+/// A `Document` bundles a Tree with its TreeOrders (subtree sizes and
+/// depths; node ids are pre ranks) and its per-label inverted index
+/// (tree/label_index.h) in one immutable value: the structure every query
+/// algorithm reads. It is the only way into the evaluators — each xpath,
+/// cq, datalog and fo entry point takes
 /// `(query, const Document&, ..., const ExecContext&)` — so label atoms
-/// always read the cached index and never rescan the arena. Orders and the
-/// index are computed lazily on first access (thread-safe, exactly once);
-/// orders can also be supplied up front.
+/// always read the cached index and never rescan the arena. Orders are
+/// computed in the constructor (two linear loops over the parent array);
+/// the index is built lazily on first access (thread-safe, exactly once).
 ///
 /// A Document is immutable after construction and safe to share read-only
 /// across threads; the engine's DocumentStore (engine/document_store.h)
@@ -40,22 +41,16 @@ inline uint64_t NextDocumentEpoch() {
 
 class Document {
  public:
-  /// Takes ownership of `tree`; orders are computed on first orders() call.
-  /// `name` is a display label for logs and per-query profiles — the
-  /// DocumentStore passes its registration key; anonymous documents keep
-  /// the empty default.
+  /// Takes ownership of `tree` and computes its orders. `name` is a display
+  /// label for logs and per-query profiles — the DocumentStore passes its
+  /// registration key; anonymous documents keep the empty default.
   explicit Document(Tree tree, std::string name = "")
-      : tree_(std::move(tree)), name_(std::move(name)) {}
-
-  /// Takes ownership of both. `orders` must have been computed from `tree`.
-  Document(Tree tree, TreeOrders orders, std::string name = "")
       : tree_(std::move(tree)),
         name_(std::move(name)),
-        orders_(std::move(orders)),
-        computed_(true) {}
+        orders_(ComputeOrders(tree_)) {}
 
-  /// Not copyable/movable (the lazy-init state pins the address); construct
-  /// in place or use MakeDocument for a shared handle.
+  /// Not copyable/movable (the lazy index state pins the address);
+  /// construct in place or use MakeDocument for a shared handle.
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
 
@@ -72,30 +67,15 @@ class Document {
   /// on.
   uint64_t epoch() const { return epoch_; }
 
-  /// The three total orders, depth and subtree sizes (tree/orders.h).
-  /// Computed at most once; concurrent first calls are safe.
-  const TreeOrders& orders() const {
-    if (!computed_.load(std::memory_order_acquire)) {
-      std::call_once(once_, [this] {
-        orders_ = ComputeOrders(tree_);
-        computed_.store(true, std::memory_order_release);
-      });
-    }
-    return orders_;
-  }
-
-  /// True once orders are available without computation (supplied at
-  /// construction or already computed by some thread).
-  bool orders_computed() const {
-    return computed_.load(std::memory_order_acquire);
-  }
+  /// Subtree sizes and depths (tree/orders.h), computed at construction.
+  const TreeOrders& orders() const { return orders_; }
 
   /// The per-label inverted index (tree/label_index.h). Built at most once,
-  /// lazily, from the cached orders; concurrent first calls are safe.
+  /// lazily; concurrent first calls are safe.
   const LabelIndex& label_index() const {
     if (!index_computed_.load(std::memory_order_acquire)) {
       std::call_once(index_once_, [this] {
-        label_index_ = std::make_unique<LabelIndex>(tree_, orders());
+        label_index_ = std::make_unique<LabelIndex>(tree_, orders_);
         index_computed_.store(true, std::memory_order_release);
       });
     }
@@ -110,10 +90,8 @@ class Document {
  private:
   Tree tree_;
   std::string name_;
+  const TreeOrders orders_;
   const uint64_t epoch_ = NextDocumentEpoch();
-  mutable std::once_flag once_;
-  mutable TreeOrders orders_;
-  mutable std::atomic<bool> computed_{false};
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<LabelIndex> label_index_;
   mutable std::atomic<bool> index_computed_{false};
@@ -122,17 +100,9 @@ class Document {
 /// Shared read-only handle to a Document. The engine APIs traffic in these.
 using DocumentPtr = std::shared_ptr<const Document>;
 
-/// Builds a shared Document from a tree, orders computed lazily.
+/// Builds a shared Document from a tree.
 inline DocumentPtr MakeDocument(Tree tree, std::string name = "") {
   return std::make_shared<Document>(std::move(tree), std::move(name));
-}
-
-/// Builds a shared Document with orders precomputed eagerly (what the
-/// DocumentStore does, so serving threads never race on first access).
-inline DocumentPtr MakeDocumentWithOrders(Tree tree, std::string name = "") {
-  TreeOrders orders = ComputeOrders(tree);
-  return std::make_shared<Document>(std::move(tree), std::move(orders),
-                                    std::move(name));
 }
 
 }  // namespace treeq

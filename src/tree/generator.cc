@@ -68,7 +68,7 @@ Tree BalancedTree(int depth, int fanout,
   std::vector<std::string> labels = alphabet;
   if (labels.empty()) labels = {"a", "b", "c"};
   TreeBuilder builder;
-  // Breadth-first construction.
+  // Breadth-first construction; Finish numbers the nodes in pre order.
   struct Frontier {
     NodeId node;
     int depth;

@@ -9,13 +9,12 @@ LabelIndex::LabelIndex(const Tree& tree, const TreeOrders& orders)
       items_(static_cast<size_t>(tree.label_table().size())),
       sets_(items_.size()) {
   TREEQ_OBS_INC("labelindex.builds");
-  // Walking nodes in pre order makes every per-label stream come out
-  // sorted by pre rank with no per-label sort.
-  for (int i = 0; i < orders.num_nodes(); ++i) {
-    const NodeId v = orders.node_at_pre[i];
+  // Ids are pre ranks, so walking them in order makes every per-label
+  // stream come out sorted with no per-label sort.
+  for (NodeId v = 0; v < orders.num_nodes(); ++v) {
     for (LabelId label : tree.labels(v)) {
       items_[static_cast<size_t>(label)].push_back(
-          JoinItem{i, orders.SubtreeEndPre(v), orders.depth[v], v});
+          JoinItem{v, orders.SubtreeEndPre(v), orders.depth[v], v});
     }
   }
 }

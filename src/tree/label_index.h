@@ -27,7 +27,8 @@ namespace treeq {
 
 class LabelIndex {
  public:
-  /// One pass over the arena in pre order; `orders` must belong to `tree`.
+  /// One pass over the arena in id (= pre) order; `orders` must belong to
+  /// `tree`.
   LabelIndex(const Tree& tree, const TreeOrders& orders);
 
   LabelIndex(const LabelIndex&) = delete;

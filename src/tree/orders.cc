@@ -1,81 +1,16 @@
 #include "tree/orders.h"
 
-#include <deque>
-
 namespace treeq {
 
 TreeOrders ComputeOrders(const Tree& tree) {
   const int n = tree.num_nodes();
   TreeOrders o;
-  o.pre.assign(n, 0);
-  o.post.assign(n, 0);
-  o.bflr.assign(n, 0);
-  o.depth.assign(n, 0);
-  o.size.assign(n, 1);
-  o.node_at_pre.assign(n, kNullNode);
-  o.node_at_post.assign(n, kNullNode);
-  o.node_at_bflr.assign(n, kNullNode);
-
-  // Iterative DFS computing pre-order on entry and post-order on exit.
-  int pre_counter = 0;
-  int post_counter = 0;
-  // Stack entries: (node, entered?). Encoded as node for enter, ~node for
-  // exit to avoid a struct.
-  std::vector<NodeId> stack;
-  stack.push_back(tree.root());
-  while (!stack.empty()) {
-    NodeId top = stack.back();
-    stack.pop_back();
-    if (top < 0) {
-      NodeId v = ~top;
-      o.post[v] = post_counter;
-      o.node_at_post[post_counter] = v;
-      ++post_counter;
-      if (tree.parent(v) != kNullNode) o.size[tree.parent(v)] += o.size[v];
-      continue;
-    }
-    o.pre[top] = pre_counter;
-    o.node_at_pre[pre_counter] = top;
-    ++pre_counter;
-    if (tree.parent(top) != kNullNode) {
-      o.depth[top] = o.depth[tree.parent(top)] + 1;
-    }
-    stack.push_back(~top);
-    // Push children right-to-left so the leftmost is visited first.
-    std::vector<NodeId> kids;
-    for (NodeId c = tree.first_child(top); c != kNullNode;
-         c = tree.next_sibling(c)) {
-      kids.push_back(c);
-    }
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-
-  o.pre_is_identity = true;
-  for (NodeId v = 0; v < n; ++v) {
-    if (o.pre[v] != v) {
-      o.pre_is_identity = false;
-      break;
-    }
-  }
-
-  // Breadth-first left-to-right.
-  int bflr_counter = 0;
-  std::deque<NodeId> queue;
-  queue.push_back(tree.root());
-  while (!queue.empty()) {
-    NodeId v = queue.front();
-    queue.pop_front();
-    o.bflr[v] = bflr_counter;
-    o.node_at_bflr[bflr_counter] = v;
-    ++bflr_counter;
-    for (NodeId c = tree.first_child(v); c != kNullNode;
-         c = tree.next_sibling(c)) {
-      queue.push_back(c);
-    }
-  }
-
+  o.depth.assign(static_cast<size_t>(n), 0);
+  o.size.assign(static_cast<size_t>(n), 1);
+  // parent(v) < v, so one forward pass sees every parent's depth first and
+  // one backward pass every child's size first.
+  for (NodeId v = 1; v < n; ++v) o.depth[v] = o.depth[tree.parent(v)] + 1;
+  for (NodeId v = n - 1; v > 0; --v) o.size[tree.parent(v)] += o.size[v];
   return o;
 }
 

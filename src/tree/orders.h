@@ -6,61 +6,46 @@
 #include "tree/tree.h"
 
 /// \file orders.h
-/// The three total orders on tree nodes used throughout the paper
-/// (Section 2): pre-order `<pre` (document order), post-order `<post`, and
-/// breadth-first left-to-right order `<bflr`, plus depth and subtree size.
-///
-/// Indexes are 0-based: pre[n] == i means n is the (i+1)-th node in document
-/// order. The paper's characterizations hold verbatim:
-///   Child+(x, y)    iff  x <pre y  and  y <post x
-///   Following(x, y) iff  x <pre y  and  x <post y
+/// Subtree size and depth per node, from which the paper's orders on tree
+/// nodes (Section 2) follow in O(1). Node ids are pre-order ranks
+/// (tree/tree.h), so `<pre` is id order and needs no array, and
+///   post(v) = v + size(v) - 1 - depth(v).
+/// The paper's characterizations then read
+///   Child+(x, y)    iff  x <pre y  and  y <post x  iff  x < y < x + size(x)
+///   Following(x, y) iff  x <pre y  and  x <post y  iff  y >= x + size(x)
+/// Breadth-first order `<bflr` is needed only by the X-property checks of
+/// cq/x_property.h, which compute it there.
 
 namespace treeq {
 
-/// Precomputed order indexes for a Tree. Build once with ComputeOrders; all
-/// axis tests and set operators take a const reference.
+/// Per-node subtree sizes and depths of a Tree. Build once with
+/// ComputeOrders; all axis tests and set operators take a const reference.
 struct TreeOrders {
-  /// pre[n], post[n], bflr[n]: rank of node n in the respective order.
-  std::vector<int> pre;
-  std::vector<int> post;
-  std::vector<int> bflr;
   /// depth[n]: number of edges from the root.
   std::vector<int> depth;
   /// size[n]: number of nodes in the subtree rooted at n (including n).
   std::vector<int> size;
-  /// Inverse permutations: node_at_pre[i] is the node with pre rank i.
-  std::vector<NodeId> node_at_pre;
-  std::vector<NodeId> node_at_post;
-  std::vector<NodeId> node_at_bflr;
-  /// True iff pre[n] == n for every node (document-style construction).
-  /// The word-parallel axis kernels then treat pre-rank bitmaps and node-id
-  /// bitmaps as the same thing and skip the rank->node remap pass.
-  bool pre_is_identity = false;
 
-  int num_nodes() const { return static_cast<int>(pre.size()); }
+  int num_nodes() const { return static_cast<int>(size.size()); }
 
-  /// The (pre, post, label) triple representation of Section 2: a node is
-  /// fully located in the tree by its pre and post ranks.
-  bool PreLess(NodeId a, NodeId b) const { return pre[a] < pre[b]; }
-  bool PostLess(NodeId a, NodeId b) const { return post[a] < post[b]; }
-  bool BflrLess(NodeId a, NodeId b) const { return bflr[a] < bflr[b]; }
+  /// Post-order rank of n. With its id (the pre rank) and label it is the
+  /// (pre, post, label) triple of Section 2 that locates a node in the tree.
+  int Post(NodeId n) const { return n + size[n] - 1 - depth[n]; }
 
   /// Child+(a, b): b is a proper descendant of a. O(1).
   bool IsProperAncestor(NodeId a, NodeId b) const {
-    return pre[a] < pre[b] && post[b] < post[a];
+    return a < b && b < SubtreeEndPre(a);
   }
 
   /// Following(a, b) per the paper's definition. O(1).
-  bool IsFollowing(NodeId a, NodeId b) const {
-    return pre[a] < pre[b] && post[a] < post[b];
-  }
+  bool IsFollowing(NodeId a, NodeId b) const { return b >= SubtreeEndPre(a); }
 
-  /// Pre rank of the first node strictly after the subtree of n in document
-  /// order; nodes v with pre[v] >= SubtreeEndPre(n) are exactly Following(n).
-  int SubtreeEndPre(NodeId n) const { return pre[n] + size[n]; }
+  /// Id (pre rank) of the first node strictly after the subtree of n in
+  /// document order; nodes v >= SubtreeEndPre(n) are exactly Following(n).
+  int SubtreeEndPre(NodeId n) const { return n + size[n]; }
 };
 
-/// Computes all orders in O(n) (iterative traversals; safe for deep trees).
+/// Computes sizes and depths in O(n): two loops over the parent array.
 TreeOrders ComputeOrders(const Tree& tree);
 
 }  // namespace treeq

@@ -53,7 +53,7 @@ int Tree::Depth() const {
   if (num_nodes() == 0) return 0;
   std::vector<int> depth(num_nodes(), 0);
   int max_depth = 0;
-  // Node ids are assigned parent-before-child by TreeBuilder.
+  // parent(n) < n: node ids are pre-order ranks.
   for (NodeId n = 1; n < num_nodes(); ++n) {
     depth[n] = depth[parent_[n]] + 1;
     max_depth = std::max(max_depth, depth[n]);
@@ -136,7 +136,51 @@ Result<Tree> TreeBuilder::Finish() {
     return Status::InvalidArgument("cannot build an empty tree");
   }
   finished_ = true;
+  NumberInPreOrder();
   return std::move(tree_);
+}
+
+void TreeBuilder::NumberInPreOrder() {
+  Tree& t = tree_;
+  const int n = t.num_nodes();
+  // old_at[i]: the builder id of the node with pre rank i. The walk follows
+  // FirstChild, else NextSibling, else climbs to the nearest ancestor that
+  // has a next sibling.
+  std::vector<NodeId> old_at;
+  old_at.reserve(static_cast<size_t>(n));
+  bool identity = true;
+  for (NodeId v = 0; v != kNullNode;) {
+    identity = identity && v == static_cast<NodeId>(old_at.size());
+    old_at.push_back(v);
+    if (t.first_child_[v] != kNullNode) {
+      v = t.first_child_[v];
+      continue;
+    }
+    while (v != kNullNode && t.next_sibling_[v] == kNullNode) {
+      v = t.parent_[v];
+    }
+    if (v != kNullNode) v = t.next_sibling_[v];
+  }
+  if (identity) return;
+
+  std::vector<NodeId> new_id(static_cast<size_t>(n));
+  for (NodeId i = 0; i < n; ++i) new_id[old_at[i]] = i;
+  auto renumber = [&](std::vector<NodeId>* links) {
+    std::vector<NodeId> out(static_cast<size_t>(n));
+    for (NodeId i = 0; i < n; ++i) {
+      const NodeId l = (*links)[old_at[i]];
+      out[i] = l == kNullNode ? kNullNode : new_id[l];
+    }
+    links->swap(out);
+  };
+  renumber(&t.parent_);
+  renumber(&t.first_child_);
+  renumber(&t.last_child_);
+  renumber(&t.next_sibling_);
+  renumber(&t.prev_sibling_);
+  std::vector<std::vector<LabelId>> labels(static_cast<size_t>(n));
+  for (NodeId i = 0; i < n; ++i) labels[i] = std::move(t.labels_[old_at[i]]);
+  t.labels_.swap(labels);
 }
 
 namespace {

@@ -14,10 +14,16 @@
 /// stored as a contiguous node arena with FirstChild / NextSibling / Parent /
 /// PrevSibling links — the binary representation of Figure 1(b). Nodes may
 /// carry multiple labels (the paper's (Lab_a) relations allow this).
+///
+/// Node ids are document order: id v is v's pre-order rank. The root is
+/// node 0, parent(v) < v, and the subtree of v is the id range
+/// [v, v + size(v)) (tree/orders.h). TreeBuilder::Finish guarantees this
+/// for every tree, however it was built.
 
 namespace treeq {
 
-/// Index of a node within its Tree. Dense in [0, Tree::num_nodes()).
+/// Index of a node within its Tree, equal to its pre-order rank. Dense in
+/// [0, Tree::num_nodes()).
 using NodeId = int32_t;
 
 /// Sentinel for "no node" (e.g. the parent of the root).
@@ -125,7 +131,10 @@ class Tree {
 ///  - random-access style: AddChild(parent, label) appending a last child.
 ///
 /// The first created node becomes the root. Finish() validates and returns
-/// the tree; the builder must not be reused afterwards.
+/// the tree; the builder must not be reused afterwards. Ids returned while
+/// building are final only for a build in document order (every BeginNode
+/// build, and AddChild calls that append in pre order); Finish renumbers any
+/// other build so that ids are pre-order ranks, each node keeping its labels.
 class TreeBuilder {
  public:
   TreeBuilder() = default;
@@ -149,11 +158,14 @@ class TreeBuilder {
   int num_nodes() const { return static_cast<int>(tree_.parent_.size()); }
 
   /// Validates (single root, all BeginNode calls closed) and returns the
-  /// finished tree.
+  /// finished tree, its nodes numbered in pre order.
   Result<Tree> Finish();
 
  private:
   NodeId NewNode(NodeId parent);
+  /// Renumbers tree_ so that ids are pre-order ranks, in one pass over the
+  /// links; a tree already in pre order is left as it is.
+  void NumberInPreOrder();
 
   Tree tree_;
   std::vector<NodeId> open_stack_;

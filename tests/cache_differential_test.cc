@@ -253,7 +253,7 @@ TEST(CacheCorpusDifferentialTest, HundredSeedCqCorpus) {
   for (uint64_t seed = 0; seed < kTrials; ++seed) {
     Rng rng(1000 + seed);
     DocumentPtr doc =
-        MakeDocumentWithOrders(RandomDocumentTree(&rng, /*max_nodes=*/129));
+        MakeDocument(RandomDocumentTree(&rng, /*max_nodes=*/129));
     std::string text = RandomTreeCqText(&rng, /*max_vars=*/4);
     auto plan = Plan::Compile(Language::kCq, text);
     ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
@@ -332,7 +332,7 @@ TEST(CacheEngineDifferentialTest, CachedSubmitsMatchDirectRuns) {
   for (uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(5000 + seed);
     DocumentPtr doc =
-        MakeDocumentWithOrders(RandomDocumentTree(&rng, /*max_nodes=*/129));
+        MakeDocument(RandomDocumentTree(&rng, /*max_nodes=*/129));
     std::string cq_text = RandomTreeCqText(&rng, /*max_vars=*/4);
     const char* xpath_text = kXPathPool[seed % std::size(kXPathPool)];
 
@@ -343,12 +343,23 @@ TEST(CacheEngineDifferentialTest, CachedSubmitsMatchDirectRuns) {
       ASSERT_TRUE(plan.ok()) << text;
       Result<QueryResult> want = (*plan)->Execute(*doc);
       ASSERT_TRUE(want.ok()) << text;
+      // The cold pass misses (the document's epoch is new) and inserts its
+      // answer unless the answer alone exceeds the cache's byte budget.
+      // When the insert was accepted, the warm pass must be a hit.
+      const uint64_t inserts = result_cache.inserts();
+      bool cached = false;
       for (const char* pass : {"cold", "warm"}) {
+        const uint64_t hits = result_cache.hits();
         Result<QueryResult> got =
             exec.Submit({*plan, doc, {}}).future.get();
         ASSERT_TRUE(got.ok()) << text << " " << pass;
         EXPECT_EQ(got->value, want->value)
             << "seed " << 5000 + seed << " " << pass << " on " << text;
+        if (cached) {
+          EXPECT_EQ(result_cache.hits(), hits + 1)
+              << "seed " << 5000 + seed << ": warm pass missed on " << text;
+        }
+        cached = result_cache.inserts() > inserts;
       }
     }
   }

@@ -46,7 +46,7 @@ DocumentPtr Catalog(int seed = 1, int products = 40) {
   Rng rng(static_cast<uint64_t>(seed));
   CatalogOptions opts;
   opts.num_products = products;
-  return MakeDocumentWithOrders(CatalogDocument(&rng, opts));
+  return MakeDocument(CatalogDocument(&rng, opts));
 }
 
 NodeSet FromIds(int universe, std::initializer_list<NodeId> ids) {

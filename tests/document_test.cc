@@ -1,5 +1,5 @@
-// Tests for treeq::Document (tree + lazily computed TreeOrders in one
-// value) and the engine's DocumentStore.
+// Tests for treeq::Document (tree + TreeOrders in one value) and the
+// engine's DocumentStore.
 
 #include "tree/document.h"
 
@@ -9,67 +9,27 @@
 #include <vector>
 
 #include "engine/document_store.h"
-#include "tree/generator.h"
 #include "tree/orders.h"
 #include "tree/xml.h"
-#include "util/random.h"
 
 namespace treeq {
 namespace {
 
 Tree SmallTree() { return ParseXml("<a><b/><c><b/></c></a>").value(); }
 
-TEST(DocumentTest, LazyOrdersMatchComputeOrders) {
-  Document doc(SmallTree());
-  EXPECT_FALSE(doc.orders_computed());
-  TreeOrders expected = ComputeOrders(doc.tree());
-  const TreeOrders& lazy = doc.orders();
-  EXPECT_TRUE(doc.orders_computed());
-  EXPECT_EQ(lazy.pre, expected.pre);
-  EXPECT_EQ(lazy.post, expected.post);
-  EXPECT_EQ(lazy.bflr, expected.bflr);
-  // Same object on every call.
-  EXPECT_EQ(&doc.orders(), &lazy);
-}
-
-TEST(DocumentTest, PrecomputedOrdersAreUsedAsIs) {
-  Tree tree = SmallTree();
-  TreeOrders orders = ComputeOrders(tree);
-  const int* pre_data = orders.pre.data();
-  Document doc(std::move(tree), std::move(orders));
-  EXPECT_TRUE(doc.orders_computed());
-  EXPECT_EQ(doc.orders().pre.data(), pre_data);
-}
-
-TEST(DocumentTest, ConcurrentFirstAccessComputesOnce) {
-  Rng rng(7);
-  RandomTreeOptions opts;
-  opts.num_nodes = 5000;
-  Document doc(RandomTree(&rng, opts));
-  std::vector<std::thread> threads;
-  std::vector<const TreeOrders*> seen(8, nullptr);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&doc, &seen, t] { seen[t] = &doc.orders(); });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 1; t < 8; ++t) EXPECT_EQ(seen[t], seen[0]);
-  EXPECT_EQ(doc.orders().num_nodes(), doc.num_nodes());
-}
-
-TEST(DocumentTest, MakeDocumentHelpers) {
-  DocumentPtr lazy = MakeDocument(SmallTree());
-  EXPECT_FALSE(lazy->orders_computed());
-  DocumentPtr eager = MakeDocumentWithOrders(SmallTree());
-  EXPECT_TRUE(eager->orders_computed());
-  EXPECT_EQ(lazy->orders().pre, eager->orders().pre);
+TEST(DocumentTest, OrdersAreComputedAtConstruction) {
+  DocumentPtr doc = MakeDocument(SmallTree());
+  TreeOrders expected = ComputeOrders(doc->tree());
+  EXPECT_EQ(doc->orders().size, expected.size);
+  EXPECT_EQ(doc->orders().depth, expected.depth);
+  EXPECT_EQ(doc->orders().size, (std::vector<int>{4, 1, 2, 1}));
+  EXPECT_EQ(doc->orders().depth, (std::vector<int>{0, 1, 1, 2}));
 }
 
 TEST(DocumentStoreTest, AddGetRemove) {
   engine::DocumentStore store;
   Result<DocumentPtr> added = store.Add("doc1", SmallTree());
   ASSERT_TRUE(added.ok());
-  // The store precomputes orders so serving threads never race on them.
-  EXPECT_TRUE((*added)->orders_computed());
 
   Result<DocumentPtr> got = store.Get("doc1");
   ASSERT_TRUE(got.ok());

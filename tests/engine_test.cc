@@ -39,7 +39,7 @@ DocumentPtr Catalog(int seed = 1, int products = 40) {
   Rng rng(static_cast<uint64_t>(seed));
   CatalogOptions opts;
   opts.num_products = products;
-  return MakeDocumentWithOrders(CatalogDocument(&rng, opts));
+  return MakeDocument(CatalogDocument(&rng, opts));
 }
 
 TEST(PlanTest, XPathPlanMatchesDirectEvaluator) {
@@ -567,7 +567,7 @@ TEST(ExecutorTest, CancelMidRunCompletesCancelled) {
   opts.num_nodes = 6000;
   opts.attach_window = 8;
   opts.alphabet = {"a", "b"};
-  DocumentPtr doc = MakeDocumentWithOrders(RandomTree(&rng, opts));
+  DocumentPtr doc = MakeDocument(RandomTree(&rng, opts));
   PlanPtr plan = Plan::Compile(Language::kXPath, "//a//b//a//b//a").value();
 
   Executor executor(Executor::Options{.num_workers = 2});
@@ -695,7 +695,7 @@ TEST(ExecutorTest, DegradedFallbackStreamsUnderTinyBudget) {
   // of ~n nodes, so the set-at-a-time evaluator charges several times more
   // than the streaming evaluator's one-unit-per-event pass. That gap is
   // where graceful degradation pays off.
-  DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"));
+  DocumentPtr doc = MakeDocument(Chain(2000, "a"));
   PlanPtr plan = Plan::Compile(Language::kXPath, "//a//a//a//a").value();
   ASSERT_TRUE(plan->stream_capable());
   NodeSet expected = plan->Execute(*doc).value().nodes();
@@ -784,7 +784,7 @@ TEST(ExecutorTest, BoundedExecutionCountersExported) {
 // left in the request's budget — what is left, not the raw budget.
 TEST(PlanTest, DegradationBoundaryIsTheVisitBound) {
   const std::string query = "//a//a//a//a";
-  DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"));
+  DocumentPtr doc = MakeDocument(Chain(2000, "a"));
   PlanPtr plan = Plan::Compile(Language::kXPath, query).value();
   ASSERT_TRUE(plan->stream_capable());
   const auto size = static_cast<uint64_t>(
@@ -907,7 +907,7 @@ class ScopedGlobalRecorder {
 TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
   obs::StatsRegistry::Global().Reset();
   const std::string query = "//a//a//a//a";
-  DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"), "chain2000");
+  DocumentPtr doc = MakeDocument(Chain(2000, "a"), "chain2000");
   EXPECT_EQ(doc->name(), "chain2000");
 
   PlanCache cache(4);

@@ -49,7 +49,7 @@ DocumentPtr Catalog(int seed = 1, int products = 30) {
   Rng rng(static_cast<uint64_t>(seed));
   CatalogOptions opts;
   opts.num_products = products;
-  return MakeDocumentWithOrders(CatalogDocument(&rng, opts));
+  return MakeDocument(CatalogDocument(&rng, opts));
 }
 
 engine::PlanPtr XPathPlan(const std::string& text = "//review[rating5]") {

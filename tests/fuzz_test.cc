@@ -307,7 +307,7 @@ TEST(FaultFuzzTest, InjectedQueueFailuresKeepProfileContract) {
   Rng rng(11);
   CatalogOptions copts;
   copts.num_products = 10;
-  DocumentPtr doc = MakeDocumentWithOrders(CatalogDocument(&rng, copts));
+  DocumentPtr doc = MakeDocument(CatalogDocument(&rng, copts));
   engine::PlanPtr plan =
       engine::Plan::Compile(Language::kXPath, "//review[rating5]").value();
 
@@ -355,7 +355,7 @@ TEST(FaultFuzzTest, PostShutdownInjectionNeverAborts) {
   Rng rng(12);
   CatalogOptions copts;
   copts.num_products = 10;
-  DocumentPtr doc = MakeDocumentWithOrders(CatalogDocument(&rng, copts));
+  DocumentPtr doc = MakeDocument(CatalogDocument(&rng, copts));
   engine::PlanPtr plan =
       engine::Plan::Compile(Language::kXPath, "//review").value();
 

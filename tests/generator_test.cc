@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tree/orders.h"
+#include "tree/xml.h"
 #include "util/random.h"
 
 namespace treeq {
@@ -131,6 +135,101 @@ TEST(GeneratorTest, CatalogReviewsHaveRatings) {
     ASSERT_NE(rating, kNullNode);
     const std::string& name = t.label_table().Name(t.label(rating));
     EXPECT_TRUE(name.starts_with("rating")) << name;
+  }
+}
+
+// The numbering rule of tree.h, checked against a reference walk of the
+// links: the root is node 0, parent(v) < v, the subtree of v is exactly the
+// id range [v, v + size(v)), and Post(v) is v's post-order rank.
+void ExpectIdsArePreRanks(const Tree& t, const std::string& what) {
+  SCOPED_TRACE(what);
+  const int n = t.num_nodes();
+  const TreeOrders o = ComputeOrders(t);
+  ASSERT_EQ(t.root(), 0);
+  EXPECT_TRUE(t.IsRoot(0));
+  std::vector<int> pre(static_cast<size_t>(n), -1);
+  std::vector<int> end(static_cast<size_t>(n), -1);  // pre count on exit
+  std::vector<int> post(static_cast<size_t>(n), -1);
+  int pre_count = 0;
+  int post_count = 0;
+  // Entries are a node to enter, or ~node to leave.
+  std::vector<NodeId> stack = {t.root()};
+  while (!stack.empty()) {
+    const NodeId top = stack.back();
+    stack.pop_back();
+    if (top < 0) {
+      end[static_cast<size_t>(~top)] = pre_count;
+      post[static_cast<size_t>(~top)] = post_count++;
+      continue;
+    }
+    pre[static_cast<size_t>(top)] = pre_count++;
+    stack.push_back(~top);
+    std::vector<NodeId> kids;
+    for (NodeId c = t.first_child(top); c != kNullNode;
+         c = t.next_sibling(c)) {
+      kids.push_back(c);
+    }
+    stack.insert(stack.end(), kids.rbegin(), kids.rend());
+  }
+  ASSERT_EQ(pre_count, n);
+  for (NodeId v = 0; v < n; ++v) {
+    const size_t i = static_cast<size_t>(v);
+    EXPECT_EQ(pre[i], v);
+    if (v > 0) {
+      EXPECT_LT(t.parent(v), v);
+    }
+    // The walk visits exactly v's subtree between entering and leaving v.
+    EXPECT_EQ(end[i], v + o.size[i]) << "node " << v;
+    EXPECT_EQ(o.SubtreeEndPre(v), end[i]) << "node " << v;
+    EXPECT_EQ(o.Post(v), post[i]) << "node " << v;
+  }
+}
+
+TEST(GeneratorTest, EveryGeneratorNumbersNodesInPreOrder) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    RandomTreeOptions opts;
+    opts.num_nodes = 40 * static_cast<int>(seed);
+    opts.attach_window = static_cast<int>(seed * 3);
+    opts.second_label_prob = 0.3;
+    ExpectIdsArePreRanks(RandomTree(&rng, opts),
+                         "RandomTree seed " + std::to_string(seed));
+  }
+  ExpectIdsArePreRanks(BalancedTree(4, 3, {"a", "b"}), "BalancedTree(4, 3)");
+  ExpectIdsArePreRanks(BalancedTree(0, 2, {"a"}), "BalancedTree(0, 2)");
+  ExpectIdsArePreRanks(Caterpillar(6, 3), "Caterpillar(6, 3)");
+  ExpectIdsArePreRanks(Chain(25, "a", "b"), "Chain(25)");
+  ExpectIdsArePreRanks(Star(25), "Star(25)");
+  Rng rng(3);
+  CatalogOptions catalog;
+  catalog.num_products = 15;
+  const Tree doc = CatalogDocument(&rng, catalog);
+  ExpectIdsArePreRanks(doc, "CatalogDocument");
+  ExpectIdsArePreRanks(ParseXml(WriteXml(doc)).value(), "ParseXml");
+  ExpectIdsArePreRanks(
+      ParseXml("<a><b><c/><d x=\"1\">t</d></b><e/></a>").value(),
+      "ParseXml literal");
+}
+
+// BalancedTree builds breadth first; after renumbering it is the tree a
+// depth-first build of the same shape gives: same shape, labels by depth.
+TEST(GeneratorTest, BalancedTreeEqualsItsDocumentOrderBuild) {
+  TreeBuilder b;
+  auto grow = [&](auto&& self, int depth) -> void {
+    b.BeginNode(std::string(1, static_cast<char>('a' + depth % 3)));
+    if (depth < 3) {
+      for (int i = 0; i < 4; ++i) self(self, depth + 1);
+    }
+    b.EndNode();
+  };
+  grow(grow, 0);
+  const Tree want = std::move(b.Finish()).value();
+  const Tree got = BalancedTree(3, 4, {"a", "b", "c"});
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  EXPECT_EQ(WriteXml(got), WriteXml(want));
+  for (NodeId v = 0; v < got.num_nodes(); ++v) {
+    EXPECT_EQ(got.parent(v), want.parent(v));
+    EXPECT_EQ(got.next_sibling(v), want.next_sibling(v));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "cq/x_property.h"
 #include "tree/generator.h"
 #include "tree/tree.h"
 #include "util/random.h"
@@ -37,12 +38,12 @@ Tree Figure2Tree() {
 TEST(OrdersTest, Figure2PrePostMatchesPaper) {
   Tree t = Figure2Tree();
   TreeOrders o = ComputeOrders(t);
-  // Builder assigns ids in document order here, so node i has pre rank i.
-  std::vector<int> expected_pre = {0, 1, 2, 3, 4, 5, 6};
-  // Paper's post values (1-based): 7 3 1 2 6 4 5  ->  0-based:
+  // Node ids are pre ranks. Paper's post values (1-based): 7 3 1 2 6 4 5
+  // -> 0-based:
   std::vector<int> expected_post = {6, 2, 0, 1, 5, 3, 4};
-  EXPECT_EQ(o.pre, expected_pre);
-  EXPECT_EQ(o.post, expected_post);
+  for (NodeId v = 0; v < t.num_nodes(); ++v) {
+    EXPECT_EQ(o.Post(v), expected_post[static_cast<size_t>(v)]) << v;
+  }
 }
 
 TEST(OrdersTest, Figure2SizesAndDepths) {
@@ -50,19 +51,6 @@ TEST(OrdersTest, Figure2SizesAndDepths) {
   TreeOrders o = ComputeOrders(t);
   EXPECT_EQ(o.size, (std::vector<int>{7, 3, 1, 1, 3, 1, 1}));
   EXPECT_EQ(o.depth, (std::vector<int>{0, 1, 2, 2, 1, 2, 2}));
-}
-
-TEST(OrdersTest, InversePermutationsAreConsistent) {
-  Rng rng(7);
-  RandomTreeOptions opts;
-  opts.num_nodes = 200;
-  Tree t = RandomTree(&rng, opts);
-  TreeOrders o = ComputeOrders(t);
-  for (NodeId n = 0; n < t.num_nodes(); ++n) {
-    EXPECT_EQ(o.node_at_pre[o.pre[n]], n);
-    EXPECT_EQ(o.node_at_post[o.post[n]], n);
-    EXPECT_EQ(o.node_at_bflr[o.bflr[n]], n);
-  }
 }
 
 // Reference ancestor test by chasing parent pointers.
@@ -83,7 +71,7 @@ TEST(OrdersTest, PrePostCharacterizeAncestry) {
   TreeOrders o = ComputeOrders(t);
   for (NodeId x = 0; x < t.num_nodes(); ++x) {
     for (NodeId y = 0; y < t.num_nodes(); ++y) {
-      bool by_orders = o.pre[x] < o.pre[y] && o.post[y] < o.post[x];
+      bool by_orders = x < y && o.Post(y) < o.Post(x);
       EXPECT_EQ(by_orders, RefProperAncestor(t, x, y))
           << "x=" << x << " y=" << y;
       EXPECT_EQ(by_orders, o.IsProperAncestor(x, y));
@@ -121,7 +109,7 @@ TEST(OrdersTest, PrePostCharacterizeFollowing) {
   TreeOrders o = ComputeOrders(t);
   for (NodeId x = 0; x < t.num_nodes(); ++x) {
     for (NodeId y = 0; y < t.num_nodes(); ++y) {
-      bool by_orders = o.pre[x] < o.pre[y] && o.post[x] < o.post[y];
+      bool by_orders = x < y && o.Post(x) < o.Post(y);
       EXPECT_EQ(by_orders, RefFollowing(t, x, y)) << "x=" << x << " y=" << y;
       EXPECT_EQ(by_orders, o.IsFollowing(x, y));
     }
@@ -158,8 +146,7 @@ TEST(OrdersTest, SubtreeEndPreBoundsSubtree) {
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
     for (NodeId v = 0; v < t.num_nodes(); ++v) {
       bool in_subtree = (v == n) || o.IsProperAncestor(n, v);
-      bool in_range =
-          o.pre[v] >= o.pre[n] && o.pre[v] < o.SubtreeEndPre(n);
+      bool in_range = v >= n && v < o.SubtreeEndPre(n);
       EXPECT_EQ(in_subtree, in_range);
     }
   }
@@ -171,12 +158,13 @@ TEST(OrdersTest, BflrOrderIsByDepthThenDocOrder) {
   opts.num_nodes = 120;
   Tree t = RandomTree(&rng, opts);
   TreeOrders o = ComputeOrders(t);
+  std::vector<int> bflr = cq::RankOf(t, o, cq::TreeOrder::kBflr);
   for (NodeId x = 0; x < t.num_nodes(); ++x) {
     for (NodeId y = 0; y < t.num_nodes(); ++y) {
       if (x == y) continue;
       bool expect_less = o.depth[x] < o.depth[y] ||
-                         (o.depth[x] == o.depth[y] && o.pre[x] < o.pre[y]);
-      EXPECT_EQ(o.BflrLess(x, y), expect_less);
+                         (o.depth[x] == o.depth[y] && x < y);
+      EXPECT_EQ(bflr[x] < bflr[y], expect_less);
     }
   }
 }
@@ -184,10 +172,10 @@ TEST(OrdersTest, BflrOrderIsByDepthThenDocOrder) {
 TEST(OrdersTest, ChainOrders) {
   Tree t = Chain(5);
   TreeOrders o = ComputeOrders(t);
+  std::vector<int> bflr = cq::RankOf(t, o, cq::TreeOrder::kBflr);
   for (NodeId n = 0; n < 5; ++n) {
-    EXPECT_EQ(o.pre[n], n);
-    EXPECT_EQ(o.post[n], 4 - n);
-    EXPECT_EQ(o.bflr[n], n);
+    EXPECT_EQ(o.Post(n), 4 - n);
+    EXPECT_EQ(bflr[n], n);
     EXPECT_EQ(o.depth[n], n);
     EXPECT_EQ(o.size[n], 5 - n);
   }
@@ -196,8 +184,7 @@ TEST(OrdersTest, ChainOrders) {
 TEST(OrdersTest, SingleNode) {
   Tree t = Chain(1);
   TreeOrders o = ComputeOrders(t);
-  EXPECT_EQ(o.pre[0], 0);
-  EXPECT_EQ(o.post[0], 0);
+  EXPECT_EQ(o.Post(0), 0);
   EXPECT_EQ(o.size[0], 1);
   EXPECT_EQ(o.SubtreeEndPre(0), 1);
 }

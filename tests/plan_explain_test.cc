@@ -28,7 +28,7 @@ DocumentPtr SmallCatalog() {
   Rng rng(1);
   CatalogOptions opts;
   opts.num_products = 5;
-  return MakeDocumentWithOrders(CatalogDocument(&rng, opts));
+  return MakeDocument(CatalogDocument(&rng, opts));
 }
 
 std::string ExplainFor(Language language, const char* text) {

@@ -37,14 +37,14 @@ DocumentPtr Catalog(int seed = 1, int products = 20) {
   Rng rng(static_cast<uint64_t>(seed));
   CatalogOptions opts;
   opts.num_products = products;
-  return MakeDocumentWithOrders(CatalogDocument(&rng, opts));
+  return MakeDocument(CatalogDocument(&rng, opts));
 }
 
 DocumentPtr Random(int seed, int nodes) {
   Rng rng(static_cast<uint64_t>(seed));
   RandomTreeOptions opts;
   opts.num_nodes = nodes;
-  return MakeDocumentWithOrders(RandomTree(&rng, opts));
+  return MakeDocument(RandomTree(&rng, opts));
 }
 
 struct Dialect {

@@ -55,7 +55,7 @@ TEST(Table1Test, MatrixMatchesExhaustiveSearch) {
         TreeOrders o = ComputeOrders(t);
         for (NodeId x = 0; x < t.num_nodes() && !witness; ++x) {
           for (NodeId y = 0; y < t.num_nodes() && !witness; ++y) {
-            if (o.pre[x] >= o.pre[y]) continue;
+            if (x >= y) continue;
             for (NodeId z = 0; z < t.num_nodes() && !witness; ++z) {
               witness = AxisHolds(t, o, ToTreeAxis(r), x, z) &&
                         AxisHolds(t, o, ToTreeAxis(s), y, z);

@@ -114,7 +114,7 @@ TEST(StructuralJoinTest, OutputGroupedByDescendantInDocumentOrder) {
   std::vector<JoinItem> items = MakeJoinItems(o, all);
   auto pairs = StackTreeJoin(items, items, false);
   for (size_t i = 1; i < pairs.size(); ++i) {
-    EXPECT_LE(o.pre[pairs[i - 1].second], o.pre[pairs[i].second]);
+    EXPECT_LE(pairs[i - 1].second, pairs[i].second);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "tree/xml.h"
+
 namespace treeq {
 namespace {
 
@@ -128,6 +133,56 @@ TEST(TreeBuilderTest, MixedStyles) {
   ASSERT_TRUE(tr.ok());
   EXPECT_EQ(tr.value().parent(extra), root);
   EXPECT_EQ(tr.value().next_sibling(1), extra);
+}
+
+// Finish renumbers an out-of-order AddChild build into pre order: the result
+// is the tree a BeginNode/EndNode build gives, each node keeping its labels.
+TEST(TreeBuilderTest, OutOfOrderBuildIsRenumberedInPreOrder) {
+  // r -> (a -> (c, d), b -> e), built breadth first with b's child before
+  // a's, and labels added after later nodes exist.
+  TreeBuilder bfs;
+  NodeId r = bfs.AddChild(kNullNode, "r");
+  NodeId a = bfs.AddChild(r, "a");
+  NodeId b = bfs.AddChild(r, "b");
+  bfs.AddChild(b, "e");
+  NodeId c = bfs.AddChild(a, "c");
+  bfs.AddChild(a, std::vector<std::string>{"d", "d2"});
+  bfs.AddLabel(c, "c2");
+  bfs.AddLabel(r, "r2");
+  Result<Tree> got = bfs.Finish();
+  ASSERT_TRUE(got.ok());
+
+  TreeBuilder doc;
+  doc.BeginNode(std::vector<std::string>{"r", "r2"});
+  doc.BeginNode("a");
+  doc.BeginNode(std::vector<std::string>{"c", "c2"});
+  doc.EndNode();
+  doc.BeginNode(std::vector<std::string>{"d", "d2"});
+  doc.EndNode();
+  doc.EndNode();
+  doc.BeginNode("b");
+  doc.BeginNode("e");
+  doc.EndNode();
+  doc.EndNode();
+  doc.EndNode();
+  Result<Tree> want = doc.Finish();
+  ASSERT_TRUE(want.ok());
+
+  const Tree& g = got.value();
+  const Tree& w = want.value();
+  EXPECT_EQ(WriteXml(g), WriteXml(w));
+  ASSERT_EQ(g.num_nodes(), w.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(g.parent(v), w.parent(v)) << v;
+    EXPECT_EQ(g.first_child(v), w.first_child(v)) << v;
+    EXPECT_EQ(g.last_child(v), w.last_child(v)) << v;
+    EXPECT_EQ(g.next_sibling(v), w.next_sibling(v)) << v;
+    EXPECT_EQ(g.prev_sibling(v), w.prev_sibling(v)) << v;
+    std::vector<std::string> g_labels, w_labels;
+    for (LabelId l : g.labels(v)) g_labels.push_back(g.label_table().Name(l));
+    for (LabelId l : w.labels(v)) w_labels.push_back(w.label_table().Name(l));
+    EXPECT_EQ(g_labels, w_labels) << v;
+  }
 }
 
 TEST(TreeBuilderTest, UnclosedNodeFailsFinish) {

@@ -115,6 +115,32 @@ TEST(MinimumValuationTest, PicksOrderMinima) {
   EXPECT_EQ(min, (std::vector<NodeId>{4, 3}));
 }
 
+// The rank-free minimum the evaluators use picks what the rank array of
+// each order picks.
+TEST(MinimumValuationTest, OrderComparisonsMatchRankArrays) {
+  Rng rng(31);
+  RandomTreeOptions opts;
+  opts.num_nodes = 90;
+  opts.attach_window = 6;
+  Tree t = RandomTree(&rng, opts);
+  TreeOrders o = ComputeOrders(t);
+  const int n = t.num_nodes();
+  PreValuation theta;
+  for (int x = 0; x < 6; ++x) {
+    NodeSet s(n);
+    for (NodeId v = 0; v < n; ++v) {
+      if (rng.Bernoulli(0.2)) s.Insert(v);
+    }
+    theta.push_back(std::move(s));
+  }
+  for (TreeOrder order :
+       {TreeOrder::kPre, TreeOrder::kPost, TreeOrder::kBflr}) {
+    EXPECT_EQ(MinimumValuation(theta, o, order),
+              MinimumValuation(theta, RankOf(t, o, order)))
+        << TreeOrderName(order);
+  }
+}
+
 // Theorem 6.5: on X-property signatures, the AC + minimum-valuation
 // evaluator agrees with the backtracking oracle — including on cyclic
 // queries, which is the whole point.

@@ -73,7 +73,7 @@ TEST(XasrTest, ChildViewMatchesChildAxis) {
   for (const auto& p : x.ChildView()) got.insert(p);
   std::set<std::pair<int, int>> want;
   for (const auto& [u, v] : MaterializeAxis(t, o, Axis::kChild)) {
-    want.insert({o.pre[u], o.pre[v]});
+    want.insert({u, v});
   }
   EXPECT_EQ(got, want);
 }
@@ -89,7 +89,7 @@ TEST(XasrTest, DescendantViewMatchesDescendantAxis) {
   for (const auto& p : x.DescendantView()) got.insert(p);
   std::set<std::pair<int, int>> want;
   for (const auto& [u, v] : MaterializeAxis(t, o, Axis::kDescendant)) {
-    want.insert({o.pre[u], o.pre[v]});
+    want.insert({u, v});
   }
   EXPECT_EQ(got, want);
 }
@@ -125,12 +125,25 @@ TEST(XasrTest, SizeIsLinear) {
   EXPECT_EQ(x.SizeInWords(), 7u * 4u);
 }
 
-TEST(XasrTest, NodeAtInvertsPre) {
-  Tree t = Figure2Tree();
-  TreeOrders o = ComputeOrders(t);
-  Xasr x = Xasr::Build(t, o);
+TEST(XasrTest, PostRanksMatchAPostOrderWalk) {
+  // A random tree is built out of document order; Finish renumbers it, and
+  // the derived post ranks must still be those of a post-order walk.
+  Rng rng(9);
+  RandomTreeOptions opts;
+  opts.num_nodes = 50;
+  Tree t = RandomTree(&rng, opts);
+  Xasr x = Xasr::Build(t, ComputeOrders(t));
+  int next_post = 0;
+  std::vector<int> post(static_cast<size_t>(t.num_nodes()), -1);
+  auto walk = [&](auto&& self, NodeId v) -> void {
+    for (NodeId c = t.first_child(v); c != kNullNode; c = t.next_sibling(c)) {
+      self(self, c);
+    }
+    post[static_cast<size_t>(v)] = next_post++;
+  };
+  walk(walk, t.root());
   for (int pre = 0; pre < x.num_rows(); ++pre) {
-    EXPECT_EQ(o.pre[x.NodeAt(pre)], pre);
+    EXPECT_EQ(x.row(pre).post, post[static_cast<size_t>(pre)]) << pre;
   }
 }
 
