@@ -47,9 +47,8 @@ namespace treeq {
 namespace cache {
 
 /// Identity of one cacheable execution: the document epoch plus the
-/// plan's canonical 128-bit hash (engine::Plan::canonical_hash()). The
-/// hash already folds in language, dialect options, and query structure —
-/// two texts share a key exactly when they compile to the same canonical
+/// plan's canonical 128-bit hash (engine::Plan::canonical_hash()). Two
+/// texts share a key exactly when they compile to the same canonical
 /// logical plan, which is the sharing the cache wants.
 struct ResultKey {
   uint64_t doc_epoch = 0;

@@ -11,13 +11,6 @@ int ConjunctiveQuery::AddVar(std::string name) {
   return num_vars() - 1;
 }
 
-int ConjunctiveQuery::VarByName(const std::string& name) {
-  for (int i = 0; i < num_vars(); ++i) {
-    if (var_names_[i] == name) return i;
-  }
-  return AddVar(name);
-}
-
 void ConjunctiveQuery::AddLabelAtom(std::string label, int var) {
   label_atoms_.push_back(LabelAtom{std::move(label), var});
 }

@@ -34,8 +34,6 @@ class ConjunctiveQuery {
  public:
   /// Adds a variable and returns its index.
   int AddVar(std::string name);
-  /// Returns the index for `name`, adding it if new.
-  int VarByName(const std::string& name);
 
   void AddLabelAtom(std::string label, int var);
   void AddAxisAtom(Axis axis, int var0, int var1);

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <string>
+#include <unordered_map>
 
 namespace treeq {
 namespace cq {
@@ -21,7 +22,7 @@ class CqParser {
     if (Peek() != ')') {
       for (;;) {
         TREEQ_ASSIGN_OR_RETURN(std::string v, ParseName());
-        query.AddHeadVar(query.VarByName(v));
+        query.AddHeadVar(InternVar(&query, v));
         Skip();
         if (Peek() == ',') {
           ++pos_;
@@ -49,12 +50,12 @@ class CqParser {
         TREEQ_RETURN_IF_ERROR(Expect(','));
         TREEQ_ASSIGN_OR_RETURN(std::string v, ParseName());
         TREEQ_RETURN_IF_ERROR(Expect(')'));
-        query.AddLabelAtom(label, query.VarByName(v));
+        query.AddLabelAtom(label, InternVar(&query, v));
       } else if (name.starts_with("Lab_")) {
         TREEQ_RETURN_IF_ERROR(Expect('('));
         TREEQ_ASSIGN_OR_RETURN(std::string v, ParseName());
         TREEQ_RETURN_IF_ERROR(Expect(')'));
-        query.AddLabelAtom(name.substr(4), query.VarByName(v));
+        query.AddLabelAtom(name.substr(4), InternVar(&query, v));
       } else {
         Result<Axis> axis = ParseAxis(name);
         if (!axis.ok()) return Error("unknown atom '" + name + "'");
@@ -66,8 +67,8 @@ class CqParser {
         // Sequence the interning calls so first occurrence order assigns
         // variable indices left-to-right (argument evaluation order is
         // unspecified).
-        int i0 = query.VarByName(v0);
-        int i1 = query.VarByName(v1);
+        int i0 = InternVar(&query, v0);
+        int i1 = InternVar(&query, v1);
         query.AddAxisAtom(axis.value(), i0, i1);
       }
       Skip();
@@ -91,6 +92,14 @@ class CqParser {
  private:
   bool Eof() const { return pos_ >= input_.size(); }
   char Peek() const { return Eof() ? '\0' : input_[pos_]; }
+
+  /// The index of variable `name`, added to `query` at its first
+  /// occurrence.
+  int InternVar(ConjunctiveQuery* query, const std::string& name) {
+    auto [it, added] = vars_.try_emplace(name, query->num_vars());
+    if (added) query->AddVar(name);
+    return it->second;
+  }
 
   Status Error(const std::string& msg) const {
     return Status::ParseError(msg + " at offset " + std::to_string(pos_));
@@ -143,6 +152,7 @@ class CqParser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  std::unordered_map<std::string, int> vars_;  // name -> variable index
 };
 
 }  // namespace

@@ -76,9 +76,9 @@ bool CacheEligible(const SubmitOptions& options) {
 }
 
 cache::ResultKey MakeResultKey(const Plan& plan, uint64_t doc_epoch) {
-  // The canonical hash folds in language, dialect options, and structure:
-  // semantically identical queries across dialects share one key, one
-  // cached result, and one singleflight.
+  // The key is the canonical hash: semantically identical queries, in any
+  // language or spelling, share one key, one cached result, and one
+  // singleflight.
   cache::ResultKey key;
   key.doc_epoch = doc_epoch;
   key.query_hash_hi = plan.canonical_hash().hi;

@@ -61,20 +61,13 @@ void CountLowering(Language language, bool structural) {
 }  // namespace
 
 Result<PlanPtr> Plan::Compile(Language language, std::string_view text) {
-  return Compile(language, text, ParseOptions{});
-}
-
-Result<PlanPtr> Plan::Compile(Language language, std::string_view text,
-                              const ParseOptions& parse_options) {
   TREEQ_OBS_SPAN("engine.plan.compile");
   TREEQ_OBS_INC("engine.plan.compiles");
   const auto compile_start = std::chrono::steady_clock::now();
-  TREEQ_ASSIGN_OR_RETURN(ParsedQuery parsed,
-                         ParseQuery(language, text, parse_options));
+  TREEQ_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(language, text));
 
   auto plan = std::shared_ptr<Plan>(new Plan());
   plan->text_ = std::string(text);
-  plan->parse_options_ = parse_options;
   plan->query_ = std::move(parsed);
   plan->query_size_ = QuerySize(plan->query_);
 

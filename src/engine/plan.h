@@ -90,20 +90,11 @@ struct ExecuteOptions {
 class Plan {
  public:
   /// Parses and validates `text` once. On success the plan is ready for
-  /// concurrent Execute() calls. The two-argument form compiles under default
-  /// ParseOptions; the three-argument form pins the parse dialect, which
-  /// the plan remembers (parse_options()) so caches can key on it.
+  /// concurrent Execute() calls. (language, text) is the plan's identity.
   static Result<PlanPtr> Compile(Language language, std::string_view text);
-  static Result<PlanPtr> Compile(Language language, std::string_view text,
-                                 const ParseOptions& options);
 
   Language language() const { return query_.language; }
   const std::string& text() const { return text_; }
-
-  /// The dialect options this plan was compiled under. Part of the plan's
-  /// identity: the same text can parse differently under different
-  /// options, so PlanCache and the result cache key on these too.
-  const ParseOptions& parse_options() const { return parse_options_; }
 
   /// Evaluates the plan on `doc` with the engine plan::Route picks (or
   /// `options.force_route`); the result names it in QueryResult::engine
@@ -185,7 +176,6 @@ class Plan {
                                     const ExecuteOptions& options) const;
 
   std::string text_;
-  ParseOptions parse_options_;
   ParsedQuery query_;
   std::string explain_;
   uint64_t compile_ns_ = 0;

@@ -12,15 +12,8 @@ PlanCache::PlanCache(size_t capacity) : capacity_(std::max<size_t>(1, capacity))
 Result<PlanPtr> PlanCache::GetOrCompile(Language language,
                                         std::string_view text,
                                         bool* was_hit) {
-  return GetOrCompile(language, text, ParseOptions{}, was_hit);
-}
-
-Result<PlanPtr> PlanCache::GetOrCompile(Language language,
-                                        std::string_view text,
-                                        const ParseOptions& options,
-                                        bool* was_hit) {
   if (was_hit != nullptr) *was_hit = false;
-  if (std::optional<PlanPtr> hit = Lookup(language, text, options)) {
+  if (std::optional<PlanPtr> hit = Lookup(language, text)) {
     if (was_hit != nullptr) *was_hit = true;
     return *std::move(hit);
   }
@@ -28,11 +21,10 @@ Result<PlanPtr> PlanCache::GetOrCompile(Language language,
   TREEQ_OBS_INC("engine.plan_cache.misses");
   // Compile outside the lock; see file comment for the duplicate-compile
   // trade-off.
-  TREEQ_ASSIGN_OR_RETURN(PlanPtr plan,
-                         Plan::Compile(language, text, options));
+  TREEQ_ASSIGN_OR_RETURN(PlanPtr plan, Plan::Compile(language, text));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Key key = MakeKey(language, text, options);
+    Key key{language, std::string(text)};
     auto it = index_.find(key);
     if (it != index_.end()) {
       // A racing thread inserted first; serve its plan.
@@ -48,14 +40,8 @@ Result<PlanPtr> PlanCache::GetOrCompile(Language language,
 
 std::optional<PlanPtr> PlanCache::Lookup(Language language,
                                          std::string_view text) {
-  return Lookup(language, text, ParseOptions{});
-}
-
-std::optional<PlanPtr> PlanCache::Lookup(Language language,
-                                         std::string_view text,
-                                         const ParseOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(MakeKey(language, text, options));
+  auto it = index_.find(Key{language, std::string(text)});
   if (it == index_.end()) return std::nullopt;
   Touch(it);
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -66,7 +52,7 @@ std::optional<PlanPtr> PlanCache::Lookup(Language language,
 void PlanCache::Insert(const PlanPtr& plan) {
   if (plan == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Key key = MakeKey(plan->language(), plan->text(), plan->parse_options());
+  Key key{plan->language(), plan->text()};
   auto it = index_.find(key);
   if (it != index_.end()) {
     Touch(it);

@@ -18,15 +18,10 @@
 #include "util/status.h"
 
 /// \file plan_cache.h
-/// An LRU cache of compiled plans keyed by (language, parse dialect
-/// options, query text) — the run-many half of the server's
-/// parse-once/run-many contract. A repeated query costs one mutex-guarded
-/// map lookup instead of a parse + validate + classify pass; the bench
-/// (bench_engine_throughput) measures the gap. The dialect options
-/// (ParseOptions: max_nesting, xpath_paper_axes) are part of the key
-/// because the same text can parse to different queries under different
-/// options — "/Child+::a" is a paper-axis step in one dialect and a parse
-/// error in the other.
+/// An LRU cache of compiled plans keyed by (language, query text) — the
+/// run-many half of the server's parse-once/run-many contract. A repeated
+/// query costs one mutex-guarded map lookup instead of a parse + validate
+/// + classify pass; the bench (bench_engine_throughput) measures the gap.
 ///
 /// Thread-safety: all methods are safe to call concurrently. On a miss,
 /// GetOrCompile compiles OUTSIDE the cache lock, so a slow compile never
@@ -37,7 +32,7 @@
 /// Canonical aliasing: alongside the text index the cache keeps a second
 /// index on the plan's canonical 128-bit hash (plan/canonicalize.h). When
 /// a compile lands on a hash that is already resident — the same query in
-/// another dialect, whitespace, or variable naming, possibly another
+/// another spelling, whitespace, or variable naming, possibly another
 /// language — the new text becomes an *alias* of the resident entry: one
 /// list node, one PlanPtr, every alias text a map key pointing at it.
 /// Counted by canonical_hits(); future submits of either text are plain
@@ -58,23 +53,17 @@ class PlanCache {
   /// `capacity` = max resident plans; at least 1.
   explicit PlanCache(size_t capacity);
 
-  /// Returns the cached plan for (language, options, text), compiling and
+  /// Returns the cached plan for (language, text), compiling and
   /// inserting it on a miss. Compile failures are returned and not cached
   /// (a mistyped query should not poison the cache). `was_hit`, if
   /// non-null, reports whether this call was served from the cache —
   /// callers forward it to SubmitOptions::plan_cache_hit so per-query
-  /// profiles attribute compile time to cold requests only. The two-
-  /// argument form keys under default ParseOptions.
+  /// profiles attribute compile time to cold requests only.
   Result<PlanPtr> GetOrCompile(Language language, std::string_view text,
-                               bool* was_hit = nullptr);
-  Result<PlanPtr> GetOrCompile(Language language, std::string_view text,
-                               const ParseOptions& options,
                                bool* was_hit = nullptr);
 
   /// Lookup without compiling; refreshes recency on a hit.
   std::optional<PlanPtr> Lookup(Language language, std::string_view text);
-  std::optional<PlanPtr> Lookup(Language language, std::string_view text,
-                                const ParseOptions& options);
 
   /// Inserts an externally compiled plan (evicting LRU entries as needed).
   void Insert(const PlanPtr& plan);
@@ -99,23 +88,14 @@ class PlanCache {
   }
 
  private:
-  /// The plan's full identity: what it parses as depends on all four
-  /// fields. Ordered (for the std::map index) by cheap fields first, text
-  /// last.
+  /// The plan's full identity. Ordered (for the std::map index) by
+  /// language first, text last.
   struct Key {
     Language language = Language::kXPath;
-    int max_nesting = 0;
-    bool xpath_paper_axes = true;
     std::string text;
 
     bool operator<(const Key& other) const {
       if (language != other.language) return language < other.language;
-      if (max_nesting != other.max_nesting) {
-        return max_nesting < other.max_nesting;
-      }
-      if (xpath_paper_axes != other.xpath_paper_axes) {
-        return xpath_paper_axes < other.xpath_paper_axes;
-      }
       return text < other.text;
     }
   };
@@ -125,16 +105,6 @@ class PlanCache {
     std::pair<uint64_t, uint64_t> hash;  // the plan's canonical hash
     PlanPtr plan;
   };
-
-  static Key MakeKey(Language language, std::string_view text,
-                     const ParseOptions& options) {
-    Key key;
-    key.language = language;
-    key.max_nesting = options.max_nesting;
-    key.xpath_paper_axes = options.xpath_paper_axes;
-    key.text = std::string(text);
-    return key;
-  }
 
   /// Moves `it`'s entry to the front of the recency list. Caller holds mu_.
   void Touch(std::map<Key, std::list<Entry>::iterator>::iterator it);

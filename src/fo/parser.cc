@@ -2,20 +2,26 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
+
+#include "util/nesting.h"
 
 namespace treeq {
 namespace fo {
 namespace {
+
+using NestedFormula = Nested<Formula>;
 
 class FoParser {
  public:
   explicit FoParser(std::string_view input) : input_(input) {}
 
   Result<std::unique_ptr<Formula>> Parse() {
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> f, ParseFormula());
+    NestedFormula f;
+    TREEQ_RETURN_IF_ERROR(ParseFormula(&f));
     Skip();
     if (!Eof()) return Error("trailing input");
-    return f;
+    return std::move(f.node);
   }
 
  private:
@@ -80,52 +86,62 @@ class FoParser {
     return s;
   }
 
-  Result<std::unique_ptr<Formula>> ParseFormula() {
+  Status ParseFormula(NestedFormula* out) {
     // Quantifiers scope maximally to the right.
-    if (MatchWord("exists")) return ParseQuantified(/*forall=*/false);
-    if (MatchWord("forall")) return ParseQuantified(/*forall=*/true);
-    return ParseOr();
+    if (MatchWord("exists")) return ParseQuantified(/*forall=*/false, out);
+    if (MatchWord("forall")) return ParseQuantified(/*forall=*/true, out);
+    return ParseOr(out);
   }
 
-  Result<std::unique_ptr<Formula>> ParseQuantified(bool forall) {
+  Status ParseQuantified(bool forall, NestedFormula* out) {
     TREEQ_ASSIGN_OR_RETURN(std::string var, ParseName());
     if (!Match('.')) return Error("expected '.' after quantifier");
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> body, ParseFormula());
-    return forall ? Formula::ForAll(var, std::move(body))
-                  : Formula::Exists(var, std::move(body));
+    TREEQ_RETURN_IF_ERROR(
+        nesting_.Nest(pos_, out, [&] { return ParseFormula(out); }));
+    out->node = forall ? Formula::ForAll(var, std::move(out->node))
+                       : Formula::Exists(var, std::move(out->node));
+    return Status::OK();
   }
 
-  Result<std::unique_ptr<Formula>> ParseOr() {
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> left, ParseAnd());
+  Status ParseOr(NestedFormula* out) {
+    TREEQ_RETURN_IF_ERROR(ParseAnd(out));
     while (MatchWord("or")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> right, ParseAnd());
-      left = Formula::Or(std::move(left), std::move(right));
+      NestedFormula right;
+      TREEQ_RETURN_IF_ERROR(ParseAnd(&right));
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Chain(pos_, out, std::move(right), Formula::Or));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<std::unique_ptr<Formula>> ParseAnd() {
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> left, ParseUnary());
+  Status ParseAnd(NestedFormula* out) {
+    TREEQ_RETURN_IF_ERROR(ParseUnary(out));
     while (MatchWord("and")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> right, ParseUnary());
-      left = Formula::And(std::move(left), std::move(right));
+      NestedFormula right;
+      TREEQ_RETURN_IF_ERROR(ParseUnary(&right));
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Chain(pos_, out, std::move(right), Formula::And));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<std::unique_ptr<Formula>> ParseUnary() {
+  Status ParseUnary(NestedFormula* out) {
     if (MatchWord("not")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> inner, ParseUnary());
-      return Formula::Not(std::move(inner));
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Nest(pos_, out, [&] { return ParseUnary(out); }));
+      out->node = Formula::Not(std::move(out->node));
+      return Status::OK();
     }
-    if (MatchWord("exists")) return ParseQuantified(/*forall=*/false);
-    if (MatchWord("forall")) return ParseQuantified(/*forall=*/true);
+    if (MatchWord("exists")) return ParseQuantified(/*forall=*/false, out);
+    if (MatchWord("forall")) return ParseQuantified(/*forall=*/true, out);
     if (Match('(')) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Formula> inner, ParseFormula());
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Nest(pos_, out, [&] { return ParseFormula(out); }));
       if (!Match(')')) return Error("expected ')'");
-      return inner;
+      return Status::OK();
     }
-    return ParseAtom();
+    TREEQ_ASSIGN_OR_RETURN(out->node, ParseAtom());
+    return Status::OK();
   }
 
   Result<std::unique_ptr<Formula>> ParseAtom() {
@@ -162,6 +178,7 @@ class FoParser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  NestingGuard nesting_;
 };
 
 }  // namespace

@@ -18,7 +18,8 @@
 /// tighter than `or`; `not` applies to the following unary formula. Atom
 /// names follow the conjunctive-query parser: any ParseAxis name is a
 /// binary axis atom, Lab_<l>(v) / Label("l", v) are label atoms, `v = w`
-/// is equality. `%`/`#` start comments.
+/// is equality. `%`/`#` start comments. Nesting deeper than kMaxNesting
+/// levels (util/nesting.h) is a ParseError.
 
 namespace treeq {
 namespace fo {

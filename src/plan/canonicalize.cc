@@ -335,19 +335,25 @@ std::vector<int> RefineColors(const QueryGraph& g) {
     for (const std::string& label : g.vars[i].labels) c += label + ",";
     colors[i] = std::move(c);
   }
+  // Each var's incident edges, built once: a round then costs O(V + E).
+  std::vector<std::vector<const IrEdge*>> incident(n);
+  for (const IrEdge& e : g.edges) {
+    incident[static_cast<size_t>(e.from)].push_back(&e);
+    if (e.to != e.from) incident[static_cast<size_t>(e.to)].push_back(&e);
+  }
   size_t distinct = 0;
   for (size_t round = 0; round <= n; ++round) {
     std::vector<std::string> next(n);
     for (size_t i = 0; i < n; ++i) {
       std::vector<std::string> sigs;
-      for (const IrEdge& e : g.edges) {
-        if (e.from == static_cast<int>(i)) {
-          sigs.push_back("+" + std::to_string(static_cast<int>(e.axis)) +
-                         ":" + colors[static_cast<size_t>(e.to)]);
+      for (const IrEdge* e : incident[i]) {
+        if (e->from == static_cast<int>(i)) {
+          sigs.push_back("+" + std::to_string(static_cast<int>(e->axis)) +
+                         ":" + colors[static_cast<size_t>(e->to)]);
         }
-        if (e.to == static_cast<int>(i)) {
-          sigs.push_back("-" + std::to_string(static_cast<int>(e.axis)) +
-                         ":" + colors[static_cast<size_t>(e.from)]);
+        if (e->to == static_cast<int>(i)) {
+          sigs.push_back("-" + std::to_string(static_cast<int>(e->axis)) +
+                         ":" + colors[static_cast<size_t>(e->from)]);
         }
       }
       std::sort(sigs.begin(), sigs.end());

@@ -33,20 +33,11 @@ Result<Language> ParseLanguageName(std::string_view name) {
 }
 
 Result<ParsedQuery> ParseQuery(Language language, std::string_view text) {
-  return ParseQuery(language, text, ParseOptions{});
-}
-
-Result<ParsedQuery> ParseQuery(Language language, std::string_view text,
-                               const ParseOptions& options) {
   ParsedQuery out;
   out.language = language;
   switch (language) {
     case Language::kXPath: {
-      xpath::ParserOptions xpath_options;
-      xpath_options.max_nesting = options.max_nesting;
-      xpath_options.paper_axes = options.xpath_paper_axes;
-      TREEQ_ASSIGN_OR_RETURN(out.xpath,
-                             xpath::ParseXPath(text, xpath_options));
+      TREEQ_ASSIGN_OR_RETURN(out.xpath, xpath::ParseXPath(text));
       return out;
     }
     case Language::kCq: {

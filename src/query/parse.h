@@ -54,28 +54,12 @@ struct ParsedQuery {
   std::unique_ptr<fo::Formula> fo;          // kFo
 };
 
-/// Front-door parser knobs. Default-constructed options reproduce
-/// ParseQuery's historical behavior — and its error messages — bit for
-/// bit; the kParseError + " at offset <N>" contract holds for every
-/// setting.
-struct ParseOptions {
-  /// Maximum expression nesting the recursive-descent parsers accept
-  /// before failing with a ParseError (bounds parser stack growth on
-  /// adversarial inputs). Currently enforced by the XPath parser, whose
-  /// grammar is the only one with unbounded expression recursion.
-  int max_nesting = 512;
-  /// XPath dialect: accept the paper's relational axis aliases ("Child+",
-  /// "NextSibling*", "Following", ...) alongside the standard XPath axis
-  /// names. When false, aliases fail with the same "unknown axis"
-  /// ParseError an unknown name gets.
-  bool xpath_paper_axes = true;
-};
-
 /// Parses `text` as a `language` query via the language's own parser.
-/// All errors are kParseError with a trailing " at offset <N>".
+/// All errors are kParseError with a trailing " at offset <N>". XPath and
+/// FO are the two recursive grammars; both refuse expressions nested
+/// deeper than kMaxNesting levels (util/nesting.h). The CQ and datalog
+/// grammars are flat.
 Result<ParsedQuery> ParseQuery(Language language, std::string_view text);
-Result<ParsedQuery> ParseQuery(Language language, std::string_view text,
-                               const ParseOptions& options);
 
 }  // namespace treeq
 

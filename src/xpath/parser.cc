@@ -1,21 +1,22 @@
 #include "xpath/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
+#include <utility>
+
+#include "util/nesting.h"
 
 namespace treeq {
 namespace xpath {
 namespace {
 
-// The nesting bound (ParserOptions::max_nesting, default 512) exists
-// because each level costs several call-stack frames: without it a
-// pathological "a[a[a[...]]]" input overflows the stack. 512 levels admit
-// any realistic query while keeping peak parser stack well under common
-// stack limits, even with sanitizer-inflated frames.
+using NestedPath = Nested<PathExpr>;
+using NestedQual = Nested<Qualifier>;
+
 class XPathParser {
  public:
-  XPathParser(std::string_view input, const ParserOptions& options)
-      : input_(input), options_(options) {}
+  explicit XPathParser(std::string_view input) : input_(input) {}
 
   Result<std::unique_ptr<PathExpr>> Parse() {
     Skip();
@@ -27,16 +28,15 @@ class XPathParser {
     } else if (Match("/")) {
       absolute = true;
     }
-    TREEQ_ASSIGN_OR_RETURN(
-        std::unique_ptr<PathExpr> path,
-        ParseUnion(/*anchor_first_step=*/absolute && !initial_descendant));
+    NestedPath path;
+    TREEQ_RETURN_IF_ERROR(ParseUnion(
+        /*anchor_first_step=*/absolute && !initial_descendant, &path));
     if (initial_descendant) {
-      path = PathExpr::MakeSeq(PathExpr::MakeStep(Axis::kDescendantOrSelf),
-                               std::move(path));
+      TREEQ_RETURN_IF_ERROR(DescendantOrSelfThen(&path));
     }
     Skip();
     if (!Eof()) return Error("trailing input");
-    return path;
+    return std::move(path.node);
   }
 
  private:
@@ -104,86 +104,59 @@ class XPathParser {
     return ParseName();
   }
 
-  /// RAII nesting-depth tracker. Every recursion cycle in this grammar goes
-  /// through ParseUnion or ParseQualOr, so guarding those two bounds the
-  /// whole parse.
-  class DepthGuard {
-   public:
-    explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
-    ~DepthGuard() { --*depth_; }
-
-   private:
-    int* depth_;
-  };
-
-  Status NestingError() {
-    return Error("expression nesting deeper than " +
-                 std::to_string(options_.max_nesting));
-  }
-
-  Result<std::unique_ptr<PathExpr>> ParseUnion(bool anchor_first_step) {
-    DepthGuard guard(&depth_);
-    if (depth_ > options_.max_nesting) return NestingError();
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<PathExpr> left,
-                           ParseSeq(anchor_first_step));
+  Status ParseUnion(bool anchor_first_step, NestedPath* out) {
+    TREEQ_RETURN_IF_ERROR(ParseSeq(anchor_first_step, out));
     while (Match("|")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<PathExpr> right,
-                             ParseSeq(anchor_first_step));
-      left = PathExpr::MakeUnion(std::move(left), std::move(right));
+      NestedPath right;
+      TREEQ_RETURN_IF_ERROR(ParseSeq(anchor_first_step, &right));
+      TREEQ_RETURN_IF_ERROR(nesting_.Chain(pos_, out, std::move(right),
+                                           PathExpr::MakeUnion));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<std::unique_ptr<PathExpr>> ParseSeq(bool anchor_first_step) {
-    std::unique_ptr<PathExpr> left;
-    if (Match("//")) {
-      // A "//"-prefixed branch (e.g. inside "(//a | //b)"): treat as
-      // descendant-or-self from the context.
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<PathExpr> first,
-                             ParseStep(/*anchored=*/false));
-      left = PathExpr::MakeSeq(PathExpr::MakeStep(Axis::kDescendantOrSelf),
-                               std::move(first));
-    } else {
-      TREEQ_ASSIGN_OR_RETURN(left, ParseStep(anchor_first_step));
-    }
-    return ParseSeqTail(std::move(left));
-  }
-
-  Result<std::unique_ptr<PathExpr>> ParseSeqTail(
-      std::unique_ptr<PathExpr> left) {
+  Status ParseSeq(bool anchor_first_step, NestedPath* out) {
+    // A "//"-prefixed branch (e.g. inside "(//a | //b)"): treat as
+    // descendant-or-self from the context.
+    const bool descendant = Match("//");
+    TREEQ_RETURN_IF_ERROR(ParseStep(anchor_first_step && !descendant, out));
+    TREEQ_RETURN_IF_ERROR(ParseQualifiers(out));
+    if (descendant) TREEQ_RETURN_IF_ERROR(DescendantOrSelfThen(out));
     for (;;) {
-      if (Match("//")) {
-        TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<PathExpr> right,
-                               ParseStep(/*anchored=*/false));
-        left = PathExpr::MakeSeq(
-            std::move(left),
-            PathExpr::MakeSeq(PathExpr::MakeStep(Axis::kDescendantOrSelf),
-                              std::move(right)));
-      } else if (Match("/")) {
-        TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<PathExpr> right,
-                               ParseStep(/*anchored=*/false));
-        left = PathExpr::MakeSeq(std::move(left), std::move(right));
-      } else {
-        return left;
-      }
+      const bool descendant_step = Match("//");
+      if (!descendant_step && !Match("/")) return Status::OK();
+      NestedPath right;
+      TREEQ_RETURN_IF_ERROR(ParseStep(/*anchored=*/false, &right));
+      TREEQ_RETURN_IF_ERROR(ParseQualifiers(&right));
+      if (descendant_step) TREEQ_RETURN_IF_ERROR(DescendantOrSelfThen(&right));
+      TREEQ_RETURN_IF_ERROR(nesting_.Chain(pos_, out, std::move(right),
+                                           PathExpr::MakeSeq));
     }
   }
 
-  // anchored: a leading "/" anchors the first step at the context node, so a
-  // bare name test uses the self axis instead of child.
-  Result<std::unique_ptr<PathExpr>> ParseStep(bool anchored) {
+  /// `path` becomes descendant-or-self::* / path, the expansion of "//".
+  Status DescendantOrSelfThen(NestedPath* path) {
+    NestedPath self{PathExpr::MakeStep(Axis::kDescendantOrSelf), 0};
+    TREEQ_RETURN_IF_ERROR(
+        nesting_.Chain(pos_, &self, std::move(*path), PathExpr::MakeSeq));
+    *path = std::move(self);
+    return Status::OK();
+  }
+
+  // One step without its qualifiers: a node test, "." or a parenthesized
+  // union. anchored: a leading "/" anchors the first step at the context
+  // node, so a bare name test uses the self axis instead of child.
+  Status ParseStep(bool anchored, NestedPath* out) {
     Skip();
     if (Match("(")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<PathExpr> inner,
-                             ParseUnion(anchored));
+      TREEQ_RETURN_IF_ERROR(nesting_.Nest(
+          pos_, out, [&] { return ParseUnion(anchored, out); }));
       if (!Match(")")) return Error("expected ')'");
-      TREEQ_RETURN_IF_ERROR(ParseQualifiers(inner.get()));
-      return inner;
+      return Status::OK();
     }
     if (Match(".")) {
-      auto step = PathExpr::MakeStep(Axis::kSelf);
-      TREEQ_RETURN_IF_ERROR(ParseQualifiers(step.get()));
-      return step;
+      out->node = PathExpr::MakeStep(Axis::kSelf);
+      return Status::OK();
     }
     Axis axis = anchored ? Axis::kSelf : Axis::kChild;
     std::string name_test;
@@ -195,13 +168,6 @@ class XPathParser {
         Result<Axis> parsed = ParseAxis(first);
         if (!parsed.ok()) return Error("unknown axis '" + first + "'");
         axis = parsed.value();
-        // Dialect gate: with paper_axes off, only the standard XPath
-        // spelling of each axis is admitted — a paper alias ("Child+",
-        // "NextSibling*", ...) parses to an axis whose canonical name
-        // differs from what was typed.
-        if (!options_.paper_axes && first != AxisName(axis)) {
-          return Error("unknown axis '" + first + "'");
-        }
         if (!Match("*")) {
           TREEQ_ASSIGN_OR_RETURN(name_test, ParseName());
         }
@@ -209,92 +175,101 @@ class XPathParser {
         name_test = first;
       }
     }
-    auto step = PathExpr::MakeStep(axis);
+    out->node = PathExpr::MakeStep(axis);
     if (!name_test.empty()) {
-      step->qualifiers.push_back(Qualifier::MakeLabel(name_test));
-    }
-    TREEQ_RETURN_IF_ERROR(ParseQualifiers(step.get()));
-    return step;
-  }
-
-  Status ParseQualifiers(PathExpr* step) {
-    while (Match("[")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> q, ParseQualOr());
-      if (!Match("]")) return Error("expected ']'");
-      step->qualifiers.push_back(std::move(q));
+      out->node->qualifiers.push_back(Qualifier::MakeLabel(name_test));
     }
     return Status::OK();
   }
 
-  Result<std::unique_ptr<Qualifier>> ParseQualOr() {
-    DepthGuard guard(&depth_);
-    if (depth_ > options_.max_nesting) return NestingError();
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> left, ParseQualAnd());
+  /// Appends the bracketed qualifiers that follow `path` to it.
+  Status ParseQualifiers(NestedPath* path) {
+    while (Match("[")) {
+      NestedQual q;
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Nest(pos_, &q, [&] { return ParseQualOr(&q); }));
+      if (!Match("]")) return Error("expected ']'");
+      path->node->qualifiers.push_back(std::move(q.node));
+      path->levels = std::max(path->levels, q.levels);
+    }
+    return Status::OK();
+  }
+
+  Status ParseQualOr(NestedQual* out) {
+    TREEQ_RETURN_IF_ERROR(ParseQualAnd(out));
     while (MatchWord("or")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> right, ParseQualAnd());
-      left = Qualifier::MakeOr(std::move(left), std::move(right));
+      NestedQual right;
+      TREEQ_RETURN_IF_ERROR(ParseQualAnd(&right));
+      TREEQ_RETURN_IF_ERROR(nesting_.Chain(pos_, out, std::move(right),
+                                           Qualifier::MakeOr));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<std::unique_ptr<Qualifier>> ParseQualAnd() {
-    TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> left, ParseQualPrim());
+  Status ParseQualAnd(NestedQual* out) {
+    TREEQ_RETURN_IF_ERROR(ParseQualPrim(out));
     while (MatchWord("and")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> right,
-                             ParseQualPrim());
-      left = Qualifier::MakeAnd(std::move(left), std::move(right));
+      NestedQual right;
+      TREEQ_RETURN_IF_ERROR(ParseQualPrim(&right));
+      TREEQ_RETURN_IF_ERROR(nesting_.Chain(pos_, out, std::move(right),
+                                           Qualifier::MakeAnd));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<std::unique_ptr<Qualifier>> ParseQualPrim() {
+  Status ParseQualPrim(NestedQual* out) {
     Skip();
     if (MatchWord("not")) {
       if (!Match("(")) return Error("expected '(' after not");
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> inner, ParseQualOr());
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Nest(pos_, out, [&] { return ParseQualOr(out); }));
       if (!Match(")")) return Error("expected ')'");
-      return Qualifier::MakeNot(std::move(inner));
+      out->node = Qualifier::MakeNot(std::move(out->node));
+      return Status::OK();
     }
     // "lab() = L"
     size_t save = pos_;
     if (MatchWord("lab")) {
       if (Match("(") && Match(")") && Match("=")) {
         TREEQ_ASSIGN_OR_RETURN(std::string label, ParseLabelOperand());
-        return Qualifier::MakeLabel(std::move(label));
+        out->node = Qualifier::MakeLabel(std::move(label));
+        return Status::OK();
       }
       pos_ = save;
     }
     // Otherwise: an existential path (which may itself start with '('), or a
     // parenthesized Boolean expression "(q1 and q2)". Try the path reading
-    // first and backtrack to the Boolean reading on failure.
+    // first and backtrack to the Boolean reading on failure. The path sits
+    // one level below its qualifier node.
     save = pos_;
-    Result<std::unique_ptr<PathExpr>> path =
-        ParseUnion(/*anchor_first_step=*/false);
-    if (path.ok()) return Qualifier::MakePath(std::move(path).value());
+    NestedPath path;
+    Status path_status = nesting_.Nest(pos_, &path, [&] {
+      return ParseUnion(/*anchor_first_step=*/false, &path);
+    });
+    if (path_status.ok()) {
+      out->node = Qualifier::MakePath(std::move(path.node));
+      out->levels = path.levels;
+      return Status::OK();
+    }
     pos_ = save;
     if (Match("(")) {
-      TREEQ_ASSIGN_OR_RETURN(std::unique_ptr<Qualifier> inner, ParseQualOr());
+      TREEQ_RETURN_IF_ERROR(
+          nesting_.Nest(pos_, out, [&] { return ParseQualOr(out); }));
       if (!Match(")")) return Error("expected ')'");
-      return inner;
+      return Status::OK();
     }
-    return path.status();
+    return path_status;
   }
 
   std::string_view input_;
-  ParserOptions options_;
   size_t pos_ = 0;
-  int depth_ = 0;
+  NestingGuard nesting_;
 };
 
 }  // namespace
 
 Result<std::unique_ptr<PathExpr>> ParseXPath(std::string_view input) {
-  return XPathParser(input, ParserOptions{}).Parse();
-}
-
-Result<std::unique_ptr<PathExpr>> ParseXPath(std::string_view input,
-                                             const ParserOptions& options) {
-  return XPathParser(input, options).Parse();
+  return XPathParser(input).Parse();
 }
 
 }  // namespace xpath

@@ -27,6 +27,8 @@
 ///     `//` abbreviates descendant-or-self::*/....
 ///   - Qualifiers: `[q]` with q ::= path | lab() = L | q and q | q or q |
 ///     not(q); `(p | p)` parenthesizes path unions.
+///   - Nesting deeper than kMaxNesting levels (util/nesting.h) is a
+///     ParseError.
 ///
 /// Unary queries are evaluated from the root (Section 3); the parser itself
 /// is context-agnostic.
@@ -34,28 +36,8 @@
 namespace treeq {
 namespace xpath {
 
-/// Default recursion bound (see ParserOptions::max_nesting).
-inline constexpr int kDefaultMaxNesting = 512;
-
-/// Parser knobs. Default-constructed options keep the historical behavior
-/// (and error messages) bit for bit.
-struct ParserOptions {
-  /// Maximum expression nesting (parens, qualifiers) the recursive-descent
-  /// parser accepts before failing with a ParseError; bounds parser stack
-  /// growth on adversarial inputs like "a[a[a[...]]]".
-  int max_nesting = kDefaultMaxNesting;
-  /// Accept the paper's relational axis aliases ("Child+", "NextSibling*",
-  /// "Following", ...) in axis position alongside the standard XPath names.
-  /// When false, only the standard names ("descendant",
-  /// "following-sibling", ...) parse; aliases fail with the same
-  /// "unknown axis" ParseError an unknown name gets.
-  bool paper_axes = true;
-};
-
 /// Parses a Core XPath expression.
 Result<std::unique_ptr<PathExpr>> ParseXPath(std::string_view input);
-Result<std::unique_ptr<PathExpr>> ParseXPath(std::string_view input,
-                                             const ParserOptions& options);
 
 }  // namespace xpath
 }  // namespace treeq

@@ -242,46 +242,6 @@ TEST(PlanCacheTest, CompileErrorsAreNotCached) {
   EXPECT_EQ(cache.misses(), 3u);
 }
 
-TEST(PlanCacheTest, ParseOptionsArePartOfTheKey) {
-  PlanCache cache(8);
-  // "/Child+::a" parses only under the paper-axes dialect; a cache that
-  // keyed on text alone would serve the paper-dialect plan to a
-  // standard-dialect caller.
-  ParseOptions paper;
-  paper.xpath_paper_axes = true;
-  Result<PlanPtr> relational =
-      cache.GetOrCompile(Language::kXPath, "/Child+::a", paper);
-  ASSERT_TRUE(relational.ok()) << relational.status().ToString();
-
-  ParseOptions standard;
-  standard.xpath_paper_axes = false;
-  Result<PlanPtr> rejected =
-      cache.GetOrCompile(Language::kXPath, "/Child+::a", standard);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError);
-  EXPECT_FALSE(cache.Lookup(Language::kXPath, "/Child+::a", standard)
-                   .has_value());
-
-  // max_nesting is keyed too: the same deep text compiles under the
-  // default depth and fails under a tiny one, independently cached.
-  const std::string deep = "//a[b[b[b[c]]]]";
-  ASSERT_TRUE(cache.GetOrCompile(Language::kXPath, deep).ok());
-  ParseOptions shallow;
-  shallow.max_nesting = 2;
-  ASSERT_FALSE(cache.GetOrCompile(Language::kXPath, deep, shallow).ok());
-  EXPECT_TRUE(cache.Lookup(Language::kXPath, deep).has_value());
-
-  // The plan remembers the dialect it was compiled under, and Insert
-  // files it under that dialect's key.
-  EXPECT_TRUE(relational.value()->parse_options().xpath_paper_axes);
-  PlanCache fresh(4);
-  fresh.Insert(relational.value());
-  EXPECT_TRUE(
-      fresh.Lookup(Language::kXPath, "/Child+::a", paper).has_value());
-  EXPECT_FALSE(fresh.Lookup(Language::kXPath, "/Child+::a", standard)
-                   .has_value());
-}
-
 TEST(PlanCacheTest, ConcurrentGetOrCompile) {
   PlanCache cache(16);
   std::vector<std::string> queries = {"//a", "//b", "//c", "//d"};

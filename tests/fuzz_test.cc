@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "query/parse.h"
 #include "tree/generator.h"
 #include "tree/xml.h"
+#include "util/nesting.h"
 #include "util/random.h"
 #include "xpath/parser.h"
 
@@ -215,6 +217,113 @@ TEST(ParserFuzzTest, DeepNestingDoesNotOverflow) {
   for (int i = 0; i < 1000; ++i) fo_deep += "exists v . ";
   fo_deep += "Lab_a(v)";
   EXPECT_TRUE(fo::ParseFo(fo_deep).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The nesting bound at the front door
+// ---------------------------------------------------------------------------
+
+// One nesting shape per row: `text(levels)` is a query whose nesting is
+// exactly `levels`, as util/nesting.h counts it.
+struct NestingShape {
+  const char* name;
+  Language language;
+  std::string (*text)(int levels);
+};
+
+std::string Repeat(const std::string& piece, int count) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(std::max(count, 0)));
+  for (int i = 0; i < count; ++i) out += piece;
+  return out;
+}
+
+// A chain of `levels + 1` operands joined by `op`: `levels` binary nodes.
+std::string Chain(const std::string& operand, const std::string& op,
+                  int levels) {
+  return operand + Repeat(op + operand, levels);
+}
+
+const NestingShape kNestingShapes[] = {
+    // FO: the sentence's `exists x .` is one level of the count.
+    {"fo_parens", Language::kFo,
+     [](int levels) {
+       return "exists x . " + Repeat("(", levels - 1) + "Lab_a(x)" +
+              Repeat(")", levels - 1);
+     }},
+    {"fo_not", Language::kFo,
+     [](int levels) {
+       return "exists x . " + Repeat("not ", levels - 1) + "Lab_a(x)";
+     }},
+    {"fo_quantifier", Language::kFo,
+     [](int levels) { return Repeat("exists v . ", levels) + "Lab_a(v)"; }},
+    {"fo_and_chain", Language::kFo,
+     [](int levels) {
+       return "exists x . " + Chain("Lab_a(x)", " and ", levels - 1);
+     }},
+    {"fo_or_chain", Language::kFo,
+     [](int levels) {
+       return "exists x . " + Chain("Lab_b(x)", " or ", levels - 1);
+     }},
+    {"xpath_steps", Language::kXPath,
+     [](int levels) { return Chain("a", "/", levels); }},
+    {"xpath_union", Language::kXPath,
+     [](int levels) { return Chain("a", " | ", levels); }},
+    // XPath: a bracket and the path it tests are a level each; a label
+    // test is none.
+    {"xpath_qualifier_nesting", Language::kXPath,
+     [](int levels) {
+       const int brackets = (levels + 1) / 2;
+       return Repeat("a[", brackets) + (levels % 2 ? "lab() = b" : "b") +
+              Repeat("]", brackets);
+     }},
+    {"xpath_qualifier_and_chain", Language::kXPath,
+     [](int levels) { return "a[" + Chain("b", " and ", levels - 2) + "]"; }},
+};
+
+// At exactly kMaxNesting levels every shape compiles and every eligible
+// engine gives the router's answer.
+TEST(NestingBoundTest, EveryShapeAtTheBoundCompilesAndAnswers) {
+  DocumentPtr doc = MakeDocument(
+      ParseXml("<a><b><a/></b><a><b/><a><b/></a></a></a>").value());
+  for (const NestingShape& shape : kNestingShapes) {
+    SCOPED_TRACE(shape.name);
+    Result<engine::PlanPtr> plan =
+        engine::Plan::Compile(shape.language, shape.text(kMaxNesting));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Result<QueryResult> routed = plan.value()->Execute(*doc);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    for (plan::EngineKind kind : plan.value()->EligibleEngines()) {
+      engine::ExecuteOptions options;
+      options.force_route = plan::EngineName(kind);
+      Result<QueryResult> forced =
+          plan.value()->Execute(*doc, ExecContext::Unbounded(), options);
+      ASSERT_TRUE(forced.ok())
+          << options.force_route << ": " << forced.status().ToString();
+      EXPECT_EQ(forced->value, routed->value) << options.force_route;
+    }
+  }
+}
+
+// One level past the bound, and far past it, both the parser and the
+// compiler refuse with the offset contract instead of overflowing.
+TEST(NestingBoundTest, EveryShapePastTheBoundIsAParseError) {
+  for (const NestingShape& shape : kNestingShapes) {
+    for (int levels : {kMaxNesting + 1, 100000}) {
+      SCOPED_TRACE(std::string(shape.name) + " at " + std::to_string(levels));
+      const std::string text = shape.text(levels);
+      Result<ParsedQuery> parsed = ParseQuery(shape.language, text);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_NE(parsed.status().message().find("nesting deeper than 1024"),
+                std::string::npos)
+          << parsed.status().message();
+      ExpectOffsetError(parsed.status(), text.size(), shape.name);
+      Result<engine::PlanPtr> plan =
+          engine::Plan::Compile(shape.language, text);
+      ASSERT_FALSE(plan.ok());
+      EXPECT_EQ(plan.status().ToString(), parsed.status().ToString());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "cq/parser.h"
 #include "datalog/parser.h"
 #include "fo/parser.h"
+#include "util/nesting.h"
 #include "xpath/parser.h"
 
 namespace treeq {
@@ -114,70 +115,27 @@ TEST(ParseQueryTest, ParsedQueryIsMovable) {
   EXPECT_NE(moved.xpath, nullptr);
 }
 
-// ParseOptions: the max_nesting override and the paper-axes dialect gate,
-// with default behavior bit-identical to the historic parser.
-
-TEST(ParseOptionsTest, DefaultOptionsMatchHistoricParser) {
-  const char* const kTexts[] = {
-      "//a//b",
-      "/a[b and not(c)]/following::b",
-      "//a[",  // parse error: message must match bit for bit
+TEST(ParseQueryTest, NestingPastTheBoundIsAParseError) {
+  // The qualifier bracket, each not(...) and the innermost path are one
+  // level apiece: kMaxNesting - 2 nots sit exactly at the bound.
+  auto nots = [](int count) {
+    std::string text = "*[";
+    for (int i = 0; i < count; ++i) text += "not(";
+    text += "a";
+    for (int i = 0; i < count; ++i) text += ")";
+    return text + "]";
   };
-  for (const char* text : kTexts) {
-    auto plain = ParseQuery(Language::kXPath, text);
-    auto with_options = ParseQuery(Language::kXPath, text, ParseOptions{});
-    ASSERT_EQ(plain.ok(), with_options.ok()) << text;
-    if (!plain.ok()) {
-      EXPECT_EQ(plain.status().ToString(),
-                with_options.status().ToString())
-          << text;
-    }
-  }
-}
+  ASSERT_TRUE(ParseQuery(Language::kXPath, nots(kMaxNesting - 2)).ok());
 
-TEST(ParseOptionsTest, MaxNestingOverrideRejectsDeepExpressions) {
-  // 8 nested not(...) qualifiers: fine by default, over a limit of 4.
-  std::string text = "//*[";
-  for (int i = 0; i < 8; ++i) text += "not(";
-  text += "a";
-  for (int i = 0; i < 8; ++i) text += ")";
-  text += "]";
-
-  ASSERT_TRUE(ParseQuery(Language::kXPath, text).ok());
-
-  ParseOptions options;
-  options.max_nesting = 4;
-  auto limited = ParseQuery(Language::kXPath, text, options);
-  ASSERT_FALSE(limited.ok());
-  EXPECT_EQ(limited.status().code(), StatusCode::kParseError);
-  EXPECT_NE(limited.status().ToString().find("nesting"), std::string::npos)
-      << limited.status().ToString();
-  EXPECT_NE(limited.status().ToString().find(" at offset "),
+  auto deeper = ParseQuery(Language::kXPath, nots(kMaxNesting - 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.status().code(), StatusCode::kParseError);
+  EXPECT_NE(deeper.status().ToString().find("nesting deeper than 1024"),
             std::string::npos)
-      << limited.status().ToString();
-}
-
-TEST(ParseOptionsTest, PaperAxesDialectGate) {
-  // A paper-style relational alias: accepted by default, an "unknown axis"
-  // ParseError when the dialect flag is off.
-  const char* text = "/Child+::a";
-  ASSERT_TRUE(ParseQuery(Language::kXPath, text).ok());
-
-  ParseOptions options;
-  options.xpath_paper_axes = false;
-  auto strict = ParseQuery(Language::kXPath, text, options);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), StatusCode::kParseError);
-  EXPECT_NE(strict.status().ToString().find("unknown axis"),
+      << deeper.status().ToString();
+  EXPECT_NE(deeper.status().ToString().find(" at offset "),
             std::string::npos)
-      << strict.status().ToString();
-  EXPECT_NE(strict.status().ToString().find(" at offset "),
-            std::string::npos)
-      << strict.status().ToString();
-
-  // Standard names still parse in strict mode.
-  EXPECT_TRUE(
-      ParseQuery(Language::kXPath, "/child::a/descendant::b", options).ok());
+      << deeper.status().ToString();
 }
 
 }  // namespace
