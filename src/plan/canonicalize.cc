@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,8 +22,6 @@ namespace {
 /// replaces the branch when the union stays small.
 constexpr int kMaxRewriteVars = 8;
 constexpr size_t kMaxRewriteBranches = 16;
-/// Tie-break permutation budget for the canonical variable order.
-constexpr uint64_t kMaxTiePermutations = 64;
 
 /// Rule 1: R^-1(x, y) becomes R(y, x). (IsForwardAxis is tree/axes.h's.)
 void FlipInverseAxes(QueryGraph* g) {
@@ -33,8 +33,10 @@ void FlipInverseAxes(QueryGraph* g) {
   }
 }
 
-/// Rebuilds `g` keeping only vars with remap[i] >= 0; edges are re-pointed
-/// (callers guarantee no surviving edge references a dropped var).
+/// Rebuilds `g` with var i renamed remap[i], or dropped when remap[i] < 0.
+/// Vars renamed alike fold their labels and output column together. Edges
+/// are re-pointed (callers guarantee no surviving edge references a
+/// dropped var).
 void Compact(QueryGraph* g, const std::vector<int>& remap, int new_count) {
   std::vector<IrVar> vars(static_cast<size_t>(new_count));
   for (size_t i = 0; i < g->vars.size(); ++i) {
@@ -52,19 +54,18 @@ void Compact(QueryGraph* g, const std::vector<int>& remap, int new_count) {
   g->vars = std::move(vars);
 }
 
+/// Union-find: the representative of `v`, halving the path on the way.
+int FindRoot(std::vector<int>& parent, int v) {
+  while (parent[v] != v) v = parent[v] = parent[parent[v]];
+  return v;
+}
+
 /// Rule 2: drops Self self-loops and merges Self-edge endpoints. Two
 /// distinct output columns joined by Self keep the edge (one variable
-/// cannot carry two output positions). Returns true if anything changed.
-bool MergeSelfEdges(QueryGraph* g) {
+/// cannot carry two output positions).
+void MergeSelfEdges(QueryGraph* g) {
   std::vector<int> parent(g->vars.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
-  auto find = [&parent](int v) {
-    while (parent[static_cast<size_t>(v)] != v) {
-      v = parent[static_cast<size_t>(v)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(v)])];
-    }
-    return v;
-  };
+  std::iota(parent.begin(), parent.end(), 0);
   bool changed = false;
   std::vector<IrEdge> kept;
   for (const IrEdge& e : g->edges) {
@@ -72,53 +73,29 @@ bool MergeSelfEdges(QueryGraph* g) {
       kept.push_back(e);
       continue;
     }
-    int a = find(e.from);
-    int b = find(e.to);
-    if (a == b) {
-      changed = true;  // self-loop: always true, drop
-      continue;
-    }
-    const IrVar& va = g->vars[static_cast<size_t>(a)];
-    const IrVar& vb = g->vars[static_cast<size_t>(b)];
-    if (va.is_output() && vb.is_output() &&
+    const int a = FindRoot(parent, e.from);
+    const int b = FindRoot(parent, e.to);
+    const IrVar& va = g->vars[a];
+    const IrVar& vb = g->vars[b];
+    if (a != b && va.is_output() && vb.is_output() &&
         va.output_ord != vb.output_ord) {
       kept.push_back(e);  // both columns must survive; keep the equality
       continue;
     }
-    // Merge into the smaller index so an anchored root stays var 0.
-    parent[static_cast<size_t>(std::max(a, b))] = std::min(a, b);
+    // A self-loop is always true and drops; otherwise merge into the
+    // smaller index so an anchored root stays var 0.
+    parent[std::max(a, b)] = std::min(a, b);
     changed = true;
   }
-  if (!changed) return false;
+  if (!changed) return;
   g->edges = std::move(kept);
-  std::vector<int> remap(g->vars.size(), -1);
+  std::vector<int> remap(g->vars.size());
   int next = 0;
-  for (size_t i = 0; i < g->vars.size(); ++i) {
-    if (find(static_cast<int>(i)) == static_cast<int>(i)) {
-      remap[i] = next++;
-    }
-  }
-  for (size_t i = 0; i < g->vars.size(); ++i) {
-    if (remap[i] < 0) {
-      // Fold this var into its class representative before compaction.
-      const int rep = find(static_cast<int>(i));
-      IrVar& dst = g->vars[static_cast<size_t>(rep)];
-      for (std::string& label : g->vars[i].labels) {
-        dst.labels.push_back(std::move(label));
-      }
-      if (g->vars[i].output_ord >= 0) {
-        dst.output_ord = g->vars[i].output_ord;
-      }
-      g->vars[i].labels.clear();
-      g->vars[i].output_ord = -1;
-    }
-  }
-  for (IrEdge& e : g->edges) {
-    e.from = find(e.from);
-    e.to = find(e.to);
+  for (size_t i = 0; i < remap.size(); ++i) {
+    const int rep = FindRoot(parent, static_cast<int>(i));
+    remap[i] = rep == static_cast<int>(i) ? next++ : remap[rep];
   }
   Compact(g, remap, next);
-  return true;
 }
 
 /// Rule 3's composition table: axis(u, v) . axis(v, w) => axis(u, w) when
@@ -142,106 +119,110 @@ std::optional<Axis> ComposeAxes(Axis a, Axis b) {
   return std::nullopt;
 }
 
-bool RemovableVar(const QueryGraph& g, size_t i) {
-  return g.vars[i].labels.empty() && !g.vars[i].is_output() &&
-         !(g.anchored && i == 0);
-}
-
-/// Rule 3: collapses an invisible degree-2 variable between two composable
-/// edges. Returns true if a collapse happened.
-bool CollapseInvisibleMiddle(QueryGraph* g) {
-  for (size_t v = 0; v < g->vars.size(); ++v) {
-    if (!RemovableVar(*g, v)) continue;
-    int in = -1, out = -1, degree = 0;
-    for (size_t e = 0; e < g->edges.size(); ++e) {
-      if (g->edges[e].from == static_cast<int>(v)) {
-        ++degree;
-        out = static_cast<int>(e);
-      }
-      if (g->edges[e].to == static_cast<int>(v)) {
-        ++degree;
-        in = static_cast<int>(e);
+/// Rules 3-5 to fixpoint, from per-variable incidence lists built once: a
+/// change re-examines only the variables it touched, so the pass is
+/// linear in vars + edges. An invisible variable is unlabeled, not output
+/// and not the anchored root.
+///   3. an invisible variable with one edge in and one edge out that
+///      ComposeAxes composes collapses into one edge;
+///   4. an invisible variable whose one edge is Child* (either direction)
+///      is vacuous and drops; so does an isolated one, unless it is the
+///      last variable (a graph needs one variable to mean "true");
+///   5. when 3-4 are done, the root anchor demotes if the root is
+///      unlabeled, not output, and only the source of Child+/Child* edges
+///      (3-4 never undo that), and 3-4 run again.
+void SimplifyVars(QueryGraph* g) {
+  const int n = static_cast<int>(g->vars.size());
+  std::vector<std::vector<int>> incident(n);  // edge ids; a loop twice
+  std::vector<int> degree(n, 0);
+  std::vector<bool> edge_alive;
+  auto attach = [&](const IrEdge& e) {
+    for (int v : {e.from, e.to}) {
+      incident[v].push_back(static_cast<int>(edge_alive.size()));
+      ++degree[v];
+    }
+    edge_alive.push_back(true);
+  };
+  auto detach = [&](int e) {
+    edge_alive[e] = false;
+    --degree[g->edges[e].from];
+    --degree[g->edges[e].to];
+  };
+  for (const IrEdge& e : g->edges) attach(e);
+  std::vector<bool> var_alive(n, true), queued(n, true);
+  int live_vars = n;
+  auto drop = [&](int v) {
+    var_alive[v] = false;
+    --live_vars;
+  };
+  std::vector<int> work(n);
+  std::iota(work.rbegin(), work.rend(), 0);  // pops in index order
+  auto push = [&](int v) {
+    if (!queued[v]) work.push_back(v);
+    queued[v] = true;
+  };
+  auto invisible = [g](int v) {
+    return g->vars[v].labels.empty() && !g->vars[v].is_output() &&
+           !(g->anchored && v == 0);
+  };
+  auto blocks_demotion = [&](int e) {
+    const IrEdge& edge = g->edges[e];
+    return edge_alive[e] && (edge.to == 0 ||
+                             (edge.axis != Axis::kDescendant &&
+                              edge.axis != Axis::kDescendantOrSelf));
+  };
+  for (;;) {
+    while (!work.empty()) {
+      const int v = work.back();
+      work.pop_back();
+      queued[v] = false;
+      if (!var_alive[v] || degree[v] > 2 || !invisible(v)) continue;
+      std::erase_if(incident[v], [&](int e) { return !edge_alive[e]; });
+      const std::vector<int>& edges = incident[v];
+      if (degree[v] == 0) {
+        if (live_vars > 1) drop(v);
+      } else if (degree[v] == 1) {
+        const IrEdge e = g->edges[edges[0]];
+        if (e.axis != Axis::kDescendantOrSelf) continue;
+        detach(edges[0]);
+        drop(v);
+        push(e.from == v ? e.to : e.from);
+      } else {
+        const bool in_first = g->edges[edges[0]].to == v;
+        const int in = edges[in_first ? 0 : 1];
+        const int out = edges[in_first ? 1 : 0];
+        const IrEdge ein = g->edges[in], eout = g->edges[out];
+        if (in == out || ein.to != v || eout.from != v) continue;
+        if (ein.from == eout.to) continue;  // collapsing would make a loop
+        const std::optional<Axis> composed = ComposeAxes(ein.axis, eout.axis);
+        if (!composed.has_value()) continue;
+        detach(in);
+        detach(out);
+        drop(v);
+        g->edges.push_back(IrEdge{ein.from, eout.to, *composed});
+        attach(g->edges.back());
+        push(ein.from);
+        push(eout.to);
       }
     }
-    if (degree != 2 || in < 0 || out < 0 || in == out) continue;
-    const IrEdge& ein = g->edges[static_cast<size_t>(in)];
-    const IrEdge& eout = g->edges[static_cast<size_t>(out)];
-    if (ein.from == eout.to) continue;  // collapsing would make a loop
-    std::optional<Axis> composed = ComposeAxes(ein.axis, eout.axis);
-    if (!composed.has_value()) continue;
-    IrEdge merged{ein.from, eout.to, *composed};
-    std::vector<IrEdge> edges;
-    for (size_t e = 0; e < g->edges.size(); ++e) {
-      if (static_cast<int>(e) != in && static_cast<int>(e) != out) {
-        edges.push_back(g->edges[e]);
-      }
+    if (!g->anchored || !g->vars[0].labels.empty() || g->vars[0].is_output() ||
+        std::any_of(incident[0].begin(), incident[0].end(), blocks_demotion)) {
+      break;
     }
-    edges.push_back(merged);
-    g->edges = std::move(edges);
-    std::vector<int> remap(g->vars.size(), -1);
-    int next = 0;
-    for (size_t i = 0; i < g->vars.size(); ++i) {
-      if (i != v) remap[i] = next++;
-    }
-    Compact(g, remap, next);
-    return true;
+    g->anchored = false;
+    push(0);
   }
-  return false;
-}
-
-/// Rule 4: drops vacuous variables — unlabeled, non-output, non-root, with
-/// at most one incident edge, that edge being Child* in either direction
-/// (exists v . Child*(v, x) and exists v . Child*(x, v) both always hold).
-/// Isolated unconstrained variables (exists v . true) drop too, except the
-/// last variable of a branch (a graph needs one variable to mean "true").
-bool PruneVacuousVars(QueryGraph* g) {
-  for (size_t v = 0; v < g->vars.size(); ++v) {
-    if (!RemovableVar(*g, v)) continue;
-    int incident = -1, degree = 0;
-    for (size_t e = 0; e < g->edges.size(); ++e) {
-      if (g->edges[e].from == static_cast<int>(v) ||
-          g->edges[e].to == static_cast<int>(v)) {
-        ++degree;
-        incident = static_cast<int>(e);
-      }
-    }
-    if (degree > 1) continue;
-    if (degree == 1) {
-      const IrEdge& e = g->edges[static_cast<size_t>(incident)];
-      if (e.axis != Axis::kDescendantOrSelf) continue;
-      if (e.from == e.to) continue;
-      g->edges.erase(g->edges.begin() + incident);
-    } else if (g->vars.size() == 1) {
-      continue;
-    }
-    std::vector<int> remap(g->vars.size(), -1);
-    int next = 0;
-    for (size_t i = 0; i < g->vars.size(); ++i) {
-      if (i != v) remap[i] = next++;
-    }
-    Compact(g, remap, next);
-    return true;
+  std::vector<IrEdge> edges;
+  for (size_t e = 0; e < g->edges.size(); ++e) {
+    if (edge_alive[e]) edges.push_back(g->edges[e]);
   }
-  return false;
-}
-
-/// Rule 5: demotes the root anchor when the root variable is unlabeled,
-/// not output, and only the *source* of Child+/Child* edges: every node is
-/// Child* of the root, and a Child+ of the root is exactly a node with
-/// some proper ancestor — both expressible with an existential variable.
-bool DemoteAnchor(QueryGraph* g) {
-  if (!g->anchored) return false;
-  const IrVar& root = g->vars[0];
-  if (!root.labels.empty() || root.is_output()) return false;
-  for (const IrEdge& e : g->edges) {
-    if (e.to == 0) return false;
-    if (e.from == 0 && e.axis != Axis::kDescendant &&
-        e.axis != Axis::kDescendantOrSelf) {
-      return false;
-    }
+  g->edges = std::move(edges);
+  std::vector<int> remap(n, -1);
+  int next = 0;
+  for (int v = 0; v < n; ++v) {
+    if (var_alive[v]) remap[v] = next++;
   }
-  g->anchored = false;
-  return true;
+  Compact(g, remap, next);
 }
 
 /// Rule 6: sorted, deduplicated labels and edges.
@@ -251,39 +232,17 @@ void SortAndDedupe(QueryGraph* g) {
     var.labels.erase(std::unique(var.labels.begin(), var.labels.end()),
                      var.labels.end());
   }
-  auto edge_key = [](const IrEdge& e) {
-    return std::tuple<int, int, int>(e.from, e.to, static_cast<int>(e.axis));
-  };
-  std::sort(g->edges.begin(), g->edges.end(),
-            [&edge_key](const IrEdge& a, const IrEdge& b) {
-              return edge_key(a) < edge_key(b);
-            });
-  g->edges.erase(std::unique(g->edges.begin(), g->edges.end(),
-                             [&edge_key](const IrEdge& a, const IrEdge& b) {
-                               return edge_key(a) == edge_key(b);
-                             }),
+  std::sort(g->edges.begin(), g->edges.end());
+  g->edges.erase(std::unique(g->edges.begin(), g->edges.end()),
                  g->edges.end());
 }
 
-/// Rules 1-6 to fixpoint.
+/// Rules 1-6.
 void NormalizeBranch(QueryGraph* g) {
   FlipInverseAxes(g);
-  bool changed = true;
-  // Each rule strictly shrinks vars+edges or fires at most once, so the
-  // loop terminates well before this bound; the bound is a safety net.
-  int fuel = static_cast<int>(g->vars.size() + g->edges.size()) * 4 + 8;
-  while (changed && fuel-- > 0) {
-    changed = false;
-    if (MergeSelfEdges(g)) changed = true;
-    if (CollapseInvisibleMiddle(g)) changed = true;
-    if (PruneVacuousVars(g)) changed = true;
-    if (DemoteAnchor(g)) changed = true;
-  }
+  MergeSelfEdges(g);
+  SimplifyVars(g);
   SortAndDedupe(g);
-}
-
-bool RewriteSupportedAxis(Axis axis) {
-  return axis != Axis::kFirstChild && axis != Axis::kFirstChildInv;
 }
 
 /// Rule 7: Theorem 5.1 normalization of small cyclic Boolean branches into
@@ -292,12 +251,13 @@ bool RewriteSupportedAxis(Axis axis) {
 /// rewrite does not apply or blows up — the caller keeps the original.
 bool RewriteBooleanBranch(const QueryGraph& branch,
                           std::vector<QueryGraph>* out) {
-  if (branch.anchored || !branch.IsConnected()) return false;
-  if (branch.vars.size() > static_cast<size_t>(kMaxRewriteVars)) {
+  if (branch.anchored ||
+      branch.vars.size() > static_cast<size_t>(kMaxRewriteVars) ||
+      !branch.IsConnected()) {
     return false;
   }
   for (const IrEdge& e : branch.edges) {
-    if (!RewriteSupportedAxis(e.axis)) return false;
+    if (e.axis == Axis::kFirstChild) return false;  // no rewriting support
   }
   cq::ConjunctiveQuery query;
   if (!GraphToCq(branch, &query)) return false;
@@ -323,174 +283,189 @@ bool RewriteBooleanBranch(const QueryGraph& branch,
   return true;
 }
 
-/// Rule 8: canonical variable order by Weisfeiler-Leman color refinement.
-/// Returns per-var final color ranks (root — whose initial color is
-/// distinct — always lands in rank 0's singleton class when anchored).
-std::vector<int> RefineColors(const QueryGraph& g) {
-  const size_t n = g.vars.size();
-  std::vector<std::string> colors(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::string c = (g.anchored && i == 0) ? "0" : "1";
-    c += "|o" + std::to_string(g.vars[i].output_ord) + "|";
-    for (const std::string& label : g.vars[i].labels) c += label + ",";
-    colors[i] = std::move(c);
-  }
-  // Each var's incident edges, built once: a round then costs O(V + E).
-  std::vector<std::vector<const IrEdge*>> incident(n);
+/// An edge seen from one endpoint: the other endpoint `var`, the axis, and
+/// whether the viewing endpoint is the edge's `from`.
+struct Arc {
+  int var = 0;
+  int axis = 0;
+  bool out = false;
+};
+
+/// Rule 8 for a forest: the Aho-Hopcroft-Ullman tree code. Returns the
+/// canonical variable order (order[k] = old index of the var at position
+/// k), or nullopt when `g` has a cycle, a parallel edge or a self-loop.
+///
+/// Each component is rooted at the anchor, else at its lowest output
+/// column, else at its center. Two centers get a hub between them: a
+/// virtual root that sees each center as the other center did. A
+/// variable's code names (label set, output column, anchor flag, sorted
+/// multiset of (child code, axis, direction)). Codes are named level by
+/// level from the leaves, each level's tuples in sorted order, so equal
+/// codes mean isomorphic subtrees and the names are canonical. Components
+/// sort by code, anchor first; the order is the preorder, children in
+/// code order.
+std::optional<std::vector<int>> ForestOrder(const QueryGraph& g) {
+  const int n = static_cast<int>(g.vars.size());
+  std::vector<int> component(n);
+  std::iota(component.begin(), component.end(), 0);
+  std::vector<std::vector<Arc>> adj(n);
   for (const IrEdge& e : g.edges) {
-    incident[static_cast<size_t>(e.from)].push_back(&e);
-    if (e.to != e.from) incident[static_cast<size_t>(e.to)].push_back(&e);
+    const int a = FindRoot(component, e.from);
+    const int b = FindRoot(component, e.to);
+    if (a == b) return std::nullopt;  // closes a cycle
+    component[a] = b;
+    const int axis = static_cast<int>(e.axis);
+    adj[e.from].push_back(Arc{e.to, axis, true});
+    adj[e.to].push_back(Arc{e.from, axis, false});
   }
-  size_t distinct = 0;
-  for (size_t round = 0; round <= n; ++round) {
-    std::vector<std::string> next(n);
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<std::string> sigs;
-      for (const IrEdge* e : incident[i]) {
-        if (e->from == static_cast<int>(i)) {
-          sigs.push_back("+" + std::to_string(static_cast<int>(e->axis)) +
-                         ":" + colors[static_cast<size_t>(e->to)]);
-        }
-        if (e->to == static_cast<int>(i)) {
-          sigs.push_back("-" + std::to_string(static_cast<int>(e->axis)) +
-                         ":" + colors[static_cast<size_t>(e->from)]);
-        }
+
+  // Peel leaves layer by layer: a component's last layer is its center.
+  std::vector<int> layer(n, 0), left(n), peel;
+  for (int v = 0; v < n; ++v) {
+    left[v] = static_cast<int>(adj[v].size());
+    if (left[v] <= 1) peel.push_back(v);
+  }
+  for (size_t k = 0; k < peel.size(); ++k) {
+    for (const Arc& arc : adj[peel[k]]) {
+      if (--left[arc.var] == 1) {
+        layer[arc.var] = layer[peel[k]] + 1;
+        peel.push_back(arc.var);
       }
-      std::sort(sigs.begin(), sigs.end());
-      next[i] = colors[i] + "#";
-      for (const std::string& s : sigs) next[i] += s + ";";
     }
-    // Compress to ranks; rank order follows lexicographic color order, so
-    // refinement keeps the previous round's relative order (each new color
-    // is prefixed by the old one).
-    std::map<std::string, int> ranks;
-    for (const std::string& c : next) ranks.emplace(c, 0);
-    int r = 0;
-    for (auto& [color, rank] : ranks) rank = r++;
-    const size_t now = ranks.size();
-    for (size_t i = 0; i < n; ++i) {
-      colors[i] = std::to_string(ranks[next[i]]);
-      // Re-expand to a prefix-stable form for the next round's comparison.
-      colors[i] = std::string(8 - std::min<size_t>(8, colors[i].size()),
-                              '0') +
-                  colors[i];
-    }
-    if (now == distinct) break;  // stabilized
-    distinct = now;
   }
-  std::vector<int> result(n);
-  std::map<std::string, int> final_ranks;
-  for (const std::string& c : colors) final_ranks.emplace(c, 0);
-  int r = 0;
-  for (auto& [color, rank] : final_ranks) rank = r++;
-  for (size_t i = 0; i < n; ++i) result[i] = final_ranks[colors[i]];
-  return result;
+  auto is_anchor = [&g](int v) { return g.anchored && v == 0; };
+  auto root_rank = [&](int v) {
+    if (is_anchor(v)) return std::make_pair(0, 0);
+    if (g.vars[v].is_output()) return std::make_pair(1, g.vars[v].output_ord);
+    return std::make_pair(2, -layer[v]);
+  };
+  std::vector<int> best(n, -1), roots;
+  for (int v = 0; v < n; ++v) {
+    int& b = best[FindRoot(component, v)];
+    if (b < 0 || root_rank(v) < root_rank(b)) b = v;
+  }
+  for (int r : best) {
+    if (r < 0) continue;
+    auto other = std::find_if(adj[r].begin(), adj[r].end(), [&](const Arc& a) {
+      return layer[a.var] == layer[r];
+    });
+    if (root_rank(r).first < 2 || other == adj[r].end()) {
+      roots.push_back(r);
+      continue;
+    }
+    const int hub = static_cast<int>(adj.size());
+    auto back = std::find_if(adj[other->var].begin(), adj[other->var].end(),
+                             [r](const Arc& a) { return a.var == r; });
+    std::vector<Arc> hub_arcs = {*back, *other};
+    other->var = back->var = hub;
+    adj.push_back(std::move(hub_arcs));
+    roots.push_back(hub);
+  }
+
+  // Root the forest, then name codes by height, leaves first.
+  const size_t total = adj.size();
+  std::vector<int> parent(total, -1), height(total, 0), code(total, 0);
+  std::vector<std::vector<Arc>> kids(total);
+  std::vector<int> bfs = roots;
+  for (size_t k = 0; k < bfs.size(); ++k) {
+    const int v = bfs[k];
+    for (const Arc& arc : adj[v]) {
+      if (arc.var == parent[v]) continue;
+      parent[arc.var] = v;
+      kids[v].push_back(arc);
+      bfs.push_back(arc.var);
+    }
+  }
+  std::vector<std::vector<int>> levels;
+  for (size_t k = bfs.size(); k-- > 0;) {
+    const int v = bfs[k], p = parent[v];
+    if (p >= 0) height[p] = std::max(height[p], height[v] + 1);
+    levels.resize(std::max<size_t>(levels.size(), height[v] + 1));
+    levels[height[v]].push_back(v);
+  }
+  std::vector<int> by_labels(n), label_rank(n);
+  std::iota(by_labels.begin(), by_labels.end(), 0);
+  auto labels = [&g](int v) -> const std::vector<std::string>& {
+    return g.vars[v].labels;
+  };
+  std::sort(by_labels.begin(), by_labels.end(),
+            [&](int a, int b) { return labels(a) < labels(b); });
+  int next = 0;
+  for (int k = 0; k < n; ++k) {
+    if (k > 0 && labels(by_labels[k - 1]) != labels(by_labels[k])) ++next;
+    label_rank[by_labels[k]] = next;
+  }
+  auto arc_key = [&code](const Arc& a) {
+    return std::make_tuple(code[a.var], a.axis, a.out);
+  };
+  for (const std::vector<int>& level : levels) {
+    std::vector<std::pair<std::vector<int>, int>> tuples;  // (code tuple, v)
+    for (int v : level) {
+      std::sort(kids[v].begin(), kids[v].end(),
+                [&](const Arc& a, const Arc& b) {
+                  return arc_key(a) < arc_key(b);
+                });
+      std::vector<int> tuple = {-1, -1, 0};  // a hub's
+      if (v < n) tuple = {label_rank[v], g.vars[v].output_ord, is_anchor(v)};
+      for (const Arc& arc : kids[v]) {
+        tuple.insert(tuple.end(), {code[arc.var], arc.axis, arc.out});
+      }
+      tuples.emplace_back(std::move(tuple), v);
+    }
+    std::sort(tuples.begin(), tuples.end());
+    for (size_t k = 0; k < tuples.size(); ++k) {
+      if (k > 0 && tuples[k - 1].first != tuples[k].first) ++next;
+      code[tuples[k].second] = next;
+    }
+    ++next;
+  }
+
+  std::sort(roots.begin(), roots.end(), [&](int a, int b) {
+    return std::make_pair(!is_anchor(a), code[a]) <
+           std::make_pair(!is_anchor(b), code[b]);
+  });
+  std::vector<int> order, stack;
+  for (int r : roots) {
+    stack.push_back(r);
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      if (v < n) order.push_back(v);
+      for (auto kid = kids[v].rbegin(); kid != kids[v].rend(); ++kid) {
+        stack.push_back(kid->var);
+      }
+    }
+  }
+  return order;
 }
 
-/// Canonical encoding of `g` under the variable order `order` (order[k] =
-/// old index of the var at canonical position k).
-std::string EncodeWithOrder(const QueryGraph& g,
-                            const std::vector<int>& order) {
-  std::vector<int> position(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    position[static_cast<size_t>(order[k])] = static_cast<int>(k);
-  }
+/// The canonical encoding of `g` in its own variable order, edges sorted.
+std::string Encode(const QueryGraph& g) {
   std::string out = g.anchored ? "A;" : ";";
-  for (size_t k = 0; k < order.size(); ++k) {
-    const IrVar& var = g.vars[static_cast<size_t>(order[k])];
+  for (const IrVar& var : g.vars) {
     out += "v";
     for (const std::string& label : var.labels) out += label + ",";
     out += "|o" + std::to_string(var.output_ord) + ";";
   }
-  std::vector<std::tuple<int, int, int>> edges;
   for (const IrEdge& e : g.edges) {
-    edges.emplace_back(position[static_cast<size_t>(e.from)],
-                       position[static_cast<size_t>(e.to)],
-                       static_cast<int>(e.axis));
-  }
-  std::sort(edges.begin(), edges.end());
-  for (const auto& [from, to, axis] : edges) {
-    out += "e" + std::to_string(from) + "," + std::to_string(to) + "," +
-           std::to_string(axis) + ";";
+    out += "e" + std::to_string(e.from) + "," + std::to_string(e.to) + "," +
+           std::to_string(static_cast<int>(e.axis)) + ";";
   }
   return out;
 }
 
-/// Reorders `g`'s variables canonically and returns the encoding.
+/// Rule 8: reorders a forest's variables by its tree code (any other
+/// branch keeps its normalized order) and returns the encoding.
 std::string CanonicalizeOrder(QueryGraph* g) {
-  const size_t n = g->vars.size();
-  std::vector<int> ranks = RefineColors(*g);
-  std::vector<int> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
-  std::stable_sort(order.begin(), order.end(), [&ranks](int a, int b) {
-    return ranks[static_cast<size_t>(a)] < ranks[static_cast<size_t>(b)];
-  });
-  // Tie groups: runs of equal rank. Enumerate their permutations (bounded)
-  // and keep the lexicographically smallest encoding.
-  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) positions
-  uint64_t total = 1;
-  for (size_t b = 0; b < n;) {
-    size_t e = b + 1;
-    while (e < n && ranks[static_cast<size_t>(order[e])] ==
-                        ranks[static_cast<size_t>(order[b])]) {
-      ++e;
+  if (std::optional<std::vector<int>> order = ForestOrder(*g)) {
+    std::vector<int> position(order->size());
+    for (size_t k = 0; k < order->size(); ++k) {
+      position[static_cast<size_t>((*order)[k])] = static_cast<int>(k);
     }
-    if (e - b > 1) {
-      groups.emplace_back(b, e);
-      for (size_t k = 2; k <= e - b && total <= kMaxTiePermutations; ++k) {
-        total *= k;
-      }
-    }
-    b = e;
+    Compact(g, position, static_cast<int>(position.size()));
+    SortAndDedupe(g);
   }
-  std::string best = EncodeWithOrder(*g, order);
-  if (!groups.empty() && total <= kMaxTiePermutations) {
-    std::vector<int> candidate = order;
-    // Nested next_permutation over the tie groups (odometer style).
-    std::vector<std::vector<int>> perms;
-    for (const auto& [b, e] : groups) {
-      perms.emplace_back(candidate.begin() + static_cast<long>(b),
-                         candidate.begin() + static_cast<long>(e));
-      std::sort(perms.back().begin(), perms.back().end());
-    }
-    bool more = true;
-    while (more) {
-      for (size_t gi = 0; gi < groups.size(); ++gi) {
-        std::copy(perms[gi].begin(), perms[gi].end(),
-                  candidate.begin() + static_cast<long>(groups[gi].first));
-      }
-      std::string enc = EncodeWithOrder(*g, candidate);
-      if (enc < best) {
-        best = std::move(enc);
-        order = candidate;
-      }
-      more = false;
-      for (size_t gi = 0; gi < groups.size(); ++gi) {
-        if (std::next_permutation(perms[gi].begin(), perms[gi].end())) {
-          more = true;
-          break;
-        }
-        // This group wrapped to its first permutation; carry to the next.
-      }
-    }
-  }
-  // Apply the chosen order to the graph itself so downstream consumers
-  // (rendering, engine-form synthesis) see the canonical form.
-  std::vector<int> position(n);
-  for (size_t k = 0; k < n; ++k) {
-    position[static_cast<size_t>(order[k])] = static_cast<int>(k);
-  }
-  std::vector<IrVar> vars(n);
-  for (size_t k = 0; k < n; ++k) {
-    vars[k] = std::move(g->vars[static_cast<size_t>(order[k])]);
-  }
-  g->vars = std::move(vars);
-  for (IrEdge& e : g->edges) {
-    e.from = position[static_cast<size_t>(e.from)];
-    e.to = position[static_cast<size_t>(e.to)];
-  }
-  SortAndDedupe(g);
-  return best;
+  return Encode(*g);
 }
 
 struct Fnv128 {
@@ -539,18 +514,12 @@ CanonicalHash Canonicalize(LogicalPlan* plan) {
     }
     plan->branches = std::move(normalized);
   }
-  std::vector<std::pair<std::string, QueryGraph>> encoded;
+  // Equal encodings are equal graphs: one copy of each, in encoding order.
+  std::map<std::string, QueryGraph> encoded;
   for (QueryGraph& branch : plan->branches) {
     std::string enc = CanonicalizeOrder(&branch);
-    encoded.emplace_back(std::move(enc), std::move(branch));
+    encoded.emplace(std::move(enc), std::move(branch));
   }
-  std::sort(encoded.begin(), encoded.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  encoded.erase(std::unique(encoded.begin(), encoded.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first == b.first;
-                            }),
-                encoded.end());
   plan->branches.clear();
   for (auto& [enc, branch] : encoded) {
     hash.Update(enc);

@@ -8,15 +8,6 @@
 namespace treeq {
 namespace plan {
 
-int QueryGraph::Degree(int var) const {
-  int d = 0;
-  for (const IrEdge& e : edges) {
-    if (e.from == var) ++d;
-    if (e.to == var) ++d;
-  }
-  return d;
-}
-
 bool QueryGraph::IsConnected() const {
   if (vars.empty()) return true;
   std::vector<int> component(vars.size(), -1);

@@ -46,6 +46,8 @@ struct IrEdge {
   int from = 0;
   int to = 0;
   Axis axis = Axis::kChild;
+
+  auto operator<=>(const IrEdge&) const = default;
 };
 
 /// A conjunctive query graph. When `anchored`, variable 0 denotes the
@@ -56,7 +58,6 @@ struct QueryGraph {
   std::vector<IrVar> vars;
   std::vector<IrEdge> edges;
 
-  int Degree(int var) const;
   bool IsConnected() const;
 
   /// Compact one-line rendering: "v0{product} -descendant-> v1{name}=>0".

@@ -106,6 +106,11 @@ class XPathParser {
 
   Status ParseUnion(bool anchor_first_step, NestedPath* out) {
     TREEQ_RETURN_IF_ERROR(ParseSeq(anchor_first_step, out));
+    return ParseUnionTail(anchor_first_step, out);
+  }
+
+  /// The `| branch` operands that follow `out`, the union's first branch.
+  Status ParseUnionTail(bool anchor_first_step, NestedPath* out) {
     while (Match("|")) {
       NestedPath right;
       TREEQ_RETURN_IF_ERROR(ParseSeq(anchor_first_step, &right));
@@ -122,6 +127,12 @@ class XPathParser {
     TREEQ_RETURN_IF_ERROR(ParseStep(anchor_first_step && !descendant, out));
     TREEQ_RETURN_IF_ERROR(ParseQualifiers(out));
     if (descendant) TREEQ_RETURN_IF_ERROR(DescendantOrSelfThen(out));
+    return ParseSeqTail(out);
+  }
+
+  /// The `/step` and `//step` operands that follow `out`, a sequence's
+  /// first step.
+  Status ParseSeqTail(NestedPath* out) {
     for (;;) {
       const bool descendant_step = Match("//");
       if (!descendant_step && !Match("/")) return Status::OK();
@@ -219,46 +230,54 @@ class XPathParser {
 
   Status ParseQualPrim(NestedQual* out) {
     Skip();
-    if (MatchWord("not")) {
-      if (!Match("(")) return Error("expected '(' after not");
+    // "not(q)" and "lab() = L"; without their parentheses, `not` and `lab`
+    // are names that start a path.
+    const size_t save = pos_;
+    if (MatchWord("not") && Match("(")) {
       TREEQ_RETURN_IF_ERROR(
           nesting_.Nest(pos_, out, [&] { return ParseQualOr(out); }));
       if (!Match(")")) return Error("expected ')'");
       out->node = Qualifier::MakeNot(std::move(out->node));
       return Status::OK();
     }
-    // "lab() = L"
-    size_t save = pos_;
-    if (MatchWord("lab")) {
-      if (Match("(") && Match(")") && Match("=")) {
-        TREEQ_ASSIGN_OR_RETURN(std::string label, ParseLabelOperand());
-        out->node = Qualifier::MakeLabel(std::move(label));
-        return Status::OK();
-      }
-      pos_ = save;
-    }
-    // Otherwise: an existential path (which may itself start with '('), or a
-    // parenthesized Boolean expression "(q1 and q2)". Try the path reading
-    // first and backtrack to the Boolean reading on failure. The path sits
-    // one level below its qualifier node.
-    save = pos_;
-    NestedPath path;
-    Status path_status = nesting_.Nest(pos_, &path, [&] {
-      return ParseUnion(/*anchor_first_step=*/false, &path);
-    });
-    if (path_status.ok()) {
-      out->node = Qualifier::MakePath(std::move(path.node));
-      out->levels = path.levels;
+    pos_ = save;
+    if (MatchWord("lab") && Match("(") && Match(")") && Match("=")) {
+      TREEQ_ASSIGN_OR_RETURN(std::string label, ParseLabelOperand());
+      out->node = Qualifier::MakeLabel(std::move(label));
       return Status::OK();
     }
     pos_ = save;
+    // A parenthesized Boolean expression, read once; its primitives
+    // include paths. When a step operator, qualifier or union follows the
+    // ')', the parentheses held one path, which continues from there. A
+    // path sits one level below its qualifier node, parenthesized or not.
+    NestedPath path;
     if (Match("(")) {
       TREEQ_RETURN_IF_ERROR(
           nesting_.Nest(pos_, out, [&] { return ParseQualOr(out); }));
       if (!Match(")")) return Error("expected ')'");
-      return Status::OK();
+      Skip();
+      if (Peek() != '/' && Peek() != '[' && Peek() != '|') {
+        return Status::OK();
+      }
+      if (out->node->kind != Qualifier::Kind::kPath) {
+        return Error("expected a path before '" + std::string(1, Peek()) +
+                     "'");
+      }
+      path = {std::move(out->node->path), out->levels - 1};
+      TREEQ_RETURN_IF_ERROR(nesting_.Nest(pos_, &path, [&] {
+        TREEQ_RETURN_IF_ERROR(ParseQualifiers(&path));
+        TREEQ_RETURN_IF_ERROR(ParseSeqTail(&path));
+        return ParseUnionTail(/*anchor_first_step=*/false, &path);
+      }));
+    } else {  // an existential path
+      TREEQ_RETURN_IF_ERROR(nesting_.Nest(pos_, &path, [&] {
+        return ParseUnion(/*anchor_first_step=*/false, &path);
+      }));
     }
-    return path_status;
+    out->node = Qualifier::MakePath(std::move(path.node));
+    out->levels = path.levels;
+    return Status::OK();
   }
 
   std::string_view input_;

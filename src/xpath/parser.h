@@ -26,7 +26,8 @@
 ///     (so "/catalog/product" matches a root labeled catalog); a leading
 ///     `//` abbreviates descendant-or-self::*/....
 ///   - Qualifiers: `[q]` with q ::= path | lab() = L | q and q | q or q |
-///     not(q); `(p | p)` parenthesizes path unions.
+///     not(q) | (q); `(p | p)` parenthesizes path unions. A `(q)` that a
+///     `/`, `//`, `[` or `|` follows holds one path, which continues there.
 ///   - Nesting deeper than kMaxNesting levels (util/nesting.h) is a
 ///     ParseError.
 ///

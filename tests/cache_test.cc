@@ -227,9 +227,8 @@ TEST(ResultCacheTest, RoundTripsAllThreeValueShapes) {
   EXPECT_EQ(cache.misses(), 3u);
 }
 
-// The key is the canonical plan hash, so dialect options (and language,
-// whitespace, variable naming) matter exactly when they change the
-// canonical plan. Different hashes are distinct entries; semantically
+// The key is the canonical plan hash, so language, whitespace and
+// variable naming matter exactly when they change the canonical plan. Different hashes are distinct entries; semantically
 // identical queries in different languages share one.
 TEST(ResultCacheTest, CanonicalHashIsTheKey) {
   ResultCache cache;

@@ -43,8 +43,8 @@ TEST(PlanExplainTest, XPathStructuralGolden) {
       ExplainFor(Language::kXPath, "//product//rating5"),
       "xpath: set-at-a-time evaluator; stream fallback available (forward "
       "rewrite); est. visits = |Q|*(|D|+1), |Q|=9 | ir: arity=1 branches=1 "
-      "| [0] v0{} v1{product} v2{rating5}=>0 v0 -descendant-> v1 v1 "
-      "-descendant-> v2 hash=098fd0ee78c6d4e574a308af37501132 | routes: "
+      "| [0] v0{rating5}=>0 v1{product} v2{} v1 -descendant-> v0 v2 "
+      "-descendant-> v1 hash=948634bab10eee0aa56e4faf39a543c4 | routes: "
       "xpath.set_at_a_time xpath.naive xpath.stream datalog.tmnf "
       "cq.yannakakis");
 }
@@ -78,8 +78,8 @@ TEST(PlanExplainTest, KAryCqGolden) {
                  "Lab_review(r)."),
       "cq k-ary: class tau1 (<pre) -> acyclic enumeration (Yannakakis); "
       "est. visits = |Q|*(|D|+1), |Q|=3 | ir: arity=2 branches=1 | [0] "
-      "v0{} v1{product}=>0 v2{review}=>1 v0 -descendant-> v1 v1 "
-      "-descendant-> v2 hash=1b0fbc1ff0445c302009cee5570353f8 | routes: "
+      "v0{product}=>0 v1{} v2{review}=>1 v0 -descendant-> v2 v1 "
+      "-descendant-> v0 hash=087669d767d1613f6992a78dc473d7c9 | routes: "
       "cq.yannakakis");
 }
 
@@ -88,9 +88,9 @@ TEST(PlanExplainTest, DatalogGolden) {
       ExplainFor(Language::kDatalog,
                  "Q(y) :- Child+(w, x), Lab_name(y), Child(x, y). ?- Q."),
       "datalog: TMNF grounding + fixpoint; est. visits = |Q|*(|D|+1), "
-      "|Q|=1 | ir: arity=1 branches=1 | [0] v0{} v1{} v2{name}=>0 v0 "
-      "-child-> v2 v1 -descendant-> v0 "
-      "hash=0ccfcf1ab12a0ccdb922be9f84262c7f | routes: datalog.tmnf "
+      "|Q|=1 | ir: arity=1 branches=1 | [0] v0{name}=>0 v1{} v2{} v1 "
+      "-child-> v0 v2 -descendant-> v1 "
+      "hash=01a881186117c1ab2303f7348b9ae9a2 | routes: datalog.tmnf "
       "cq.yannakakis");
 }
 

@@ -29,6 +29,16 @@ DETERMINISTIC = {
          "naive_ok", "result_size"),
         (),
     ),
+    "bench_cache_reuse": (
+        ("hit_rate", "requests", "distinct_keys", "executions",
+         "result_cache_hits"),
+        ("requests_per_mix", "query_texts"),
+    ),
+    "bench_plan_routing": (
+        ("query_index", "engine_index", "eligible_engines"),
+        ("num_documents", "products_per_document", "workload_queries",
+         "evals_per_mode"),
+    ),
     "bench_stream_memory": (
         ("sweep", "depth", "width", "nodes", "peak_frames", "events",
          "matches"),
